@@ -5,15 +5,19 @@
 //!    the steady state of `partition_evaluate`'s inner loop;
 //! 2. a whole `partition_evaluate` scan allocates **strictly less**
 //!    than the seed path it replaced (a fresh `CostMatrix::from_table`
-//!    plus an allocating `core_assign` per enumerated partition).
+//!    plus an allocating `core_assign` per enumerated partition), and at
+//!    most one allocation per enumerated partition plus a constant;
+//! 3. enumerating partitions costs exactly one allocation per yielded
+//!    partition (its own `Vec`): the successor is computed in place.
 //!
 //! The counter wraps the system allocator and counts every `alloc`
-//! (reallocations included — they claim new blocks). Tests share one
-//! mutex so their deltas never interleave.
+//! (reallocations included — they claim new blocks) **per thread**, so
+//! the test harness's own threads and concurrently running tests never
+//! leak into a measurement. Every measured section runs on the test's
+//! thread: the scans use one worker, which the engine runs inline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use tamopt_assign::{
     core_assign, core_assign_into, AssignScratch, CoreAssignOptions, CostMatrix, TamSet,
@@ -25,11 +29,18 @@ use tamopt_wrapper::TimeTable;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -38,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,16 +57,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
-/// Serializes the measured sections across test threads.
-static MEASURE: Mutex<()> = Mutex::new(());
-
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
+
+/// Allocations the d695 `W = 32`, `B <= 4` scan may make beyond one per
+/// enumerated partition (351): the bound and effective-width vectors,
+/// the engine's chunk and slot buffers, per-worker scratch warm-up, the
+/// matrix memo's entries (about 14 allocations per effective-width
+/// signature) and the results of candidates entering the ranking. The
+/// count is deterministic; it measured 363 when this bound was set.
+const SCAN_OVERHEAD_ALLOCATIONS: u64 = 400;
 
 #[test]
 fn warm_hot_path_allocates_nothing_per_partition() {
-    let _guard = MEASURE.lock().unwrap();
     let table = TimeTable::new(&benchmarks::d695(), 32).expect("width 32 is valid");
     // Every unique partition of 32 wires into exactly 3 TAMs.
     let partitions: Vec<TamSet> = Partitions::new(32, 3)
@@ -104,8 +120,24 @@ fn warm_hot_path_allocates_nothing_per_partition() {
 }
 
 #[test]
+fn enumeration_allocates_once_per_yielded_partition() {
+    let partitions = Partitions::new(64, 6);
+    let before = allocations();
+    let mut yielded = 0u64;
+    for widths in partitions {
+        std::hint::black_box(widths);
+        yielded += 1;
+    }
+    let delta = allocations() - before;
+    assert_eq!(yielded, 17_180, "p(64, 6)");
+    assert_eq!(
+        delta, yielded,
+        "one allocation per yielded partition: {delta} for {yielded}"
+    );
+}
+
+#[test]
 fn full_scan_allocates_strictly_less_than_the_seed_path() {
-    let _guard = MEASURE.lock().unwrap();
     let table = TimeTable::new(&benchmarks::d695(), 32).expect("width 32 is valid");
     let config = EvaluateConfig::up_to_tams(4);
 
@@ -150,9 +182,11 @@ fn full_scan_allocates_strictly_less_than_the_seed_path() {
          seed path: {new_path} vs {seed_path} over {enumerated} partitions"
     );
     // And not marginally: the seed path pays ~a dozen allocations per
-    // partition, the new path amortizes to the enumerator's own output.
+    // partition, the new path amortizes to the enumerator's own output
+    // (one `Vec` per partition) plus per-scan and per-chunk buffers.
     assert!(
-        new_path < seed_path / 3,
-        "expected a large margin: {new_path} vs {seed_path}"
+        new_path <= enumerated + SCAN_OVERHEAD_ALLOCATIONS,
+        "expected at most one allocation per partition plus \
+         {SCAN_OVERHEAD_ALLOCATIONS}: {new_path} over {enumerated} partitions"
     );
 }

@@ -1,10 +1,11 @@
-//! Parallel scaling of the deterministic search engine: the paper's
-//! heaviest heuristic scan — p93791, *P_NPAW* at `W = 64`, `B ≤ 10` —
-//! at 1 vs N worker threads, plus the exhaustive baseline on d695.
+//! Parallel scaling of the deterministic search engine on the
+//! exhaustive baseline (d695, `W = 32`, `B = 3`) at 1 vs N worker
+//! threads. The heuristic scan's thread scaling is measured by
+//! `bench_scan` (`scan_evaluate_p93791_W64_B10`).
 //!
 //! The engine guarantees bit-identical results for every thread count
 //! (asserted here on each measured configuration), so the only thing
-//! these benches trade is wall-clock time. Speedups require actual CPUs;
+//! this bench trades is wall-clock time. Speedups require actual CPUs;
 //! on a single-core host the N-thread variants only measure the
 //! engine's synchronization overhead.
 
@@ -12,40 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tamopt::engine::ParallelConfig;
 use tamopt::partition::exhaustive::{self, ExhaustiveConfig};
-use tamopt::partition::{partition_evaluate, EvaluateConfig};
 use tamopt::{benchmarks, TimeTable};
-
-fn config_with_threads(max_tams: u32, threads: usize) -> EvaluateConfig {
-    EvaluateConfig {
-        parallel: ParallelConfig::with_threads(threads),
-        ..EvaluateConfig::up_to_tams(max_tams)
-    }
-}
-
-fn bench_evaluate_threads(c: &mut Criterion) {
-    let soc = benchmarks::p93791();
-    let table = TimeTable::new(&soc, 64).expect("width 64 is valid");
-    let reference =
-        partition_evaluate(&table, 64, &config_with_threads(10, 1)).expect("valid configuration");
-    let mut group = c.benchmark_group("parallel_evaluate_p93791_W64_B10");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        // Determinism gate: same TamSet, AssignResult and PruneStats at
-        // every thread count before we bother timing it.
-        let eval = partition_evaluate(&table, 64, &config_with_threads(10, threads))
-            .expect("valid configuration");
-        assert_eq!(eval, reference, "threads={threads} must be bit-identical");
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                let config = config_with_threads(10, threads);
-                b.iter(|| black_box(partition_evaluate(black_box(&table), 64, &config)))
-            },
-        );
-    }
-    group.finish();
-}
 
 fn bench_exhaustive_threads(c: &mut Criterion) {
     // Per-partition *exact* solves are the coarse-grained ideal case
@@ -70,5 +38,5 @@ fn bench_exhaustive_threads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_evaluate_threads, bench_exhaustive_threads);
+criterion_group!(benches, bench_exhaustive_threads);
 criterion_main!(benches);

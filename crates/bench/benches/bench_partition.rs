@@ -1,6 +1,7 @@
 //! Partition-layer costs: enumeration iterators, `Partition_evaluate`,
 //! and the exhaustive baseline — the paper's two-to-three orders of
-//! magnitude gap.
+//! magnitude gap. The industrial-scale scan (p93791, `W = 64`,
+//! `B ≤ 10`) is timed once, by `bench_scan`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -51,31 +52,5 @@ fn bench_evaluate_vs_exhaustive(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_evaluate_industrial(c: &mut Criterion) {
-    // The paper evaluated architectures with up to ten TAMs "within a
-    // few minutes" on industrial SOCs; here it is milliseconds.
-    let soc = benchmarks::p93791();
-    let table = TimeTable::new(&soc, 64).expect("width 64 is valid");
-    let mut group = c.benchmark_group("partition_evaluate_p93791_W64");
-    group.sample_size(10);
-    for b in [3u32, 6, 10] {
-        group.bench_with_input(BenchmarkId::from_parameter(b), &b, |bench, &b| {
-            bench.iter(|| {
-                black_box(partition_evaluate(
-                    black_box(&table),
-                    64,
-                    &EvaluateConfig::up_to_tams(b),
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_enumeration,
-    bench_evaluate_vs_exhaustive,
-    bench_evaluate_industrial
-);
+criterion_group!(benches, bench_enumeration, bench_evaluate_vs_exhaustive);
 criterion_main!(benches);

@@ -13,15 +13,13 @@
 //! [`lower_bound`] returns the max of both. Every solver in this crate
 //! is tested against it.
 
-use tamopt_wrapper::TimeTable;
+use tamopt_wrapper::{pareto, TimeTable};
 
-/// The bottleneck bound: `max_c T_c(max_width)` where `max_width` is
-/// the table's full width (pass a table built at the SOC total width).
+/// The bottleneck bound: `max_c min_w T_c(w)` over the table's full
+/// width (pass a table built at the SOC total width) — the last entry of
+/// [`pareto::bottleneck_by_width`].
 pub fn bottleneck_bound(table: &TimeTable) -> u64 {
-    (0..table.num_cores())
-        .map(|c| table.min_time(c))
-        .max()
-        .unwrap_or(0)
+    pareto::bottleneck_from_table(table)
 }
 
 /// The bandwidth bound: `⌈Σ_c min_w w·T_c(w) / W⌉` with `W` the table's
@@ -94,6 +92,18 @@ mod tests {
             let eval = partition_evaluate(&table, 48, &EvaluateConfig::up_to_tams(6)).unwrap();
             assert!(eval.result.soc_time() >= lb, "{}", soc.name());
         }
+    }
+
+    #[test]
+    fn bounds_hold_on_a_verbatim_table_with_a_non_monotone_row() {
+        // Core 0 is fastest at width 2 (4 cycles) and slower at width 3
+        // (9): 1 + 2 wires test both cores in 5 cycles, so a bound that
+        // read the last column (9) would exceed the optimum.
+        let table = TimeTable::from_matrix(vec![vec![10, 4, 9], vec![5, 5, 5]]);
+        let best = exhaustive::solve(&table, 3, &ExhaustiveConfig::up_to_tams(3)).unwrap();
+        assert_eq!(best.result.soc_time(), 5);
+        assert_eq!(bottleneck_bound(&table), 5);
+        assert!(lower_bound(&table) <= best.result.soc_time());
     }
 
     #[test]

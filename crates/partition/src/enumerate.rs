@@ -28,7 +28,7 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct Partitions {
-    total: u32,
+    /// The next partition to yield, advanced in place after each yield.
     current: Option<Vec<u32>>,
 }
 
@@ -43,7 +43,7 @@ impl Partitions {
             first[parts as usize - 1] = total - parts + 1;
             Some(first)
         };
-        Partitions { total, current }
+        Partitions { current }
     }
 }
 
@@ -51,35 +51,44 @@ impl Iterator for Partitions {
     type Item = Vec<u32>;
 
     fn next(&mut self) -> Option<Vec<u32>> {
-        let current = self.current.take()?;
-        self.current = next_partition(&current, self.total);
-        Some(current)
+        let current = self.current.as_mut()?;
+        // One exact-capacity copy per yielded partition; the successor
+        // is computed in place.
+        let yielded = current.clone();
+        if !advance_partition(current) {
+            self.current = None;
+        }
+        Some(yielded)
     }
 }
 
-/// Computes the lexicographic successor of a non-decreasing partition,
-/// or `None` if `a` is the last one.
-fn next_partition(a: &[u32], total: u32) -> Option<Vec<u32>> {
+/// Replaces the non-decreasing partition `a` by its lexicographic
+/// successor with the same sum, in place and in `O(B)`; returns `false`
+/// (leaving `a` unchanged) if `a` was the last one.
+///
+/// Scanning right to left with a running suffix sum `s = a[i] + … +
+/// a[B-1]`, the rightmost position `i < B-1` whose increment still lets
+/// the whole suffix sit at `≥ a[i] + 1` (`s ≥ (a[i] + 1)·(B - i)`) is
+/// raised; positions `i..B-1` take the new value and the last part
+/// absorbs the rest.
+fn advance_partition(a: &mut [u32]) -> bool {
     let b = a.len();
     if b <= 1 {
-        return None;
+        return false;
     }
-    // Find the rightmost position (excluding the last) whose increment
-    // still leaves room for the whole suffix to sit at >= that value.
+    let mut suffix = a[b - 1];
     for i in (0..b - 1).rev() {
-        let prefix: u32 = a[..i].iter().sum();
+        suffix += a[i];
         let candidate = a[i] + 1;
         let suffix_len = (b - i) as u32;
-        if total - prefix >= candidate * suffix_len {
-            let mut next = a[..i].to_vec();
-            next.extend(std::iter::repeat_n(candidate, b - i - 1));
-            let used: u32 = next.iter().sum();
-            next.push(total - used);
-            debug_assert!(next[b - 1] >= next[b - 2]);
-            return Some(next);
+        if suffix >= candidate * suffix_len {
+            a[i..b - 1].fill(candidate);
+            a[b - 1] = suffix - candidate * (suffix_len - 1);
+            debug_assert!(a[b - 1] >= a[b - 2]);
+            return true;
         }
     }
-    None
+    false
 }
 
 /// Iterator over all ordered compositions of `total` into exactly

@@ -26,7 +26,7 @@ use tamopt_assign::{
     TamSet,
 };
 use tamopt_engine::{search_chunks_with, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
-use tamopt_wrapper::TimeTable;
+use tamopt_wrapper::{pareto, TimeTable};
 
 use crate::enumerate::Partitions;
 use crate::PartitionError;
@@ -191,6 +191,11 @@ pub struct EvalResult {
     pub result: AssignResult,
     /// Pruning statistics over the whole run.
     pub stats: PruneStats,
+    /// How many of `stats.aborted` the per-width bottleneck bound
+    /// skipped before building their cost matrix (see
+    /// [`partition_evaluate_top_k`]). An observability counter, not a
+    /// Table 1 quantity: always `<= stats.aborted`.
+    pub bound_skipped: u64,
     /// Whether the whole partition space was scanned (`false` when the
     /// [`SearchBudget`] stopped the scan early; the result is then the
     /// best over `stats.enumerated` partitions).
@@ -227,6 +232,10 @@ pub struct RankedEvalResult {
     /// Pruning statistics over the whole run (the bound is the running
     /// *k-th best* time, so completion counts grow with `k`).
     pub stats: PruneStats,
+    /// How many of `stats.aborted` the per-width bottleneck bound
+    /// skipped before building their cost matrix. Observability only:
+    /// always `<= stats.aborted`.
+    pub bound_skipped: u64,
     /// Whether the whole partition space was scanned.
     pub complete: bool,
 }
@@ -413,6 +422,7 @@ pub fn partition_evaluate(
         tams,
         result,
         stats: ranked.stats,
+        bound_skipped: ranked.bound_skipped,
         complete: ranked.complete,
     })
 }
@@ -436,6 +446,15 @@ pub fn partition_evaluate(
 /// `k = 1`: the seed is a best-time bound, and opening the scan there
 /// would wrongly abort the candidates of ranks `2..=k`, whose times are
 /// worse than the best by definition.
+///
+/// With pruning on, a partition whose widest TAM `w_max` gives
+/// `LB(w_max) >= τ` ([`pareto::bottleneck_by_width`]) is counted as
+/// aborted without building its cost matrix: the bottleneck core lands
+/// on some TAM of width at most `w_max`, so that TAM's time reaches
+/// `LB(w_max) >= τ` and `Core_assign` would abort at that step or
+/// earlier. Skipping it therefore changes no winner, ranking or
+/// [`PruneStats`]; [`RankedEvalResult::bound_skipped`] counts the
+/// skips.
 ///
 /// # Errors
 ///
@@ -473,6 +492,7 @@ pub fn partition_evaluate_top_k(
     /// Outcome of one index-ordered chunk of partitions.
     struct ChunkEval {
         stats: PruneStats,
+        bound_skipped: u64,
         /// The chunk's best candidates, ascending, at most `k`.
         best: Vec<Candidate>,
     }
@@ -487,6 +507,7 @@ pub fn partition_evaluate_top_k(
         None => SharedIncumbent::unbounded(),
     };
     let mut stats = PruneStats::default();
+    let mut bound_skipped = 0u64;
     // The global ranking; its worst entry (once full) is the k-th best
     // time, published to workers through `incumbent` at barriers only.
     let mut global: Ranking<Candidate> = Ranking::new(k);
@@ -494,6 +515,8 @@ pub fn partition_evaluate_top_k(
     // Width canonicalization for the per-worker matrix memo (see
     // `ScanScratch`): computed once, shared read-only by all workers.
     let effective = table.effective_widths();
+    // `lb[w]`: no partition whose widest TAM is `w` can finish below it.
+    let lb = pareto::bottleneck_by_width(table);
 
     let items = (config.min_tams..=config.max_tams).flat_map(|b| Partitions::new(total_width, b));
     let status = search_chunks_with(
@@ -510,10 +533,9 @@ pub fn partition_evaluate_top_k(
             let snapshot = incumbent.get();
             scratch.ranking.clear();
             let mut out_stats = PruneStats::default();
+            let mut skipped = 0u64;
             for (offset, widths) in chunk.into_iter().enumerate() {
                 out_stats.enumerated += 1;
-                let tams = TamSet::new(widths).expect("partition parts are positive");
-                scratch.rebuild_matrix(table, &tams, &effective)?;
                 // A candidate worse than the chunk's own k-th best can
                 // never enter the global top-k either, so the local
                 // heap's worst (once full) is a sound extra bound.
@@ -526,6 +548,18 @@ pub fn partition_evaluate_top_k(
                 } else {
                     None
                 };
+                if let Some(tau) = bound {
+                    // Parts are non-decreasing: the last is the widest.
+                    let widest = *widths.last().expect("partitions have parts");
+                    if lb[widest as usize] >= tau {
+                        // `Core_assign` would abort; skip the matrix.
+                        out_stats.aborted += 1;
+                        skipped += 1;
+                        continue;
+                    }
+                }
+                let tams = TamSet::new(widths).expect("partition parts are positive");
+                scratch.rebuild_matrix(table, &tams, &effective)?;
                 match core_assign_into(&scratch.matrix, bound, &config.options, &mut scratch.assign)
                 {
                     Some(time) => {
@@ -554,11 +588,13 @@ pub fn partition_evaluate_top_k(
             }
             Ok(ChunkEval {
                 stats: out_stats,
+                bound_skipped: skipped,
                 best: scratch.ranking.drain_sorted(),
             })
         },
         |chunk: ChunkEval| {
             stats.merge(chunk.stats);
+            bound_skipped += chunk.bound_skipped;
             // Chunks merge in index order and the candidate order is
             // total on (time, index), so the global ranking ends up with
             // the k lowest-(time, index) partitions — for k = 1 exactly
@@ -576,6 +612,7 @@ pub fn partition_evaluate_top_k(
     )?;
 
     debug_assert_eq!(stats.enumerated, stats.completed + stats.aborted);
+    debug_assert!(bound_skipped <= stats.aborted);
     if global.is_empty() {
         if seed_tau.is_some() {
             // The seed was unreachable at this width / TAM range (the
@@ -596,6 +633,7 @@ pub fn partition_evaluate_top_k(
             merged.merge(cold.stats);
             return Ok(RankedEvalResult {
                 stats: merged,
+                bound_skipped: bound_skipped + cold.bound_skipped,
                 ..cold
             });
         }
@@ -611,6 +649,7 @@ pub fn partition_evaluate_top_k(
             })
             .collect(),
         stats,
+        bound_skipped,
         complete: status.is_complete(),
     })
 }
@@ -899,6 +938,8 @@ mod tests {
         assert!(seeded.complete);
         // The wasted seeded pass is accounted for, not hidden.
         assert_eq!(seeded.stats.enumerated, 2 * cold.stats.enumerated);
+        assert!(seeded.bound_skipped >= cold.bound_skipped);
+        assert!(seeded.bound_skipped <= seeded.stats.aborted);
         assert_eq!(
             seeded.stats.enumerated,
             seeded.stats.completed + seeded.stats.aborted
@@ -1125,6 +1166,66 @@ mod tests {
         let second = with_memo(&memo);
         assert_eq!(second, cold, "snapshotting the memo must be invisible");
         assert_eq!(memo.len(), populated, "nothing new to publish");
+    }
+
+    #[test]
+    fn bound_gate_only_skips_partitions_core_assign_aborts() {
+        // For every partition of W = 64 into at most 4 TAMs and a sweep
+        // of τ around the achieved times: `LB(w_max) >= τ` must imply
+        // that `Core_assign` under τ aborts.
+        for soc in [benchmarks::d695(), benchmarks::p93791()] {
+            let table = TimeTable::new(&soc, 64).unwrap();
+            let lb = pareto::bottleneck_by_width(&table);
+            let options = CoreAssignOptions::default();
+            let mut matrix = CostMatrix::scratch();
+            let mut assign = AssignScratch::new();
+            let mut gated = 0u64;
+            for b in 1..=4u32 {
+                for widths in Partitions::new(64, b) {
+                    let bound = lb[*widths.last().unwrap() as usize];
+                    let tams = TamSet::new(widths).unwrap();
+                    CostMatrix::from_table_into(&table, &tams, &mut matrix).unwrap();
+                    let time = core_assign_into(&matrix, None, &options, &mut assign).unwrap();
+                    for tau in [bound - 1, bound, bound + 1, time - 1, time, time + 1] {
+                        if bound >= tau {
+                            gated += 1;
+                            assert_eq!(
+                                core_assign_into(&matrix, Some(tau), &options, &mut assign),
+                                None,
+                                "{}: {:?} LB {bound} >= tau {tau}",
+                                soc.name(),
+                                tams.widths()
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                gated > 0,
+                "{}: the sweep must exercise the gate",
+                soc.name()
+            );
+        }
+    }
+
+    #[test]
+    fn bound_skipped_counts_gated_partitions() {
+        let table = d695_table(64);
+        let eval = partition_evaluate(&table, 64, &EvaluateConfig::up_to_tams(6)).unwrap();
+        assert!(eval.bound_skipped > 0, "W=64 B<=6 must skip: {eval:?}");
+        assert!(eval.bound_skipped <= eval.stats.aborted);
+        // Without pruning there is no τ, so nothing can be skipped.
+        let unpruned = partition_evaluate(
+            &table,
+            64,
+            &EvaluateConfig {
+                prune: false,
+                ..EvaluateConfig::up_to_tams(6)
+            },
+        )
+        .unwrap();
+        assert_eq!(unpruned.bound_skipped, 0);
+        assert_eq!(unpruned.result.soc_time(), eval.result.soc_time());
     }
 
     #[test]

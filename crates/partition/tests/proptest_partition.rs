@@ -3,13 +3,14 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use tamopt_assign::{core_assign_into, AssignScratch, CoreAssignOptions, CostMatrix, TamSet};
 use tamopt_partition::count;
 use tamopt_partition::enumerate::{Compositions, Partitions};
 use tamopt_partition::pipeline::{
     co_optimize, co_optimize_frontier, co_optimize_top_k, FinalStep, PipelineConfig,
 };
 use tamopt_partition::{partition_evaluate, EvaluateConfig};
-use tamopt_wrapper::TimeTable;
+use tamopt_wrapper::{pareto, TimeTable};
 
 /// A small random cost table shaped like `T_i(w)`: non-increasing rows.
 fn arb_table() -> impl Strategy<Value = TimeTable> {
@@ -25,8 +26,51 @@ fn arb_table() -> impl Strategy<Value = TimeTable> {
     })
 }
 
+/// A small random cost table whose rows need **not** be monotone, like
+/// a table given verbatim to [`TimeTable::from_matrix`].
+fn arb_raw_table() -> impl Strategy<Value = TimeTable> {
+    (1usize..6, 2u32..10).prop_flat_map(|(cores, width)| {
+        proptest::collection::vec(proptest::collection::vec(1u64..300, width as usize), cores)
+            .prop_map(TimeTable::from_matrix)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scan's bound gate is sound on any table, monotone or not: a
+    /// partition whose widest TAM `w_max` has `LB(w_max) >= τ` makes
+    /// `Core_assign` abort against `τ`, so skipping it changes nothing.
+    /// `LB` itself never increases with the width.
+    #[test]
+    fn bound_gate_implies_core_assign_aborts(table in arb_raw_table(), max_tams in 1u32..5) {
+        let lb = pareto::bottleneck_by_width(&table);
+        prop_assert!(lb[1..].windows(2).all(|p| p[0] >= p[1]), "LB not non-increasing: {:?}", lb);
+        let width = table.max_width();
+        let options = CoreAssignOptions::default();
+        let mut matrix = CostMatrix::scratch();
+        let mut scratch = AssignScratch::new();
+        for b in 1..=max_tams {
+            for widths in Partitions::new(width, b) {
+                let bound = lb[*widths.last().expect("non-empty") as usize];
+                let tams = TamSet::new(widths).expect("positive parts");
+                CostMatrix::from_table_into(&table, &tams, &mut matrix).expect("widths fit");
+                let time = core_assign_into(&matrix, None, &options, &mut scratch)
+                    .expect("unbounded runs complete");
+                prop_assert!(time >= bound, "{:?}: {} below LB {}", tams.widths(), time, bound);
+                for tau in [1, bound.saturating_sub(1), bound, time, time + 1] {
+                    if bound >= tau {
+                        prop_assert_eq!(
+                            core_assign_into(&matrix, Some(tau), &options, &mut scratch),
+                            None,
+                            "{:?}: LB {} >= tau {} but Core_assign finished",
+                            tams.widths(), bound, tau
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// The iterator yields exactly p(W, B) partitions, all canonical
     /// (non-decreasing), all summing to W, all distinct.

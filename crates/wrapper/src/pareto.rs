@@ -138,28 +138,62 @@ pub fn idle_wires(core: &Core, width: u32) -> Result<u32, WrapperError> {
     Ok(0)
 }
 
+/// The per-width bottleneck bound of a precomputed [`TimeTable`], the
+/// one definition every table-level bottleneck bound reads. Entry `w`
+/// (for `1..=max_width`; entry 0 is unused and holds 0) is
+///
+/// ```text
+/// LB(w) = max_c min_{w' ≤ w} T_c(w')
+/// ```
+///
+/// the time of the slowest core when every core gets its best width of
+/// at most `w` wires. No architecture whose TAMs are all at most `w`
+/// wide can beat it. The prefix minimum keeps the bound sound even
+/// when a row is not monotone (a table given verbatim); on built
+/// tables, whose rows never increase, `LB(w) = max_c T_c(w)`. The
+/// vector is non-increasing in `w`.
+///
+/// # Example
+///
+/// ```
+/// use tamopt_wrapper::{pareto::bottleneck_by_width, TimeTable};
+///
+/// let table = TimeTable::from_matrix(vec![vec![10, 4, 9], vec![5, 5, 5]]);
+/// assert_eq!(bottleneck_by_width(&table), vec![0, 10, 5, 5]);
+/// ```
+pub fn bottleneck_by_width(table: &TimeTable) -> Vec<u64> {
+    let mut bound = vec![0u64; table.max_width() as usize + 1];
+    for core in 0..table.num_cores() {
+        let mut best = u64::MAX;
+        for (slot, &time) in bound[1..].iter_mut().zip(table.row(core)) {
+            best = best.min(time);
+            *slot = (*slot).max(best);
+        }
+    }
+    bound
+}
+
 /// Restates [`bottleneck_lower_bound`] on a precomputed [`TimeTable`]
-/// whose `max_width` is the SOC total width.
+/// whose `max_width` is the SOC total width: [`bottleneck_by_width`] at
+/// the table's full width.
 pub fn bottleneck_from_table(table: &TimeTable) -> u64 {
-    (0..table.num_cores())
-        .map(|c| table.min_time(c))
-        .max()
-        .unwrap_or(0)
+    bottleneck_at_width(table, table.max_width())
 }
 
 /// [`bottleneck_lower_bound`] at an *intermediate* width of a precomputed
 /// [`TimeTable`] — the per-width bound column of a frontier sweep, read
-/// without re-designing any wrapper.
+/// from [`bottleneck_by_width`] without re-designing any wrapper.
 ///
 /// # Panics
 ///
 /// Panics if `width` is `0` or greater than the table's
 /// [`max_width`](TimeTable::max_width).
 pub fn bottleneck_at_width(table: &TimeTable, width: u32) -> u64 {
-    (0..table.num_cores())
-        .map(|c| table.time(c, width))
-        .max()
-        .unwrap_or(0)
+    assert!(
+        width >= 1 && width <= table.max_width(),
+        "width {width} out of range"
+    );
+    bottleneck_by_width(table)[width as usize]
 }
 
 #[cfg(test)]
@@ -217,6 +251,42 @@ mod tests {
             bottleneck_at_width(&table, 48),
             bottleneck_from_table(&table)
         );
+    }
+
+    #[test]
+    fn per_width_bound_is_the_prefix_min_column_max() {
+        let soc = benchmarks::p93791();
+        let table = TimeTable::new(&soc, 64).unwrap();
+        let lb = bottleneck_by_width(&table);
+        assert_eq!(lb.len(), 65);
+        assert_eq!(lb[0], 0);
+        // Built rows never increase, so the prefix min is the column.
+        for w in 1..=64u32 {
+            let column = (0..table.num_cores())
+                .map(|c| table.time(c, w))
+                .max()
+                .unwrap();
+            assert_eq!(lb[w as usize], column, "W={w}");
+        }
+        assert!(lb[1..].windows(2).all(|p| p[0] >= p[1]));
+    }
+
+    #[test]
+    fn per_width_bound_takes_the_prefix_min_of_non_monotone_rows() {
+        // Core 0 is fastest at width 2 (4 cycles) and slower at width 3
+        // (9). With TAMs of at most 3 wires it can still take 4 cycles,
+        // so the bound at 3 must not read column 3.
+        let table = TimeTable::from_matrix(vec![vec![10, 4, 9], vec![5, 5, 5]]);
+        assert_eq!(bottleneck_by_width(&table), vec![0, 10, 5, 5]);
+        assert_eq!(bottleneck_at_width(&table, 3), 5);
+        assert_eq!(bottleneck_from_table(&table), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn per_width_bound_rejects_width_zero() {
+        let table = TimeTable::from_matrix(vec![vec![3, 2]]);
+        let _ = bottleneck_at_width(&table, 0);
     }
 
     #[test]

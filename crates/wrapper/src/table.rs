@@ -85,9 +85,11 @@ impl TimeTable {
     }
 
     /// Minimum achievable testing time for a core within the table's
-    /// width range (its saturation time).
+    /// width range (its saturation time). The row minimum, not the last
+    /// column: a table given verbatim ([`TimeTable::from_matrix`]) need
+    /// not have non-increasing rows.
     pub fn min_time(&self, core: usize) -> u64 {
-        *self.times[core].last().expect("max_width >= 1")
+        *self.times[core].iter().min().expect("max_width >= 1")
     }
 
     /// The **effective width** of every width `1..=max_width`: entry `w`
@@ -216,6 +218,13 @@ mod tests {
         let t = TimeTable::from_matrix(times.clone());
         assert_eq!(t.num_cores(), 5);
         assert_eq!(t.time(0, 2), times[0][1]);
+    }
+
+    #[test]
+    fn min_time_is_the_row_minimum_of_a_non_monotone_row() {
+        let t = TimeTable::from_matrix(vec![vec![10, 4, 9], vec![5, 5, 5]]);
+        assert_eq!(t.min_time(0), 4, "not the last column (9)");
+        assert_eq!(t.min_time(1), 5);
     }
 
     #[test]
