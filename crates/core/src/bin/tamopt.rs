@@ -86,14 +86,16 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tamopt::analysis::UtilizationReport;
-use tamopt::cli::{parse_manifest, parse_serve_line, parse_threads, parse_time_limit, ServeLine};
+use tamopt::cli::{
+    parse_manifest, parse_serve_line, parse_threads, parse_time_limit, ServeLine, ServeTag,
+};
 use tamopt::cost::{BusCost, GateWeights};
 use tamopt::rail::{design_rails, RailConfig, RailCostModel};
 use tamopt::schedule::TestSchedule;
 use tamopt::service::{
-    BatchConfig, JournalBinding, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions,
-    NetServer, Request, RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, StoreBinding,
-    SubmitError, Trace, WIRE_VERSION,
+    BatchConfig, JournalBinding, LiveConfig, NetDirective, NetListener, NetOptions, NetServer,
+    Request, RequestOutcome, RequestStatus, ServeQueue, ShardTrace, StoreBinding, SubmitError,
+    WIRE_VERSION,
 };
 use tamopt::soc::format::parse_soc;
 use tamopt::store::{Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
@@ -463,80 +465,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
     })
 }
 
-/// The live daemon behind `tamopt serve`: one flat queue or N
-/// fingerprint-routed shards, behind one surface so the stdin loop is
-/// queue-shape agnostic.
-enum ServeQueue {
-    Flat(LiveQueue),
-    Sharded(ShardedQueue),
-}
-
-impl ServeQueue {
-    fn start(config: LiveConfig, shards: Option<usize>) -> Self {
-        match shards {
-            Some(n) => ServeQueue::Sharded(ShardedQueue::start(config, n)),
-            None => ServeQueue::Flat(LiveQueue::start(config)),
-        }
-    }
-
-    /// Submits a request, returning its **global** id.
-    fn submit(&self, request: Request) -> Result<usize, SubmitError> {
-        match self {
-            ServeQueue::Flat(q) => q.submit(request).map(|(id, _)| id.index()),
-            ServeQueue::Sharded(q) => q.submit(request).map(|(id, _)| id.index()),
-        }
-    }
-
-    /// Submits pinned to `shard` when both the pin and the sharding
-    /// exist — the recovery path re-running a journalled request where
-    /// it was originally accepted; routes normally otherwise.
-    fn submit_pinned(&self, shard: Option<usize>, request: Request) -> Result<usize, SubmitError> {
-        match (self, shard) {
-            (ServeQueue::Sharded(q), Some(shard)) => {
-                q.submit_pinned(shard, request).map(|(id, _)| id.index())
-            }
-            _ => self.submit(request),
-        }
-    }
-
-    /// The shard that accepted global id `id` (`None` when flat) — the
-    /// accept-time stamp the journal records.
-    fn shard_of(&self, id: usize) -> Option<usize> {
-        match self {
-            ServeQueue::Flat(_) => None,
-            ServeQueue::Sharded(q) => q.shard_of(id.into()),
-        }
-    }
-
-    fn cancel(&self, id: usize) -> bool {
-        match self {
-            ServeQueue::Flat(q) => q.cancel(id.into()),
-            ServeQueue::Sharded(q) => q.cancel(id.into()),
-        }
-    }
-
-    fn stats_json(&self) -> String {
-        match self {
-            ServeQueue::Flat(q) => q.stats().to_json(),
-            ServeQueue::Sharded(q) => q.stats().to_json(),
-        }
-    }
-
-    fn recv_outcome(&self) -> Option<tamopt::service::RequestOutcome> {
-        match self {
-            ServeQueue::Flat(q) => q.recv_outcome(),
-            ServeQueue::Sharded(q) => q.recv_outcome(),
-        }
-    }
-
-    fn shutdown(&self) -> Option<tamopt::service::BatchReport> {
-        match self {
-            ServeQueue::Flat(q) => q.shutdown(),
-            ServeQueue::Sharded(q) => q.shutdown(),
-        }
-    }
-}
-
 fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     let args = match parse_serve_args(argv) {
         Ok(a) => a,
@@ -649,10 +577,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
 
     let report = match first {
         // Empty input: an empty trace still owes a valid (empty) report.
-        None => match args.shards {
-            Some(shards) => ShardedQueue::replay(ShardTrace::new(), config, shards).1,
-            None => LiveQueue::replay(Trace::new(), config).1,
-        },
+        None => ServeQueue::replay(ShardTrace::new(), config, args.shards).1,
         Some((first_number, _, (Some(first_tag), first_directive))) => {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
@@ -660,91 +585,15 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             if journal.is_some() {
                 eprintln!("serve: trace replay is not journalled (the trace itself is the recovery script)");
             }
-            if matches!(first_directive, ServeLine::Stats) {
-                eprintln!(
-                    "serve: line {}: `stats` is only available in live mode",
-                    first_number + 1
-                );
-                return ExitCode::FAILURE;
-            }
-            let mut events = vec![(first_number, first_tag, first_directive)];
-            for (number, line) in lines {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("serve: cannot read stdin: {e}");
+            let trace =
+                match collect_trace((first_number, first_tag, first_directive), lines, &args) {
+                    Ok(trace) => trace,
+                    Err(msg) => {
+                        eprintln!("{msg}");
                         return ExitCode::FAILURE;
                     }
                 };
-                match parse_serve_line(&line, &load_soc) {
-                    Ok(None) => {}
-                    Ok(Some((_, ServeLine::Stats))) => {
-                        eprintln!(
-                            "serve: line {}: `stats` is only available in live mode",
-                            number + 1
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    Ok(Some((Some(tag), directive))) => {
-                        events.push((number, tag, directive));
-                    }
-                    Ok(Some((None, _))) => {
-                        eprintln!(
-                            "serve: line {}: missing @<generation> tag (trace mode)",
-                            number + 1
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    Err(msg) => {
-                        eprintln!("serve: line {}: {msg}", number + 1);
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let (stream, report) = match args.shards {
-                Some(shards) => {
-                    let mut trace = ShardTrace::new();
-                    for (_, tag, directive) in events {
-                        trace = match directive {
-                            ServeLine::Submit(mut request) => {
-                                clamp_budget(&mut request, args.max_budget);
-                                match tag.shard {
-                                    Some(shard) => {
-                                        trace.submit_pinned_at(tag.generation, shard, request)
-                                    }
-                                    None => trace.submit_at(tag.generation, request),
-                                }
-                            }
-                            // A cancel routes to the owner of the id;
-                            // any shard pin on it is redundant.
-                            ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
-                            ServeLine::Stats => unreachable!("rejected during collection"),
-                        };
-                    }
-                    ShardedQueue::replay(trace, config, shards)
-                }
-                None => {
-                    let mut trace = Trace::new();
-                    for (number, tag, directive) in events {
-                        if tag.shard.is_some() {
-                            eprintln!(
-                                "serve: line {}: @<generation>/<shard> tags require --shards",
-                                number + 1
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                        trace = match directive {
-                            ServeLine::Submit(mut request) => {
-                                clamp_budget(&mut request, args.max_budget);
-                                trace.submit_at(tag.generation, request)
-                            }
-                            ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
-                            ServeLine::Stats => unreachable!("rejected during collection"),
-                        };
-                    }
-                    LiveQueue::replay(trace, config)
-                }
-            };
+            let (stream, report) = ServeQueue::replay(trace, config, args.shards);
             for outcome in &stream {
                 print!("{}", outcome.to_json_line());
             }
@@ -778,7 +627,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                             match queue.submit(request) {
                                 Ok(id) => {
                                     if let Some(journal) = &journal {
-                                        journal.submit(id, None, queue.shard_of(id), line);
+                                        journal.submit(id.index(), None, queue.shard_of(id), line);
                                     }
                                 }
                                 Err(SubmitError::ShutDown) => {
@@ -798,7 +647,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                             }
                         }
                         ServeLine::Cancel(id) => {
-                            if queue.cancel(id) {
+                            if queue.cancel(id.into()) {
                                 if let Some(journal) = &journal {
                                     journal.cancel(id);
                                 }
@@ -876,6 +725,66 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Collects a trace-mode input — its first tagged directive, then the
+/// remaining stdin lines — into one [`ShardTrace`], replayed flat or
+/// sharded by [`ServeQueue::replay`]. Fails on the first line that only
+/// live mode accepts (an untagged line, `stats`), on a shard pin
+/// without `--shards`, and on unreadable or malformed input.
+fn collect_trace(
+    first: (usize, ServeTag, ServeLine),
+    lines: impl Iterator<Item = (usize, std::io::Result<String>)>,
+    args: &ServeArgs,
+) -> Result<ShardTrace, String> {
+    type Event = Option<(usize, Option<ServeTag>, ServeLine)>;
+    let rest = lines.map(|(number, line)| -> Result<Event, String> {
+        let line = line.map_err(|e| format!("serve: cannot read stdin: {e}"))?;
+        let parsed = parse_serve_line(&line, &load_soc)
+            .map_err(|msg| format!("serve: line {}: {msg}", number + 1))?;
+        Ok(parsed.map(|(tag, directive)| (number, tag, directive)))
+    });
+    let (first_number, first_tag, first_directive) = first;
+    let first = (first_number, Some(first_tag), first_directive);
+    let mut trace = ShardTrace::new();
+    for event in std::iter::once(Ok(Some(first))).chain(rest) {
+        let Some((number, tag, directive)) = event? else {
+            continue;
+        };
+        let line = number + 1;
+        let tag = match (tag, &directive) {
+            (_, ServeLine::Stats) => {
+                return Err(format!(
+                    "serve: line {line}: `stats` is only available in live mode"
+                ))
+            }
+            (None, _) => {
+                return Err(format!(
+                    "serve: line {line}: missing @<generation> tag (trace mode)"
+                ))
+            }
+            (Some(tag), _) if tag.shard.is_some() && args.shards.is_none() => {
+                return Err(format!(
+                    "serve: line {line}: @<generation>/<shard> tags require --shards"
+                ))
+            }
+            (Some(tag), _) => tag,
+        };
+        trace = match directive {
+            ServeLine::Submit(mut request) => {
+                clamp_budget(&mut request, args.max_budget);
+                match tag.shard {
+                    Some(shard) => trace.submit_pinned_at(tag.generation, shard, request),
+                    None => trace.submit_at(tag.generation, request),
+                }
+            }
+            // A cancel routes to the owner of the id; any shard pin on
+            // it is redundant.
+            ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
+            ServeLine::Stats => unreachable!("rejected above"),
+        };
+    }
+    Ok(trace)
 }
 
 /// Applies the server-side `--max-budget` clamp to one request: the
@@ -959,7 +868,7 @@ fn recover_journal(
             let id = queue
                 .submit_pinned(r.shard.map(|s| s as usize), request.clone())
                 .map_err(|e| format!("journal: request {}: resubmission failed: {e}", r.id))?;
-            owner.insert(id, *r);
+            owner.insert(id.index(), *r);
         }
         for _ in 0..owner.len() {
             let mut outcome = queue

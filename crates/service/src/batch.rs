@@ -1,19 +1,11 @@
-//! The batch queue and its pool-driven executor.
+//! The batch queue: build-then-run over the live dispatcher. A batch
+//! run is a [`LiveQueue::replay`] of a trace that submits every queued
+//! request at generation 0.
 
-use std::cell::RefCell;
-use std::time::Instant;
+use tamopt_engine::{CancelHandle, SearchBudget};
 
-use tamopt_engine::{search_generations, CancelHandle, ParallelConfig, SearchBudget};
-use tamopt_partition::pipeline::{
-    co_optimize, co_optimize_frontier_seeded, co_optimize_top_k, PipelineConfig,
-};
-use tamopt_partition::CoOptimization;
-use tamopt_store::CostColumns;
-use tamopt_wrapper::{pareto, TimeTable};
-
-use crate::live::{StoreBinding, WarmCache};
-use crate::report::{BatchReport, RequestOutcome, RequestStatus, ResultEntry};
-use crate::request::RequestKind;
+use crate::live::{LiveConfig, LiveQueue, StoreBinding, Trace};
+use crate::report::BatchReport;
 use crate::Request;
 
 /// Configuration of [`Batch::run`].
@@ -39,8 +31,10 @@ pub struct BatchConfig {
     /// Optional persistent warm-start store. When set, the batch seeds
     /// every request from the store's incumbents (work-saving only —
     /// winners are unaffected), records what it finds back, and saves
-    /// the store once at the end of the run. `None` (the default) keeps
-    /// batches fully cold and side-effect-free.
+    /// the store as a live queue does: every
+    /// [`snapshot_every`](StoreBinding::snapshot_every) generation
+    /// barriers and once at the end of the run. `None` (the default)
+    /// keeps batches fully cold and side-effect-free.
     pub store: Option<StoreBinding>,
 }
 
@@ -133,6 +127,10 @@ impl Batch {
     /// Runs every queued request on one shared worker pool and returns
     /// the report, outcomes in submission order.
     ///
+    /// The run is a [`LiveQueue::replay`] of a trace that submits every
+    /// queued request at generation 0, under a [`LiveConfig`] carrying
+    /// this config's budget, threads, generation cap and store (warm
+    /// starts only with a store attached, no aging, no backlog cap).
     /// Requests are dispatched in priority order (ties keep submission
     /// order), one request per executor chunk: with `threads = N`, up to
     /// `N` requests co-optimize concurrently, and the global budget is
@@ -143,348 +141,31 @@ impl Batch {
     /// the queue runs low) borrows the whole pool and idle workers
     /// never park while siblings scan single-threaded. The split is
     /// pure execution policy: results are identical for every value.
-    /// Requests never dispatched because the
-    /// budget ran out are reported as [`RequestStatus::Skipped`].
-    /// Per-request failures (e.g. an infeasible width) are captured as
-    /// [`RequestStatus::Failed`] outcomes — they never abort the batch.
+    /// Requests never dispatched because the budget ran out are
+    /// reported as [`Skipped`](crate::RequestStatus::Skipped); a request
+    /// cancelled through its [`handle`](Self::handle) still runs and
+    /// reports [`Cancelled`](crate::RequestStatus::Cancelled) with its
+    /// partial result. Per-request failures (e.g. an infeasible width)
+    /// are captured as [`Failed`](crate::RequestStatus::Failed) outcomes
+    /// — they never abort the batch.
     pub fn run(&self, config: &BatchConfig) -> BatchReport {
-        let start = Instant::now();
-        // Dispatch order: priority descending; sort_by_key is stable, so
-        // equal priorities keep submission order.
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.entries[i].request.priority));
-
-        // The global node budget counts dispatched requests (enforced by
-        // the executor); only the deadline and cancellation flags carry
-        // into each request, whose own node budget counts partitions — a
-        // different unit.
-        let inner_global = config.budget.clone().without_node_budget();
-        let mut slots: Vec<Option<Result<RequestResult, String>>> =
-            (0..self.entries.len()).map(|_| None).collect();
-
-        let parallel = ParallelConfig {
+        let mut trace = Trace::new();
+        for entry in &self.entries {
+            trace = trace.submit_at(0, entry.request.clone());
+        }
+        let live = LiveConfig {
+            budget: config.budget.clone(),
             threads: config.threads,
-            chunk_size: 1,
-            chunks_per_generation: config.requests_per_generation.max(1),
+            requests_per_generation: config.requests_per_generation,
+            // A storeless batch stays cold; the warm cache lives for this
+            // one run, so it needs no entry cap.
+            warm_start: config.store.is_some(),
+            warm_capacity: 0,
+            store: config.store.clone(),
+            aging: 0,
+            max_pending: 0,
         };
-        // Nested parallelism: the pool is split *proportionally* across
-        // a generation's dispatched requests — each inner partition scan
-        // runs on `max(1, pool / generation_width)` threads, so a lone
-        // request borrows the whole pool and two requests on an
-        // 8-thread pool each scan 4-wide. The inner chunk geometry
-        // stays at its default, so the inner thread count is pure
-        // execution policy — results (and `PruneStats`) are
-        // bit-identical for every split.
-        let pool_width = parallel.effective_threads();
-        // Warm starts, only with a store attached: seeds resolve from a
-        // run-local cache preloaded with the store's incumbents (on this
-        // thread, at generation boundaries — deterministic for every
-        // thread count), and everything merged feeds both tiers. A
-        // storeless batch stays bit-for-bit the classic cold run.
-        let store = config.store.as_ref();
-        let fingerprints: Vec<u64> = self
-            .entries
-            .iter()
-            .map(|e| e.request.soc.fingerprint())
-            .collect();
-        let cache = RefCell::new(WarmCache::default());
-        if let Some(binding) = store {
-            let mut warm = cache.borrow_mut();
-            for (fingerprint, entry) in binding.contents() {
-                warm.adopt(fingerprint, entry);
-            }
-        }
-        struct BatchDispatch {
-            index: usize,
-            seed: WarmSeed,
-            want_columns: bool,
-            inner_threads: usize,
-        }
-        let mut cursor = order.iter().copied();
-        search_generations(
-            |_generation, capacity| {
-                let picked: Vec<usize> = cursor.by_ref().take(capacity).collect();
-                let inner_threads = (pool_width / picked.len().max(1)).max(1);
-                let mut warm = cache.borrow_mut();
-                picked
-                    .into_iter()
-                    .map(|index| {
-                        let request = &self.entries[index].request;
-                        let seed = if store.is_some() {
-                            warm.seed(fingerprints[index], request)
-                        } else {
-                            WarmSeed::default()
-                        };
-                        BatchDispatch {
-                            index,
-                            want_columns: store.is_some() && seed.table.is_none(),
-                            seed,
-                            inner_threads,
-                        }
-                    })
-                    .collect::<Vec<BatchDispatch>>()
-            },
-            &parallel,
-            &config.budget,
-            |_base, chunk: Vec<BatchDispatch>| -> Result<_, std::convert::Infallible> {
-                Ok(chunk
-                    .into_iter()
-                    .map(|d| {
-                        let result = run_request(
-                            &self.entries[d.index].request,
-                            &inner_global,
-                            &d.seed,
-                            d.inner_threads,
-                            d.want_columns,
-                        );
-                        (d.index, result)
-                    })
-                    .collect::<Vec<_>>())
-            },
-            |chunk| {
-                for (index, outcome) in chunk {
-                    if let (Some(binding), Ok(res)) = (store, &outcome) {
-                        let fingerprint = fingerprints[index];
-                        let mut warm = cache.borrow_mut();
-                        for entry in &res.entries {
-                            warm.record(
-                                fingerprint,
-                                entry.width,
-                                entry.result.tams.len() as u32,
-                                entry.result.heuristic.soc_time(),
-                            );
-                        }
-                        if let Some(columns) = &res.columns {
-                            warm.record_columns(fingerprint, columns.clone());
-                        }
-                        drop(warm);
-                        binding.record(fingerprint, &res.entries, &res.columns);
-                    }
-                    slots[index] = Some(outcome);
-                }
-                Ok(())
-            },
-        )
-        .expect("request failures are captured per request");
-        if let Some(binding) = store {
-            binding.snapshot();
-        }
-
-        let outcomes: Vec<RequestOutcome> = self
-            .entries
-            .iter()
-            .zip(slots)
-            .enumerate()
-            .map(|(index, (entry, slot))| {
-                let (status, result, results, error) = match slot {
-                    Some(Ok(res)) => {
-                        let status = if res.complete {
-                            RequestStatus::Complete
-                        } else if entry.handle.is_cancelled() {
-                            RequestStatus::Cancelled
-                        } else {
-                            RequestStatus::Partial
-                        };
-                        let headline = res.headline().clone();
-                        // A point outcome keeps the legacy single-result
-                        // shape; only the typed kinds carry a payload.
-                        let results = if entry.request.kind == RequestKind::Point {
-                            Vec::new()
-                        } else {
-                            res.entries
-                        };
-                        (status, Some(headline), results, None)
-                    }
-                    Some(Err(message)) => (RequestStatus::Failed, None, Vec::new(), Some(message)),
-                    None => (RequestStatus::Skipped, None, Vec::new(), None),
-                };
-                let request = &entry.request;
-                RequestOutcome {
-                    index,
-                    client: None,
-                    shard: None,
-                    soc: request.soc.name().to_owned(),
-                    width: request.width,
-                    min_tams: request.min_tams,
-                    max_tams: request.max_tams,
-                    priority: request.priority,
-                    kind: request.kind,
-                    status,
-                    result,
-                    results,
-                    error,
-                }
-            })
-            .collect();
-        let complete = outcomes.iter().all(|o| o.status != RequestStatus::Skipped);
-        BatchReport {
-            outcomes,
-            complete,
-            wall_time: start.elapsed(),
-        }
-    }
-}
-
-/// What one dispatched request produced: the per-entry payload plus the
-/// completeness verdict. The headline result (the outcome's legacy
-/// single-architecture fields) is derived from the entries by
-/// [`RequestResult::headline`].
-#[derive(Debug, Clone)]
-pub(crate) struct RequestResult {
-    /// All architectures the query produced: one entry for a point
-    /// query, `k` ranked entries for top-k, one entry per swept width
-    /// for a frontier (ascending width, `lower_bound` populated).
-    pub(crate) entries: Vec<ResultEntry>,
-    /// Whether every entry's scan ran to completion.
-    pub(crate) complete: bool,
-    /// The request's cost table, compressed for the warm cache — only
-    /// when the dispatch asked for it (warm starts on and no table was
-    /// cached for this SOC yet).
-    pub(crate) columns: Option<CostColumns>,
-}
-
-impl RequestResult {
-    /// The headline architecture: the entry with the smallest SOC
-    /// testing time, ties keeping the earliest entry — rank 1 for a
-    /// top-k query, the narrowest Pareto-preferred width for a frontier,
-    /// the single entry for a point query.
-    pub(crate) fn headline(&self) -> &CoOptimization {
-        let mut best = &self.entries[0].result;
-        for entry in &self.entries[1..] {
-            if entry.result.soc_time() < best.soc_time() {
-                best = &entry.result;
-            }
-        }
-        best
-    }
-}
-
-/// Warm-start material resolved from an incumbent cache at dispatch
-/// (see [`crate::LiveQueue`]). Purely work-saving: seeds never change a
-/// winner, and an empty seed is a cold start.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WarmSeed {
-    /// The tightest cached SOC time applicable at the request's own
-    /// width — the step-1 `τ` seed of point and top-K scans.
-    pub(crate) tau: Option<u64>,
-    /// Cached `(width, soc_time)` pairs for frontier sweeps: each time
-    /// was achieved at its width, so it seeds every swept width ≥ it
-    /// (see [`co_optimize_frontier_seeded`]). Empty for other kinds.
-    pub(crate) frontier: Vec<(u32, u64)>,
-    /// A ready-made cost table covering the request's width, expanded
-    /// from cached [`CostColumns`]. Bit-identical to building the table
-    /// from the SOC (each wrapper design depends only on its own width),
-    /// so serving it skips per-core wrapper construction without
-    /// touching any result.
-    pub(crate) table: Option<TimeTable>,
-}
-
-/// Runs one request under the intersection of its own budget and the
-/// batch-global deadline/cancellation, optionally warm-started with a
-/// [`WarmSeed`] (see [`crate::LiveQueue`]'s incumbent cache).
-///
-/// `inner_threads` is the thread count of the request's inner partition
-/// scan — the request's proportional share of the pool,
-/// `max(1, pool / generation_width)`. The inner chunk geometry never
-/// changes, so the result is bit-identical for every `inner_threads`
-/// value — an unseeded point result matches a standalone `co_optimize`
-/// run bit for bit. For a frontier request `inner_threads` instead
-/// widens the *sweep* (the per-width scans are sequential by design),
-/// equally result-invariant.
-pub(crate) fn run_request(
-    request: &Request,
-    global: &SearchBudget,
-    seed: &WarmSeed,
-    inner_threads: usize,
-    want_columns: bool,
-) -> Result<RequestResult, String> {
-    let table = match &seed.table {
-        Some(table) => table.clone(),
-        None => TimeTable::new(&request.soc, request.width).map_err(|e| e.to_string())?,
-    };
-    let columns = want_columns.then(|| CostColumns::from_table(&table));
-    let pipeline = PipelineConfig {
-        min_tams: request.min_tams,
-        max_tams: request.max_tams,
-        budget: request.budget.intersect(global),
-        seed_tau: seed.tau,
-        parallel: ParallelConfig::with_threads(inner_threads.max(1)),
-        ..PipelineConfig::up_to_tams(request.max_tams)
-    };
-    match request.kind {
-        RequestKind::Point => {
-            let co = co_optimize(&table, request.width, &pipeline).map_err(|e| e.to_string())?;
-            Ok(RequestResult {
-                complete: co.evaluate_complete,
-                entries: vec![ResultEntry {
-                    width: request.width,
-                    result: co,
-                    lower_bound: None,
-                }],
-                columns,
-            })
-        }
-        RequestKind::TopK { k } => {
-            let ranked = co_optimize_top_k(&table, request.width, &pipeline, k)
-                .map_err(|e| e.to_string())?;
-            Ok(RequestResult {
-                complete: ranked.entries.iter().all(|co| co.evaluate_complete),
-                entries: ranked
-                    .entries
-                    .into_iter()
-                    .map(|co| ResultEntry {
-                        width: request.width,
-                        result: co,
-                        lower_bound: None,
-                    })
-                    .collect(),
-                columns,
-            })
-        }
-        RequestKind::Frontier {
-            min_width,
-            max_width,
-            step,
-        } => {
-            // Wire input is validated by `RequestKind::from_str`; the
-            // builder path defers degenerate sweeps to this dispatch
-            // point, where they become a `Failed` outcome.
-            if step == 0 || min_width == 0 || min_width > max_width {
-                return Err(format!(
-                    "invalid frontier sweep {min_width}..={max_width} step {step}"
-                ));
-            }
-            if max_width != request.width {
-                return Err(format!(
-                    "frontier sweep maximum {max_width} does not match the request width {} \
-                     (use Request::frontier, which keeps them aligned)",
-                    request.width
-                ));
-            }
-            let widths: Vec<u32> = (min_width..=max_width).step_by(step as usize).collect();
-            let sweep = ParallelConfig::with_threads(inner_threads.max(1));
-            let frontier =
-                co_optimize_frontier_seeded(&table, &widths, &pipeline, &sweep, &seed.frontier)
-                    .map_err(|e| e.to_string())?;
-            if frontier.points.is_empty() {
-                // Unreachable under the engine's always-run-generation-0
-                // guarantee, but a frontier outcome must have a headline.
-                return Err("frontier budget expired before any width completed".to_owned());
-            }
-            Ok(RequestResult {
-                complete: frontier.complete,
-                entries: frontier
-                    .points
-                    .into_iter()
-                    .map(|(width, co)| ResultEntry {
-                        lower_bound: Some(pareto::bottleneck_at_width(&table, width)),
-                        width,
-                        result: co,
-                    })
-                    .collect(),
-                columns,
-            })
-        }
+        LiveQueue::replay(trace, live).1
     }
 }
 
@@ -501,6 +182,7 @@ pub fn run_batch(requests: impl IntoIterator<Item = Request>, config: &BatchConf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RequestStatus;
     use tamopt_soc::benchmarks;
 
     #[test]

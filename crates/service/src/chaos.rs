@@ -3,11 +3,11 @@
 //! The live front-end ([`crate::net`]) is inherently racy: outcome
 //! interleavings across sockets depend on the scheduler. This module is
 //! its deterministic twin — the multi-client extension of
-//! [`LiveQueue::replay`]: every client is a **script** of
-//! generation-tagged raw protocol lines plus an optional mid-run
-//! disconnect, and [`replay`] compiles the scripts into one flat
-//! [`Trace`] (or [`ShardTrace`]) with exactly the semantics the socket
-//! server applies live:
+//! [`LiveQueue::replay`](crate::LiveQueue::replay): every client is a
+//! **script** of generation-tagged raw protocol lines plus an optional
+//! mid-run disconnect, and [`replay`] compiles the scripts into one
+//! [`ShardTrace`] (replayed flat or sharded by [`ServeQueue::replay`])
+//! with exactly the semantics the socket server applies live:
 //!
 //! * submissions get global ids in merge order (generation, then
 //!   client, then script position) and local per-client ids in script
@@ -33,14 +33,14 @@
 
 use std::collections::HashSet;
 
-use crate::live::{LiveConfig, LiveQueue, Trace};
+use crate::live::LiveConfig;
 use crate::net::{error_line, LineFramer, NetDirective};
 use crate::report::{BatchReport, RequestOutcome};
-use crate::shard::{ShardTrace, ShardedQueue};
+use crate::shard::{ServeQueue, ShardTrace};
 
 /// One scripted client: generation-tagged protocol lines and an
 /// optional disconnect. Generations are lower bounds exactly as in
-/// [`Trace`]; events keep script order within a generation.
+/// [`Trace`](crate::Trace); events keep script order within a generation.
 #[derive(Debug, Clone, Default)]
 pub struct ClientScript {
     events: Vec<(u32, ScriptEvent)>,
@@ -148,10 +148,11 @@ struct ClientState {
 /// Replays a multi-client scenario deterministically and returns the
 /// per-client transcripts plus the client-stamped final report.
 ///
-/// `shards = None` replays on a flat [`LiveQueue`]; `Some(n)` on a
-/// [`ShardedQueue`] over `n` shards (outcome lines then also carry the
-/// shard stamp). `parser` maps raw lines to directives, exactly as the
-/// injected [`crate::net::LineParser`] does for the socket server.
+/// `shards = None` replays on a flat [`LiveQueue`](crate::LiveQueue);
+/// `Some(n)` on a [`ShardedQueue`](crate::ShardedQueue) over `n` shards
+/// (outcome lines then also carry the shard stamp). `parser` maps raw
+/// lines to directives, exactly as the injected
+/// [`crate::net::LineParser`] does for the socket server.
 /// Lines are pushed through the same [`LineFramer`] the server uses, so
 /// embedded newlines and oversized scripted lines behave identically.
 pub fn replay(
@@ -183,10 +184,9 @@ pub fn replay(
         })
         .collect();
 
-    // Compile to one flat trace; global ids are assigned by submission
-    // order within it, matching Trace/ShardTrace numbering.
-    let mut flat = Trace::new();
-    let mut sharded = ShardTrace::new();
+    // Compile to one trace; global ids are assigned by submission order
+    // within it, matching Trace/ShardTrace numbering.
+    let mut trace = ShardTrace::new();
     let mut next_global = 0usize;
     // Global id → client, for splitting the stream afterwards.
     let mut owner: Vec<usize> = Vec::new();
@@ -203,8 +203,7 @@ pub fn replay(
                 state.disconnected = true;
                 for &global in &state.globals {
                     if state.cancelled.insert(global) {
-                        flat = flat.cancel_at(generation, global);
-                        sharded = sharded.cancel_at(generation, global);
+                        trace = trace.cancel_at(generation, global);
                     }
                 }
             }
@@ -240,8 +239,7 @@ pub fn replay(
                         Ok(Some(NetDirective::Submit(request))) => {
                             let global = next_global;
                             next_global += 1;
-                            flat = flat.submit_at(generation, request.clone());
-                            sharded = sharded.submit_at(generation, request);
+                            trace = trace.submit_at(generation, request);
                             states[client].globals.push(global);
                             owner.push(client);
                             local_of.push(states[client].globals.len() - 1);
@@ -259,8 +257,7 @@ pub fn replay(
                             } else {
                                 let global = state.globals[local];
                                 if state.cancelled.insert(global) {
-                                    flat = flat.cancel_at(generation, global);
-                                    sharded = sharded.cancel_at(generation, global);
+                                    trace = trace.cancel_at(generation, global);
                                 }
                             }
                         }
@@ -277,10 +274,7 @@ pub fn replay(
         }
     }
 
-    let (stream, mut report) = match shards {
-        None => LiveQueue::replay(flat, config),
-        Some(n) => ShardedQueue::replay(sharded, config, n),
-    };
+    let (stream, mut report) = ServeQueue::replay(trace, config, shards);
 
     let mut transcripts: Vec<ClientTranscript> = states
         .into_iter()

@@ -17,12 +17,14 @@
 //!   [`CancelHandle`](tamopt_engine::CancelHandle) per request at
 //!   submission, so callers can cancel individual jobs while the batch
 //!   runs;
-//! * [`Batch::run`] executes the queue on a single shared worker pool
-//!   (the engine's chunked executor with one request per chunk):
-//!   requests are dispatched in priority order, every request runs under
-//!   the intersection of the **global** budget and its **own** budget,
-//!   and the [`BatchReport`] lists outcomes in **submission order**,
-//!   independent of completion order or thread count;
+//! * [`Batch::run`] executes the queue as a [`LiveQueue::replay`] of a
+//!   trace submitting every request at generation 0, so batch and live
+//!   serving share one dispatcher (the engine's chunked executor with
+//!   one request per chunk): requests are dispatched in priority order,
+//!   every request runs under the intersection of the **global** budget
+//!   and its **own** budget, and the [`BatchReport`] lists outcomes in
+//!   **submission order**, independent of completion order or thread
+//!   count;
 //! * the report serializes to deterministic JSON
 //!   ([`BatchReport::to_json`]) with every wall-clock quantity on its
 //!   own `wall_clock*` line, so byte-level diffs across thread counts
@@ -36,7 +38,8 @@
 //!   independent queue shards routed by SOC fingerprint hash with
 //!   deterministic work stealing, one warm cache shared by all shards,
 //!   shard-stamped outcomes and a sharded [`ShardTrace`] replay
-//!   preserving the bit-identity contract;
+//!   preserving the bit-identity contract; a [`ServeQueue`] puts the
+//!   flat and sharded shapes behind one surface;
 //! * a [`StoreBinding`] attaches a persistent, versioned, crash-safe
 //!   [`tamopt_store`] warm-start store behind the in-memory cache: the
 //!   queue preloads from it at start, feeds it at every merge and
@@ -105,4 +108,6 @@ pub use crate::net::{
 };
 pub use crate::report::{BatchReport, RequestOutcome, RequestStatus, ResultEntry, WIRE_VERSION};
 pub use crate::request::{Request, RequestError, RequestKind};
-pub use crate::shard::{ShardStats, ShardTrace, ShardedQueue, ShardedStats, STEAL_MARGIN};
+pub use crate::shard::{
+    ServeQueue, ShardStats, ShardTrace, ShardedQueue, ShardedStats, STEAL_MARGIN,
+};

@@ -47,27 +47,31 @@
 //! shards.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tamopt_engine::{search_generations, CancelHandle, ParallelConfig, SearchBudget};
+use tamopt_partition::pipeline::{
+    co_optimize, co_optimize_frontier_seeded, co_optimize_top_k, PipelineConfig,
+};
+use tamopt_partition::CoOptimization;
 use tamopt_store::{CostColumns, SharedStore, Store, StoredEntry};
-use tamopt_wrapper::TimeTable;
+use tamopt_wrapper::{pareto, TimeTable};
 
-use crate::batch::{run_request, WarmSeed};
-use crate::report::{json_string, BatchReport, RequestOutcome, RequestStatus};
+use crate::report::{json_string, BatchReport, RequestOutcome, RequestStatus, ResultEntry};
 use crate::request::RequestKind;
 use crate::Request;
 
 /// Configuration of a [`LiveQueue`].
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Global budget for the queue's whole lifetime. As in
-    /// [`crate::BatchConfig`], the deadline and cancellation flags are
-    /// intersected into every request and a node budget caps the number
-    /// of requests *dispatched*.
+    /// Global budget for the queue's whole lifetime (a batch run's
+    /// [`crate::BatchConfig::budget`]). The deadline and cancellation
+    /// flags are intersected into every request and a node budget caps
+    /// the number of requests *dispatched*.
     pub budget: SearchBudget,
     /// Worker threads of the pool (`0` = one per available CPU, `1` =
     /// inline on the dispatcher). Pure execution policy: replayed traces
@@ -159,7 +163,7 @@ impl StoreBinding {
     /// Saves the store if it is dirty, demoting failures to a stderr
     /// warning — persistence is an accelerator, never worth failing a
     /// request over.
-    pub(crate) fn snapshot(&self) {
+    fn snapshot(&self) {
         let mut store = self.lock();
         if store.is_dirty() {
             if let Err(e) = store.save() {
@@ -171,7 +175,7 @@ impl StoreBinding {
     /// A recency-ordered copy of the store contents, for preloading a
     /// cache without holding the store lock while the cache lock is
     /// taken (both stay leaf locks).
-    pub(crate) fn contents(&self) -> Vec<(u64, StoredEntry)> {
+    fn contents(&self) -> Vec<(u64, StoredEntry)> {
         self.lock()
             .iter()
             .map(|(fingerprint, entry)| (fingerprint, entry.clone()))
@@ -180,7 +184,7 @@ impl StoreBinding {
 
     /// Records a merged request's payload — every incumbent entry and
     /// any freshly computed cost columns — into the persistent tier.
-    pub(crate) fn record(
+    fn record(
         &self,
         fingerprint: u64,
         entries: &[crate::report::ResultEntry],
@@ -376,7 +380,7 @@ pub enum TraceAction {
 /// session. See [`LiveQueue::replay`].
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    pub(crate) events: Vec<TraceEvent>,
 }
 
 impl Trace {
@@ -434,11 +438,30 @@ struct Pending {
     seen_at: Option<u32>,
 }
 
+impl Pending {
+    /// Generation barriers waited as of barrier `generation` (0 until
+    /// the dispatcher has seen the entry at a barrier).
+    fn waited(&self, generation: u32) -> u32 {
+        self.seen_at
+            .map_or(0, |seen| generation.saturating_sub(seen))
+    }
+
+    /// The dispatch key as of barrier `generation`: the aged effective
+    /// priority `priority + aging × barriers_waited` (i64, so extreme
+    /// priorities cannot overflow) descending, ties by submission id.
+    /// The dispatcher pops the smallest key; overload protection sheds
+    /// the largest.
+    fn dispatch_key(&self, generation: u32, aging: u32) -> (Reverse<i64>, usize) {
+        let effective = i64::from(self.request.priority)
+            + i64::from(aging) * i64::from(self.waited(generation));
+        (Reverse(effective), self.id)
+    }
+}
+
 /// One request handed to the worker pool, warm-start seed resolved.
 struct Dispatch {
     id: usize,
     request: Request,
-    handle: CancelHandle,
     fingerprint: u64,
     seed: WarmSeed,
     /// Whether the worker should return compressed cost columns for the
@@ -449,6 +472,169 @@ struct Dispatch {
     /// proportional share of the pool,
     /// `max(1, pool / generation_width)`.
     inner_threads: usize,
+}
+
+/// What one dispatched request produced: the per-entry payload plus the
+/// completeness verdict. The headline result (the outcome's legacy
+/// single-architecture fields) is derived from the entries by
+/// [`RequestResult::headline`].
+#[derive(Debug, Clone)]
+struct RequestResult {
+    /// All architectures the query produced: one entry for a point
+    /// query, `k` ranked entries for top-k, one entry per swept width
+    /// for a frontier (ascending width, `lower_bound` populated).
+    entries: Vec<ResultEntry>,
+    /// Whether every entry's scan ran to completion.
+    complete: bool,
+    /// The request's cost table, compressed for the warm cache — only
+    /// when the dispatch asked for it (warm starts on and no table was
+    /// cached for this SOC yet).
+    columns: Option<CostColumns>,
+}
+
+impl RequestResult {
+    /// The headline architecture: the entry with the smallest SOC
+    /// testing time, ties keeping the earliest entry — rank 1 for a
+    /// top-k query, the narrowest Pareto-preferred width for a frontier,
+    /// the single entry for a point query.
+    fn headline(&self) -> &CoOptimization {
+        let mut best = &self.entries[0].result;
+        for entry in &self.entries[1..] {
+            if entry.result.soc_time() < best.soc_time() {
+                best = &entry.result;
+            }
+        }
+        best
+    }
+}
+
+/// Warm-start material resolved from an incumbent cache at dispatch
+/// (see [`LiveQueue`]). Purely work-saving: seeds never change a
+/// winner, and an empty seed is a cold start.
+#[derive(Debug, Clone, Default)]
+struct WarmSeed {
+    /// The tightest cached SOC time applicable at the request's own
+    /// width — the step-1 `τ` seed of point and top-K scans.
+    tau: Option<u64>,
+    /// Cached `(width, soc_time)` pairs for frontier sweeps: each time
+    /// was achieved at its width, so it seeds every swept width ≥ it
+    /// (see [`co_optimize_frontier_seeded`]). Empty for other kinds.
+    frontier: Vec<(u32, u64)>,
+    /// A ready-made cost table covering the request's width, expanded
+    /// from cached [`CostColumns`]. Bit-identical to building the table
+    /// from the SOC (each wrapper design depends only on its own width),
+    /// so serving it skips per-core wrapper construction without
+    /// touching any result.
+    table: Option<TimeTable>,
+}
+
+/// Runs one request under the intersection of its own budget and the
+/// queue-global deadline/cancellation, optionally warm-started with a
+/// [`WarmSeed`] (see [`LiveQueue`]'s incumbent cache).
+///
+/// `inner_threads` is the thread count of the request's inner partition
+/// scan — the request's proportional share of the pool,
+/// `max(1, pool / generation_width)`. The inner chunk geometry never
+/// changes, so the result is bit-identical for every `inner_threads`
+/// value — an unseeded point result matches a standalone `co_optimize`
+/// run bit for bit. For a frontier request `inner_threads` instead
+/// widens the *sweep* (the per-width scans are sequential by design),
+/// equally result-invariant.
+fn run_request(
+    request: &Request,
+    global: &SearchBudget,
+    seed: &WarmSeed,
+    inner_threads: usize,
+    want_columns: bool,
+) -> Result<RequestResult, String> {
+    let table = match &seed.table {
+        Some(table) => table.clone(),
+        None => TimeTable::new(&request.soc, request.width).map_err(|e| e.to_string())?,
+    };
+    let columns = want_columns.then(|| CostColumns::from_table(&table));
+    let pipeline = PipelineConfig {
+        min_tams: request.min_tams,
+        max_tams: request.max_tams,
+        budget: request.budget.intersect(global),
+        seed_tau: seed.tau,
+        parallel: ParallelConfig::with_threads(inner_threads.max(1)),
+        ..PipelineConfig::up_to_tams(request.max_tams)
+    };
+    match request.kind {
+        RequestKind::Point => {
+            let co = co_optimize(&table, request.width, &pipeline).map_err(|e| e.to_string())?;
+            Ok(RequestResult {
+                complete: co.evaluate_complete,
+                entries: vec![ResultEntry {
+                    width: request.width,
+                    result: co,
+                    lower_bound: None,
+                }],
+                columns,
+            })
+        }
+        RequestKind::TopK { k } => {
+            let ranked = co_optimize_top_k(&table, request.width, &pipeline, k)
+                .map_err(|e| e.to_string())?;
+            Ok(RequestResult {
+                complete: ranked.entries.iter().all(|co| co.evaluate_complete),
+                entries: ranked
+                    .entries
+                    .into_iter()
+                    .map(|co| ResultEntry {
+                        width: request.width,
+                        result: co,
+                        lower_bound: None,
+                    })
+                    .collect(),
+                columns,
+            })
+        }
+        RequestKind::Frontier {
+            min_width,
+            max_width,
+            step,
+        } => {
+            // Wire input is validated by `RequestKind::from_str`; the
+            // builder path defers degenerate sweeps to this dispatch
+            // point, where they become a `Failed` outcome.
+            if step == 0 || min_width == 0 || min_width > max_width {
+                return Err(format!(
+                    "invalid frontier sweep {min_width}..={max_width} step {step}"
+                ));
+            }
+            if max_width != request.width {
+                return Err(format!(
+                    "frontier sweep maximum {max_width} does not match the request width {} \
+                     (use Request::frontier, which keeps them aligned)",
+                    request.width
+                ));
+            }
+            let widths: Vec<u32> = (min_width..=max_width).step_by(step as usize).collect();
+            let sweep = ParallelConfig::with_threads(inner_threads.max(1));
+            let frontier =
+                co_optimize_frontier_seeded(&table, &widths, &pipeline, &sweep, &seed.frontier)
+                    .map_err(|e| e.to_string())?;
+            if frontier.points.is_empty() {
+                // Unreachable under the engine's always-run-generation-0
+                // guarantee, but a frontier outcome must have a headline.
+                return Err("frontier budget expired before any width completed".to_owned());
+            }
+            Ok(RequestResult {
+                complete: frontier.complete,
+                entries: frontier
+                    .points
+                    .into_iter()
+                    .map(|(width, co)| ResultEntry {
+                        lower_bound: Some(pareto::bottleneck_at_width(&table, width)),
+                        width,
+                        result: co,
+                    })
+                    .collect(),
+                columns,
+            })
+        }
+    }
 }
 
 /// Queue state behind the mutex.
@@ -524,7 +710,7 @@ pub(crate) type SharedWarmCache = Arc<Mutex<WarmCache>>;
 impl WarmCache {
     /// An empty cache evicting beyond `capacity` fingerprints
     /// (`0` = unbounded).
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         WarmCache {
             capacity,
             ..Self::default()
@@ -615,7 +801,7 @@ impl WarmCache {
     /// The full warm-start material for `request`: the tightest τ,
     /// transferable frontier pairs (frontier kind only), and a
     /// ready-made table when the cached cost columns cover the width.
-    pub(crate) fn seed(&mut self, fingerprint: u64, request: &Request) -> WarmSeed {
+    fn seed(&mut self, fingerprint: u64, request: &Request) -> WarmSeed {
         WarmSeed {
             tau: self.seed_for(fingerprint, request),
             // A frontier consumes the cache per width: every
@@ -628,7 +814,7 @@ impl WarmCache {
         }
     }
 
-    pub(crate) fn record(&mut self, fingerprint: u64, width: u32, tams: u32, time: u64) {
+    fn record(&mut self, fingerprint: u64, width: u32, tams: u32, time: u64) {
         let slot = self.slot_mut(fingerprint);
         match slot
             .entries
@@ -643,7 +829,7 @@ impl WarmCache {
 
     /// Caches `columns`, keeping the wider of the existing and new
     /// staircases.
-    pub(crate) fn record_columns(&mut self, fingerprint: u64, columns: CostColumns) {
+    fn record_columns(&mut self, fingerprint: u64, columns: CostColumns) {
         let slot = self.slot_mut(fingerprint);
         let wider = slot
             .columns
@@ -657,7 +843,7 @@ impl WarmCache {
 
     /// Merges a store entry through the normal recording paths — the
     /// start-of-queue preload from a [`StoreBinding`].
-    pub(crate) fn adopt(&mut self, fingerprint: u64, entry: StoredEntry) {
+    fn adopt(&mut self, fingerprint: u64, entry: StoredEntry) {
         for incumbent in entry.incumbents {
             self.record(fingerprint, incumbent.width, incumbent.tams, incumbent.time);
         }
@@ -711,17 +897,13 @@ const SHED_NOTE: &str =
 /// be the one shed.
 fn overload_victim(state: &mut State, aging: u32, incoming_priority: i32) -> Option<Pending> {
     let generation = state.last_barrier;
-    let aging = i64::from(aging);
-    let effective = |p: &Pending| {
-        let waited = p.seen_at.map_or(0, |seen| generation.saturating_sub(seen));
-        i64::from(p.request.priority) + aging * i64::from(waited)
-    };
-    let (index, weakest) = state
+    let (index, (Reverse(weakest), _)) = state
         .pending
         .iter()
+        .map(|p| p.dispatch_key(generation, aging))
         .enumerate()
-        .min_by_key(|(_, p)| (effective(p), std::cmp::Reverse(p.id)))?;
-    if effective(weakest) < i64::from(incoming_priority) {
+        .max_by_key(|&(_, key)| key)?;
+    if weakest < i64::from(incoming_priority) {
         let victim = state.pending.remove(index);
         state.handles.remove(&victim.id);
         Some(victim)
@@ -989,24 +1171,23 @@ impl LiveQueue {
     pub fn stats(&self) -> QueueStats {
         let state = lock(&self.shared);
         let generation = state.last_barrier;
-        let aging = i64::from(self.aging);
-        let mut pending: Vec<PendingStat> = state
-            .pending
-            .iter()
+        let mut backlog: Vec<&Pending> = state.pending.iter().collect();
+        backlog.sort_by_key(|p| p.dispatch_key(generation, self.aging));
+        let pending = backlog
+            .into_iter()
             .map(|p| {
-                let waited = p.seen_at.map_or(0, |seen| generation.saturating_sub(seen));
+                let (Reverse(effective_priority), id) = p.dispatch_key(generation, self.aging);
                 PendingStat {
-                    id: p.id,
+                    id,
                     soc: p.request.soc.name().to_owned(),
                     kind: p.request.kind,
                     priority: p.request.priority,
-                    barriers_waited: waited,
-                    effective_priority: i64::from(p.request.priority) + aging * i64::from(waited),
+                    barriers_waited: p.waited(generation),
+                    effective_priority,
                 }
             })
             .collect();
         drop(state);
-        pending.sort_by_key(|p| (std::cmp::Reverse(p.effective_priority), p.id));
         QueueStats {
             generation,
             aging: self.aging,
@@ -1092,9 +1273,9 @@ fn dispatch(
         chunk_size: 1,
         chunks_per_generation: config.requests_per_generation.max(1),
     };
-    // As in `Batch::run`: the global node budget counts dispatched
-    // requests (polled by the executor); only deadline + cancellation
-    // carry into the requests themselves.
+    // The global node budget counts dispatched requests (polled by the
+    // executor); only deadline + cancellation carry into the requests
+    // themselves.
     let inner_global = config.budget.clone().without_node_budget();
     // Preload the in-memory cache from the persistent store (idempotent
     // under the cache's min/widest merge rules, so shards sharing one
@@ -1230,17 +1411,9 @@ fn dispatch(
         for p in &mut state.pending {
             p.seen_at.get_or_insert(generation);
         }
-        // Effective priority = priority + aging × generations waited;
-        // i64 arithmetic so extreme priorities cannot overflow. Ties
-        // keep submission order.
-        let aging = i64::from(config.aging);
-        state.pending.sort_by_key(|p| {
-            let waited = i64::from(generation - p.seen_at.unwrap_or(generation));
-            (
-                std::cmp::Reverse(i64::from(p.request.priority) + aging * waited),
-                p.id,
-            )
-        });
+        state
+            .pending
+            .sort_by_key(|p| p.dispatch_key(generation, config.aging));
         let take = capacity.min(state.pending.len());
         // The pool splits proportionally across the generation's
         // dispatches: each inner scan runs `max(1, pool / take)` wide,
@@ -1261,7 +1434,6 @@ fn dispatch(
                 Dispatch {
                     id: p.id,
                     request: p.request,
-                    handle: p.handle,
                     fingerprint: p.fingerprint,
                     want_columns: config.warm_start && seed.table.is_none(),
                     seed,
@@ -1321,16 +1493,20 @@ fn dispatch(
                             // locks, never held together.
                             binding.record(dispatch.fingerprint, &res.entries, &res.columns);
                         }
+                        // Any tripped flag on the request's own budget
+                        // counts: the queue's handle, or one the caller
+                        // attached before submitting (a batch's push
+                        // handle).
                         let status = if res.complete {
                             RequestStatus::Complete
-                        } else if dispatch.handle.is_cancelled() {
+                        } else if dispatch.request.budget.cancelled() {
                             RequestStatus::Cancelled
                         } else {
                             RequestStatus::Partial
                         };
                         let headline = res.headline().clone();
-                        // As in `Batch::run`: point outcomes keep the
-                        // legacy single-result shape.
+                        // Point outcomes keep the legacy single-result
+                        // shape; only the typed kinds carry a payload.
                         let results = if dispatch.request.kind == RequestKind::Point {
                             Vec::new()
                         } else {

@@ -3,8 +3,8 @@
 //!
 //! A [`NetServer`] binds a [`NetListener`] and serves the line protocol
 //! of `tamopt serve` to any number of concurrent connections, all
-//! feeding one [`LiveQueue`] (or one [`ShardedQueue`] behind
-//! `shards = Some(n)`):
+//! feeding one [`ServeQueue`] (a flat [`LiveQueue`](crate::LiveQueue),
+//! or a [`ShardedQueue`](crate::ShardedQueue) behind `shards = Some(n)`):
 //!
 //! * every connection gets a **client id** `C`, announced by a greeting
 //!   line and stamped into every outcome line as `"client": C` (next to
@@ -51,10 +51,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::live::{JournalBinding, LiveConfig, LiveQueue, RequestId, SubmitError};
-use crate::report::{json_string, BatchReport, RequestOutcome, WIRE_VERSION};
+use crate::live::{JournalBinding, LiveConfig, RequestId, SubmitError};
+use crate::report::{json_string, BatchReport, WIRE_VERSION};
 use crate::request::Request;
-use crate::shard::ShardedQueue;
+use crate::shard::ServeQueue;
 
 /// Longest accepted protocol line in bytes. A partial line growing past
 /// this is discarded up to its terminating newline and answered with an
@@ -326,49 +326,6 @@ impl Conn {
 // ---------------------------------------------------------------------------
 // The multiplexer
 
-/// The queue behind the server.
-enum Queue {
-    Flat(LiveQueue),
-    Sharded(ShardedQueue),
-}
-
-impl Queue {
-    fn submit(&self, request: Request) -> Result<RequestId, SubmitError> {
-        match self {
-            Queue::Flat(q) => q.submit(request).map(|(id, _)| id),
-            Queue::Sharded(q) => q.submit(request).map(|(id, _)| id),
-        }
-    }
-
-    fn shard_of(&self, id: RequestId) -> Option<usize> {
-        match self {
-            Queue::Flat(_) => None,
-            Queue::Sharded(q) => q.shard_of(id),
-        }
-    }
-
-    fn cancel(&self, id: RequestId) -> bool {
-        match self {
-            Queue::Flat(q) => q.cancel(id),
-            Queue::Sharded(q) => q.cancel(id),
-        }
-    }
-
-    fn recv_outcome(&self) -> Option<RequestOutcome> {
-        match self {
-            Queue::Flat(q) => q.recv_outcome(),
-            Queue::Sharded(q) => q.recv_outcome(),
-        }
-    }
-
-    fn shutdown(&self) -> Option<BatchReport> {
-        match self {
-            Queue::Flat(q) => q.shutdown(),
-            Queue::Sharded(q) => q.shutdown(),
-        }
-    }
-}
-
 /// Per-client connection state inside the [`Mux`].
 struct ClientSlot {
     /// Local id → global id, in this client's submission order.
@@ -403,7 +360,7 @@ impl Mux {
 }
 
 struct Shared {
-    queue: Queue,
+    queue: ServeQueue,
     mux: Mutex<Mux>,
     shutdown: AtomicBool,
     parser: LineParser,
@@ -610,10 +567,9 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Starts the queue (`shards = None` for one [`LiveQueue`],
-    /// `Some(n)` for a [`ShardedQueue`] over `n` shards) and begins
-    /// accepting connections on `listener`, parsing protocol lines with
-    /// `parser`.
+    /// Starts the queue ([`ServeQueue::start`]: `shards = None` for one
+    /// flat queue, `Some(n)` for `n` shards) and begins accepting
+    /// connections on `listener`, parsing protocol lines with `parser`.
     pub fn start(
         config: LiveConfig,
         shards: Option<usize>,
@@ -632,10 +588,7 @@ impl NetServer {
         parser: LineParser,
         options: NetOptions,
     ) -> Self {
-        let queue = match shards {
-            None => Queue::Flat(LiveQueue::start(config)),
-            Some(n) => Queue::Sharded(ShardedQueue::start(config, n)),
-        };
+        let queue = ServeQueue::start(config, shards);
         let addr = listener.addr().to_owned();
         let unix_path = listener.unix_path.clone();
         let shared = Arc::new(Shared {

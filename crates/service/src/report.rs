@@ -26,8 +26,10 @@ pub enum RequestStatus {
     /// Dispatched, but truncated by a deadline or node budget: the
     /// result covers a prefix of the scan and is valid.
     Partial,
-    /// Truncated because this request's [`tamopt_engine::CancelHandle`]
-    /// was tripped; the result is partial but valid.
+    /// Truncated because a cancellation flag on this request's own
+    /// budget was tripped — the [`tamopt_engine::CancelHandle`] its
+    /// queue handed out, or one attached before submission; the result
+    /// is partial but valid.
     Cancelled,
     /// Never dispatched — the batch-global budget ran out first.
     Skipped,
@@ -210,8 +212,12 @@ impl RequestOutcome {
     }
 }
 
-/// Everything [`crate::Batch::run`] produced, outcomes in submission
-/// order regardless of priorities, completion order or thread count.
+/// Everything a queue run produced, outcomes in submission order
+/// regardless of priorities, completion order or thread count. The live
+/// dispatcher assembles it for every front-end: a
+/// [`LiveQueue`](crate::LiveQueue) at shutdown or after a replay, and a
+/// [`crate::Batch::run`], which is a replay of the batch with every
+/// request submitted at generation 0.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// Per-request outcomes, indexed by submission order.

@@ -580,6 +580,126 @@ impl Drop for ShardedQueue {
     }
 }
 
+/// A serving daemon of either shape behind one surface: one flat
+/// [`LiveQueue`], or a [`ShardedQueue`] of `N` fingerprint-routed
+/// shards. Ids are global in both shapes; only the sharded shape stamps
+/// outcomes with their shard, so a flat daemon's wire output is that of
+/// a bare [`LiveQueue`].
+#[derive(Debug)]
+pub enum ServeQueue {
+    /// One queue, no shard stamps.
+    Flat(LiveQueue),
+    /// `N` shards behind the routing facade.
+    Sharded(ShardedQueue),
+}
+
+impl ServeQueue {
+    /// Starts a flat queue (`shards = None`) or a sharded one over
+    /// `shards` shards (see [`ShardedQueue::start`]).
+    pub fn start(config: LiveConfig, shards: Option<usize>) -> Self {
+        match shards {
+            None => ServeQueue::Flat(LiveQueue::start(config)),
+            Some(n) => ServeQueue::Sharded(ShardedQueue::start(config, n)),
+        }
+    }
+
+    /// Replays `trace` flat ([`LiveQueue::replay`], shard pins ignored)
+    /// or over `shards` shards ([`ShardedQueue::replay`]).
+    pub fn replay(
+        trace: ShardTrace,
+        config: LiveConfig,
+        shards: Option<usize>,
+    ) -> (Vec<RequestOutcome>, BatchReport) {
+        match shards {
+            None => LiveQueue::replay(
+                Trace {
+                    events: trace.events.into_iter().map(|e| e.event).collect(),
+                },
+                config,
+            ),
+            Some(n) => ShardedQueue::replay(trace, config, n),
+        }
+    }
+
+    /// Submits `request`, returning its global id (see
+    /// [`LiveQueue::submit`] and [`ShardedQueue::submit`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveQueue::submit`].
+    pub fn submit(&self, request: Request) -> Result<RequestId, SubmitError> {
+        match self {
+            ServeQueue::Flat(q) => q.submit(request).map(|(id, _)| id),
+            ServeQueue::Sharded(q) => q.submit(request).map(|(id, _)| id),
+        }
+    }
+
+    /// Submits pinned to `shard` when both the pin and the sharding
+    /// exist — the recovery path re-running a journalled request where
+    /// it was originally accepted; routes normally otherwise.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveQueue::submit`].
+    pub fn submit_pinned(
+        &self,
+        shard: Option<usize>,
+        request: Request,
+    ) -> Result<RequestId, SubmitError> {
+        match (self, shard) {
+            (ServeQueue::Sharded(q), Some(shard)) => {
+                q.submit_pinned(shard, request).map(|(id, _)| id)
+            }
+            _ => self.submit(request),
+        }
+    }
+
+    /// The shard that accepted global submission `id` (`None` when
+    /// flat) — the accept-time stamp the journal records.
+    pub fn shard_of(&self, id: RequestId) -> Option<usize> {
+        match self {
+            ServeQueue::Flat(_) => None,
+            ServeQueue::Sharded(q) => q.shard_of(id),
+        }
+    }
+
+    /// Cancels global submission `id`; `false` for unknown ids and for
+    /// requests whose outcome already streamed.
+    pub fn cancel(&self, id: RequestId) -> bool {
+        match self {
+            ServeQueue::Flat(q) => q.cancel(id),
+            ServeQueue::Sharded(q) => q.cancel(id),
+        }
+    }
+
+    /// The backlog snapshot as compact JSON ([`QueueStats::to_json`]
+    /// or [`ShardedStats::to_json`]).
+    pub fn stats_json(&self) -> String {
+        match self {
+            ServeQueue::Flat(q) => q.stats().to_json(),
+            ServeQueue::Sharded(q) => q.stats().to_json(),
+        }
+    }
+
+    /// Blocks until the next outcome streams out; `None` once the queue
+    /// has finished and all outcomes were received.
+    pub fn recv_outcome(&self) -> Option<RequestOutcome> {
+        match self {
+            ServeQueue::Flat(q) => q.recv_outcome(),
+            ServeQueue::Sharded(q) => q.recv_outcome(),
+        }
+    }
+
+    /// Drains the backlog and returns the final report; `None` if the
+    /// queue was already shut down.
+    pub fn shutdown(&self) -> Option<BatchReport> {
+        match self {
+            ServeQueue::Flat(q) => q.shutdown(),
+            ServeQueue::Sharded(q) => q.shutdown(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -527,3 +527,34 @@ fn cancel_by_id_works_for_pending_requests() {
     // right after its first generation — both are `cancelled`.
     assert_eq!(report.outcomes[1].status, RequestStatus::Cancelled);
 }
+
+#[test]
+fn request_carrying_its_own_tripped_cancel_flag_streams_cancelled() {
+    // The caller attaches (and trips) a cancellation flag of its own
+    // before submitting; the queue's handle is never touched.
+    let (budget, own) = tamopt_engine::SearchBudget::unlimited().cancellable();
+    own.cancel();
+    let queue = LiveQueue::start(LiveConfig::default());
+    let (id, queue_handle) = queue
+        .submit(
+            Request::new(benchmarks::d695(), 48)
+                .unwrap()
+                .max_tams(6)
+                .budget(budget),
+        )
+        .unwrap();
+    let outcome = queue
+        .recv_outcome()
+        .expect("the request streams an outcome");
+    assert_eq!(outcome.index, id.index());
+    assert!(!queue_handle.is_cancelled());
+    assert_eq!(
+        outcome.status,
+        RequestStatus::Cancelled,
+        "any tripped flag on the request's budget means cancelled, not partial"
+    );
+    let co = outcome.result.as_ref().expect("partial result exists");
+    assert!(!co.evaluate_complete);
+    assert_eq!(co.tams.total_width(), 48, "partial result is valid");
+    assert!(queue.shutdown().expect("report").complete);
+}
