@@ -578,21 +578,20 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     let report = match first {
         // Empty input: an empty trace still owes a valid (empty) report.
         None => ServeQueue::replay(ShardTrace::new(), config, args.shards).1,
-        Some((first_number, _, (Some(first_tag), first_directive))) => {
+        Some((first_number, _, (tag @ Some(_), first_directive))) => {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
             // journalled (recovery of a *previous* crash already ran).
             if journal.is_some() {
                 eprintln!("serve: trace replay is not journalled (the trace itself is the recovery script)");
             }
-            let trace =
-                match collect_trace((first_number, first_tag, first_directive), lines, &args) {
-                    Ok(trace) => trace,
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let trace = match collect_trace((first_number, tag, first_directive), lines, &args) {
+                Ok(trace) => trace,
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    return ExitCode::FAILURE;
+                }
+            };
             let (stream, report) = ServeQueue::replay(trace, config, args.shards);
             for outcome in &stream {
                 print!("{}", outcome.to_json_line());
@@ -608,10 +607,14 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             let report = std::thread::scope(|scope| {
                 let printer = scope.spawn(|| {
                     use std::io::Write as _;
-                    let mut out = std::io::stdout().lock();
                     while let Some(outcome) = queue.recv_outcome() {
+                        // Lock stdout per line, never across the blocking
+                        // recv: the input loop prints `stats` replies to
+                        // the same stdout.
+                        let mut out = std::io::stdout().lock();
                         let _ = out.write_all(outcome.to_json_line().as_bytes());
                         let _ = out.flush();
+                        drop(out);
                         // Seal after the line reached the output: a
                         // crash in between redoes the request rather
                         // than losing it.
@@ -733,7 +736,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
 /// live mode accepts (an untagged line, `stats`), on a shard pin
 /// without `--shards`, and on unreadable or malformed input.
 fn collect_trace(
-    first: (usize, ServeTag, ServeLine),
+    first: (usize, Option<ServeTag>, ServeLine),
     lines: impl Iterator<Item = (usize, std::io::Result<String>)>,
     args: &ServeArgs,
 ) -> Result<ShardTrace, String> {
@@ -744,8 +747,6 @@ fn collect_trace(
             .map_err(|msg| format!("serve: line {}: {msg}", number + 1))?;
         Ok(parsed.map(|(tag, directive)| (number, tag, directive)))
     });
-    let (first_number, first_tag, first_directive) = first;
-    let first = (first_number, Some(first_tag), first_directive);
     let mut trace = ShardTrace::new();
     for event in std::iter::once(Ok(Some(first))).chain(rest) {
         let Some((number, tag, directive)) = event? else {

@@ -421,6 +421,54 @@ fn serve_listen_accepts_tcp_clients_and_reports_on_stdin_close() {
 }
 
 #[test]
+fn serve_live_stats_reply_is_not_blocked_by_the_outcome_printer() {
+    use std::io::{BufRead as _, BufReader};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let mut child = tamopt()
+        .args(["serve", "--threads", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let (tx, lines) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if tx.send(line.expect("stdout is utf-8")).is_err() {
+                break;
+            }
+        }
+    });
+    let mut next_line = |what: &str| match lines.recv_timeout(Duration::from_secs(60)) {
+        Ok(line) => line,
+        Err(_) => {
+            let _ = child.kill();
+            panic!("no {what} line within 60 s");
+        }
+    };
+    assert!(next_line("banner").starts_with("{\"protocol\": \"tamopt-serve\""));
+    writeln!(stdin, "d695 16 2").expect("submitting");
+    // Once the outcome has printed, the printer thread is parked waiting
+    // for the next one; the `stats` reply must still get through.
+    let outcome = next_line("outcome");
+    assert!(
+        outcome.starts_with("{\"v\": 1, \"id\": 0, "),
+        "outcome: {outcome}"
+    );
+    writeln!(stdin, "stats").expect("asking for stats");
+    let stats = next_line("stats");
+    assert!(stats.starts_with("{\"generation\": "), "stats: {stats}");
+    drop(stdin);
+    let status = child.wait().expect("binary exits");
+    assert!(status.success(), "exit: {status:?}");
+    reader.join().expect("stdout reader");
+}
+
+#[test]
 fn serve_rejects_listen_and_socket_together() {
     let out = tamopt()
         .args([
