@@ -8,7 +8,9 @@
 //!    plus an allocating `core_assign` per enumerated partition), and at
 //!    most one allocation per enumerated partition plus a constant;
 //! 3. enumerating partitions costs exactly one allocation per yielded
-//!    partition (its own `Vec`): the successor is computed in place.
+//!    partition (its own `Vec`): the successor is computed in place;
+//! 4. building a `TimeTable` costs a constant number of allocations per
+//!    core, however wide the table: no wrapper chain layout is built.
 //!
 //! The counter wraps the system allocator and counts every `alloc`
 //! (reallocations included — they claim new blocks) **per thread**, so
@@ -69,6 +71,30 @@ fn allocations() -> u64 {
 /// signature) and the results of candidates entering the ranking. The
 /// count is deterministic; it measured 363 when this bound was set.
 const SCAN_OVERHEAD_ALLOCATIONS: u64 = 400;
+
+/// Allocations `TimeTable::new` may make per core: the sorted copy of
+/// its scan chains, the Best-Fit-Decreasing bin loads and its row of
+/// times, whatever the width. The count is deterministic. For p93791
+/// (32 cores, 14 with scan chains) at `W = 64` it measured 64 when this
+/// bound was set: 32 rows, 2 × 14 scan buffers and 4 for the growing
+/// vector of rows. Running `design_wrapper` per (core, width) instead
+/// pays `w` chain layouts per candidate bin count: 377473 allocations.
+const TABLE_ALLOCATIONS_PER_CORE: u64 = 3;
+
+#[test]
+fn time_table_build_allocates_a_constant_per_core() {
+    let soc = benchmarks::p93791();
+    let before = allocations();
+    let table = TimeTable::new(&soc, 64).expect("width 64 is valid");
+    let made = allocations() - before;
+    let bound = TABLE_ALLOCATIONS_PER_CORE * soc.num_cores() as u64 + 2;
+    assert!(
+        made <= bound,
+        "TimeTable::new(p93791, 64) made {made} allocations, more than \
+         {TABLE_ALLOCATIONS_PER_CORE} per core plus 2 ({bound})"
+    );
+    assert_eq!(table.num_cores(), soc.num_cores());
+}
 
 #[test]
 fn warm_hot_path_allocates_nothing_per_partition() {

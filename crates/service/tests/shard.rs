@@ -4,7 +4,8 @@
 //! facade behavior.
 
 use tamopt_service::{
-    LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, Trace,
+    LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus, ServeQueue, ShardTrace,
+    ShardedQueue, Trace,
 };
 use tamopt_soc::benchmarks;
 
@@ -297,4 +298,78 @@ fn empty_sharded_trace_produces_a_valid_empty_report() {
     assert!(stream.is_empty());
     assert!(report.outcomes.is_empty());
     assert!(report.complete);
+}
+
+/// Trace case 30 of `cargo run --example fuzz -- --seed 1`: id 1 is
+/// pinned to shard 2 and cancelled at generation 2.
+fn fuzz_seed1_case30_trace() -> ShardTrace {
+    let request = |soc, width, max_tams, priority| {
+        Request::new(soc, width)
+            .unwrap()
+            .max_tams(max_tams)
+            .priority(priority)
+    };
+    ShardTrace::new()
+        .submit_pinned_at(0, 0, request(benchmarks::p21241(), 23, 1, 0)) // id 0
+        .submit_pinned_at(0, 2, request(benchmarks::d695(), 22, 1, 0)) // id 1
+        .submit_pinned_at(0, 2, request(benchmarks::p21241(), 14, 3, 8)) // id 2
+        .submit_at(1, request(benchmarks::d695(), 11, 2, 3)) // id 3
+        .cancel_at(2, 1usize)
+        .submit_at(2, request(benchmarks::p31108(), 10, 3, 0)) // id 4
+}
+
+/// Status and winner of every id: the outcome line without its shard
+/// stamp and prune counters, in submission order.
+fn winners_by_id(mut outcomes: Vec<RequestOutcome>) -> Vec<(RequestStatus, String)> {
+    outcomes.sort_by_key(|outcome| outcome.index);
+    outcomes
+        .iter()
+        .map(|outcome| {
+            let line = outcome.to_json_line();
+            let head = line.split(", \"stats\": ").next().unwrap_or(&line);
+            let winner = match (head.find(", \"shard\": "), head.find(", \"soc\": ")) {
+                (Some(start), Some(end)) => format!("{}{}", &head[..start], &head[end..]),
+                _ => head.to_owned(),
+            };
+            (outcome.status, winner)
+        })
+        .collect()
+}
+
+#[test]
+fn cancel_timing_may_differ_across_shard_shapes_but_winners_do_not() {
+    // Generation clocks are per shard. The flat queue has not dispatched
+    // id 1 when its cancel lands at generation 2; at 2 and 4 shards its
+    // shard already has, so it completes there.
+    let cancelled = 1;
+    let config = || LiveConfig::with_threads(1);
+    let (flat, _) = ServeQueue::replay(fuzz_seed1_case30_trace(), config(), None);
+    let flat = winners_by_id(flat);
+    assert_eq!(flat[cancelled].0, RequestStatus::Cancelled);
+    let mut completed = Vec::new();
+    for shards in [1, 2, 4] {
+        let (outcomes, _) = ShardedQueue::replay(fuzz_seed1_case30_trace(), config(), shards);
+        let sharded = winners_by_id(outcomes);
+        assert_eq!(sharded.len(), flat.len());
+        for (id, (outcome, expected)) in sharded.iter().zip(&flat).enumerate() {
+            // One shard matches flat for every id; more shards for the
+            // ids the trace never cancels.
+            if shards == 1 || id != cancelled {
+                assert_eq!(outcome, expected, "id {id} at {shards} shards");
+            }
+        }
+        if shards > 1 {
+            assert_eq!(
+                sharded[cancelled].0,
+                RequestStatus::Complete,
+                "{shards} shards"
+            );
+        }
+        if sharded[cancelled].0 == RequestStatus::Complete {
+            completed.push(sharded[cancelled].1.clone());
+        }
+    }
+    // Wherever the cancelled id completes, its winner is the same.
+    assert_eq!(completed.len(), 2);
+    assert_eq!(completed[0], completed[1]);
 }

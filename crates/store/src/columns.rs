@@ -7,10 +7,13 @@
 //! ([`TimeTable::effective_widths`]). [`CostColumns`] stores only the
 //! breakpoints (the widths whose column differs from the previous one)
 //! and expands back to a table that is **bit-identical** to
-//! `TimeTable::new` at any width it covers: `design_wrapper(core, w)`
-//! does not depend on the table's maximum width, so the column at `w`
-//! of a table built at `W ≥ w` equals the column at `w` of a table
-//! built at `w`. That exactness is the determinism argument for serving
+//! `TimeTable::new` at any width it covers. Each row is
+//! [`tamopt_wrapper::time_row`], whose entry at `w` is a closed form in
+//! `w` alone: the smallest Best-Fit-Decreasing bin load over bin counts
+//! `k ≤ w`, against the ceilings `⌈(S + I)/w⌉` and `⌈(S + O)/w⌉`. It does
+//! not depend on the table's maximum width, so the column at `w` of a
+//! table built at `W ≥ w` equals the column at `w` of a table built at
+//! `w`. That exactness is the determinism argument for serving
 //! a warm table from the store instead of re-running wrapper design —
 //! the scan sees the very same numbers either way.
 

@@ -158,6 +158,108 @@ pub fn design_wrapper(core: &Core, width: u32) -> Result<WrapperDesign, WrapperE
     Ok(best.expect("at least one candidate is always produced"))
 }
 
+/// The testing times of `core` at every TAM width `1..=max_width`
+/// (`times[w - 1]`): the row of a [`TimeTable`](crate::TimeTable).
+/// Entry `w - 1` equals `design_wrapper(core, w)?.test_time()` bit for
+/// bit, but no wrapper chain is ever built.
+///
+/// Write `S` for the core's scan cells, `I` and `O` for its wrapper
+/// input and output cells, `p` for its patterns, `s` for its number of
+/// internal scan chains, `M_k` for the largest bin load when
+/// Best-Fit-Decreasing packs the scan chains into `k` bins, and
+/// `m(w) = min_{1 ≤ k ≤ min(s, w)} M_k` (`m = 0` for a scan-less core).
+/// Then
+///
+/// ```text
+/// s_i(w) = max(m(w), ⌈(S + I) / w⌉)
+/// s_o(w) = max(m(w), ⌈(S + O) / w⌉)
+/// T(w)   = testing_time(s_i(w), s_o(w), p)
+/// ```
+///
+/// Why. [`design_wrapper`]'s candidate with `k` scan bins waterfills the
+/// `I` input cells over its `k` loaded chains and `w − k` empty ones. The
+/// water level is the smallest `L` with `Σ max(0, L − load) ≥ I`, and
+/// draining the surplus never lowers the longest chain below `L`, since
+/// level `L − 1` cannot hold all `I` cells. At any `L ≥ M_k` that sum is
+/// `w·L − S`, so the scan-in length is `M_k` or `⌈(S + I)/w⌉`, whichever
+/// is larger; scan-out is the same with `O`. [`testing_time`] is
+/// non-decreasing in both lengths, so the fastest candidate is the one
+/// with the smallest `M_k`. (The fewest-wires tie-break only chooses
+/// among equally fast candidates.)
+///
+/// Cost: `min(s, max_width)` BFD passes, then O(1) per width, and three
+/// allocations at most: the sorted chains, the bin loads and the row.
+///
+/// # Errors
+///
+/// [`WrapperError::ZeroWidth`] if `max_width == 0`.
+///
+/// # Example
+///
+/// ```
+/// use tamopt_soc::Core;
+/// use tamopt_wrapper::{design_wrapper, time_row};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let core = Core::builder("c")
+///     .inputs(9)
+///     .outputs(4)
+///     .scan_chains([20, 12, 7])
+///     .patterns(30)
+///     .build()?;
+/// let row = time_row(&core, 8)?;
+/// for (w, &time) in (1..).zip(&row) {
+///     assert_eq!(time, design_wrapper(&core, w)?.test_time());
+/// }
+/// # Ok(())
+/// # }
+/// ```
+pub fn time_row(core: &Core, max_width: u32) -> Result<Vec<u64>, WrapperError> {
+    if max_width == 0 {
+        return Err(WrapperError::ZeroWidth);
+    }
+    let mut lengths = core.scan_chains().to_vec();
+    lengths.sort_unstable_by(|a, b| b.cmp(a));
+    let scan_in_cells = core.scan_cells() + u64::from(core.input_cells());
+    let scan_out_cells = core.scan_cells() + u64::from(core.output_cells());
+    let mut loads = Vec::with_capacity(lengths.len().min(max_width as usize));
+    // m(w), the running minimum of M_k over k <= min(s, w).
+    let mut longest = if lengths.is_empty() { 0 } else { u64::MAX };
+    let row = (1..=max_width)
+        .map(|w| {
+            let bins = w as usize;
+            if bins <= lengths.len() {
+                longest = longest.min(bfd_max_load(&lengths, bins, &mut loads));
+            }
+            let wires = u64::from(w);
+            let scan_in = longest.max(scan_in_cells.div_ceil(wires));
+            let scan_out = longest.max(scan_out_cells.div_ceil(wires));
+            testing_time(scan_in, scan_out, core.patterns())
+        })
+        .collect();
+    Ok(row)
+}
+
+/// The bin Best-Fit-Decreasing fills next: the one with the least load
+/// so far, the lowest index among equals.
+fn least_loaded(loads: &[u64]) -> usize {
+    (0..loads.len())
+        .min_by_key(|&i| (loads[i], i))
+        .expect("at least one bin")
+}
+
+/// `M_k`: the largest bin load after Best-Fit-Decreasing packs the
+/// chain `lengths` (longest first) into `bins` bins. `loads` is scratch.
+fn bfd_max_load(lengths: &[u32], bins: usize, loads: &mut Vec<u64>) -> u64 {
+    loads.clear();
+    loads.resize(bins, 0);
+    for &len in lengths {
+        let bin = least_loaded(loads);
+        loads[bin] += u64::from(len);
+    }
+    loads.iter().copied().max().unwrap_or(0)
+}
+
 /// Builds one candidate design: internal scan chains packed into exactly
 /// `scan_bins` wrapper chains, wrapper cells waterfilled over all
 /// `width` chains.
@@ -178,9 +280,7 @@ fn design_with_scan_bins(core: &Core, width: u32, scan_bins: u32) -> WrapperDesi
         order.sort_unstable_by(|a, b| b.cmp(a));
         let mut loads = vec![0u64; scan_bins as usize];
         for len in order {
-            let bin = (0..loads.len())
-                .min_by_key(|&i| (loads[i], i))
-                .expect("scan_bins > 0");
+            let bin = least_loaded(&loads);
             loads[bin] += u64::from(len);
             chains[bin].scan_chains.push(len);
         }

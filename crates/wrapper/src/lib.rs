@@ -22,8 +22,10 @@
 //!
 //! * [`design_wrapper`] — the wrapper construction itself
 //!   ([`WrapperDesign`] describes the resulting chains);
+//! * [`time_row`] — a core's testing time at every width, in closed
+//!   form from one BFD pass per bin count;
 //! * [`TimeTable`] — the `T_i(w)` tables consumed by the core-assignment
-//!   and partitioning layers;
+//!   and partitioning layers, one [`time_row`] per core;
 //! * [`pareto`] — Pareto-optimal width analysis (the staircase of
 //!   `T(w)`) and the bottleneck lower bound that explains the paper's
 //!   p31108 saturation phenomenon.
@@ -58,7 +60,7 @@ pub mod pareto;
 mod table;
 mod time;
 
-pub use crate::design::{design_wrapper, ChainLayout, WrapperDesign};
+pub use crate::design::{design_wrapper, time_row, ChainLayout, WrapperDesign};
 pub use crate::error::WrapperError;
 pub use crate::table::TimeTable;
 pub use crate::time::testing_time;

@@ -13,7 +13,14 @@
 
 use tamopt_soc::{Core, Soc};
 
-use crate::{design_wrapper, TimeTable, WrapperError};
+use crate::{time_row, TimeTable, WrapperError};
+
+/// `core`'s testing time at `width`: the last entry of its [`time_row`].
+fn time_at(core: &Core, width: u32) -> Result<u64, WrapperError> {
+    Ok(*time_row(core, width)?
+        .last()
+        .expect("a row has max_width >= 1 entries"))
+}
 
 /// One step of a core's testing-time staircase: the smallest width
 /// achieving a given time.
@@ -49,16 +56,12 @@ pub struct ParetoPoint {
 /// # }
 /// ```
 pub fn pareto_widths(core: &Core, max_width: u32) -> Result<Vec<ParetoPoint>, WrapperError> {
-    if max_width == 0 {
-        return Err(WrapperError::ZeroWidth);
-    }
     let mut points = Vec::new();
     let mut last_time = u64::MAX;
-    for w in 1..=max_width {
-        let t = design_wrapper(core, w)?.test_time();
-        if t < last_time {
-            points.push(ParetoPoint { width: w, time: t });
-            last_time = t;
+    for (width, &time) in (1..).zip(&time_row(core, max_width)?) {
+        if time < last_time {
+            points.push(ParetoPoint { width, time });
+            last_time = time;
         }
     }
     Ok(points)
@@ -92,14 +95,7 @@ pub fn saturation_width(core: &Core, max_width: u32) -> Result<u32, WrapperError
 ///
 /// [`WrapperError::ZeroWidth`] if `total_width == 0`.
 pub fn bottleneck_lower_bound(soc: &Soc, total_width: u32) -> Result<u64, WrapperError> {
-    if total_width == 0 {
-        return Err(WrapperError::ZeroWidth);
-    }
-    let mut bound = 0;
-    for core in soc {
-        bound = bound.max(design_wrapper(core, total_width)?.test_time());
-    }
-    Ok(bound)
+    Ok(bottleneck_core(soc, total_width)?.1)
 }
 
 /// Index and saturated testing time of the SOC's *bottleneck core*: the
@@ -114,7 +110,7 @@ pub fn bottleneck_core(soc: &Soc, total_width: u32) -> Result<(usize, u64), Wrap
     }
     let mut best = (0, 0);
     for (i, core) in soc.iter().enumerate() {
-        let t = design_wrapper(core, total_width)?.test_time();
+        let t = time_at(core, total_width)?;
         if t > best.1 {
             best = (i, t);
         }
@@ -129,13 +125,13 @@ pub fn bottleneck_core(soc: &Soc, total_width: u32) -> Result<(usize, u64), Wrap
 ///
 /// [`WrapperError::ZeroWidth`] if `width == 0`.
 pub fn idle_wires(core: &Core, width: u32) -> Result<u32, WrapperError> {
-    let target = design_wrapper(core, width)?.test_time();
-    for w in 1..=width {
-        if design_wrapper(core, w)?.test_time() == target {
-            return Ok(width - w);
-        }
-    }
-    Ok(0)
+    let row = time_row(core, width)?;
+    let target = row[row.len() - 1];
+    let first = row
+        .iter()
+        .position(|&t| t == target)
+        .expect("target is in the row");
+    Ok(width - 1 - first as u32)
 }
 
 /// The per-width bottleneck bound of a precomputed [`TimeTable`], the
@@ -199,6 +195,7 @@ pub fn bottleneck_at_width(table: &TimeTable, width: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design_wrapper;
     use tamopt_soc::benchmarks;
 
     #[test]

@@ -1,16 +1,19 @@
 use serde::{Deserialize, Serialize};
 use tamopt_soc::Soc;
 
-use crate::{design_wrapper, WrapperError};
+use crate::{time_row, WrapperError};
 
 /// Precomputed core testing times `T_i(w)` for every core of an SOC and
 /// every TAM width `1..=max_width`.
 ///
 /// Every optimization layer of the workspace (the `Core_assign`
 /// heuristic, the exact solvers, `Partition_evaluate`) consumes wrapper
-/// results only through this table, mirroring the paper's structure
-/// where `Design_wrapper` is invoked once per (core, width) pair
-/// (Figure 1, line 6).
+/// results only through this table. The paper's `Partition_evaluate`
+/// reads `T_i(w)` from such a table (Figure 1, line 6), filled by
+/// `Design_wrapper` once per (core, width) pair. Here each row comes
+/// from [`time_row`], the closed form of `Design_wrapper`'s testing time
+/// at every width, which equals [`design_wrapper`](crate::design_wrapper)
+/// bit for bit without building any wrapper chain.
 ///
 /// # Example
 ///
@@ -34,8 +37,11 @@ pub struct TimeTable {
 }
 
 impl TimeTable {
-    /// Builds the table by running wrapper design for every core at every
-    /// width `1..=max_width`.
+    /// Builds the table from one [`time_row`] per core: every core's
+    /// testing time at every width `1..=max_width`, equal to
+    /// `design_wrapper(core, w)?.test_time()`. Each row costs one
+    /// Best-Fit-Decreasing pass per bin count `k ≤ min(s, max_width)` and
+    /// O(1) per width.
     ///
     /// # Errors
     ///
@@ -46,11 +52,7 @@ impl TimeTable {
         }
         let times = soc
             .iter()
-            .map(|core| {
-                (1..=max_width)
-                    .map(|w| design_wrapper(core, w).map(|d| d.test_time()))
-                    .collect::<Result<Vec<_>, _>>()
-            })
+            .map(|core| time_row(core, max_width))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(TimeTable { times, max_width })
     }
@@ -147,6 +149,28 @@ impl TimeTable {
 mod tests {
     use super::*;
     use tamopt_soc::benchmarks;
+
+    #[test]
+    fn rows_equal_design_wrapper_on_every_paper_soc() {
+        for soc in [
+            benchmarks::d695(),
+            benchmarks::p21241(),
+            benchmarks::p31108(),
+            benchmarks::p93791(),
+        ] {
+            let table = TimeTable::new(&soc, 64).unwrap();
+            for (c, core) in soc.iter().enumerate() {
+                for w in 1..=64 {
+                    assert_eq!(
+                        table.time(c, w),
+                        crate::design_wrapper(core, w).unwrap().test_time(),
+                        "{} core {c} w={w}",
+                        soc.name()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn zero_width_rejected() {

@@ -1,8 +1,8 @@
 //! Property-based tests of wrapper design (*P_W*) invariants.
 
 use proptest::prelude::*;
-use tamopt_soc::Core;
-use tamopt_wrapper::{design_wrapper, testing_time, ChainLayout};
+use tamopt_soc::{Core, Soc};
+use tamopt_wrapper::{design_wrapper, testing_time, time_row, ChainLayout, TimeTable};
 
 /// Strategy for arbitrary (but valid) cores.
 fn arb_core() -> impl Strategy<Value = Core> {
@@ -23,6 +23,82 @@ fn arb_core() -> impl Strategy<Value = Core> {
                 .build()
                 .ok()
         })
+}
+
+/// Strategy for cores in every shape the closed-form time row must
+/// cover: scan-less with bidirectional terminals only, terminal-only,
+/// one scan chain, more scan chains than any tested width, equal
+/// chains, and arbitrary chains; any shape may also drop all its inputs
+/// or all its outputs.
+fn arb_shaped_core() -> impl Strategy<Value = Core> {
+    (
+        0u32..6,                                      // shape
+        (0u32..200, 0u32..200, 1u32..20),             // inputs, outputs, bidirs
+        (any::<bool>(), any::<bool>()),               // zero inputs, zero outputs
+        1u32..400,                                    // one chain's length
+        proptest::collection::vec(1u32..300, 1..120), // arbitrary chains
+        1u64..5000,                                   // patterns
+    )
+        .prop_filter_map(
+            "core must be non-empty",
+            |(shape, (i, o, b), (no_inputs, no_outputs), len, chains, p)| {
+                let (i, o) = (
+                    if no_inputs { 0 } else { i },
+                    if no_outputs { 0 } else { o },
+                );
+                let (i, o, bidirs, scan) = match shape {
+                    0 => (0, 0, b, Vec::new()),
+                    1 => (i, o, 0, Vec::new()),
+                    2 => (i, o, 0, vec![len]),
+                    3 => (
+                        i,
+                        o,
+                        0,
+                        chains
+                            .iter()
+                            .copied()
+                            .cycle()
+                            .take(81 + chains.len())
+                            .collect(),
+                    ),
+                    4 => (i, o, 0, vec![len; chains.len()]),
+                    _ => (i, o, 0, chains),
+                };
+                Core::builder("c")
+                    .inputs(i)
+                    .outputs(o)
+                    .bidirs(bidirs)
+                    .scan_chains(scan)
+                    .patterns(p)
+                    .build()
+                    .ok()
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The time table's closed form equals the testing time of a full
+    /// wrapper design at every width up to 80.
+    #[test]
+    fn time_table_equals_design_wrapper(core in arb_shaped_core(), max_width in 1u32..=80) {
+        let soc = Soc::builder("s").core(core.clone()).build().expect("one named core");
+        let table = TimeTable::new(&soc, max_width).expect("max_width >= 1");
+        for w in 1..=max_width {
+            let design = design_wrapper(&core, w).expect("w >= 1");
+            prop_assert_eq!(table.time(0, w), design.test_time(), "w={}", w);
+        }
+    }
+
+    /// A width's time does not depend on the widest width asked for:
+    /// a shorter row is a prefix of a longer one.
+    #[test]
+    fn time_row_is_width_independent(core in arb_shaped_core(), a in 1u32..=80, b in 1u32..=80) {
+        let (short, long) = (a.min(b), a.max(b));
+        let long_row = time_row(&core, long).expect("long >= 1");
+        prop_assert_eq!(time_row(&core, short).expect("short >= 1"), long_row[..short as usize].to_vec());
+    }
 }
 
 proptest! {
