@@ -15,13 +15,6 @@ use tamopt_soc::{Core, Soc};
 
 use crate::{time_row, TimeTable, WrapperError};
 
-/// `core`'s testing time at `width`: the last entry of its [`time_row`].
-fn time_at(core: &Core, width: u32) -> Result<u64, WrapperError> {
-    Ok(*time_row(core, width)?
-        .last()
-        .expect("a row has max_width >= 1 entries"))
-}
-
 /// One step of a core's testing-time staircase: the smallest width
 /// achieving a given time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +103,9 @@ pub fn bottleneck_core(soc: &Soc, total_width: u32) -> Result<(usize, u64), Wrap
     }
     let mut best = (0, 0);
     for (i, core) in soc.iter().enumerate() {
-        let t = time_at(core, total_width)?;
+        let t = *time_row(core, total_width)?
+            .last()
+            .expect("a row has total_width >= 1 entries");
         if t > best.1 {
             best = (i, t);
         }
