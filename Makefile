@@ -8,7 +8,7 @@ SHELL := /bin/bash
 
 .PHONY: all build test verify doc-gate determinism serve-determinism \
         shard-determinism store-determinism recovery-determinism fuzz-smoke \
-        chaos-soak alloc-gate bench-smoke bench-json bench-compare msrv-check \
+        chaos-soak alloc-gate bench-smoke msrv-check \
         lint fmt clean
 
 all: build test lint
@@ -165,43 +165,6 @@ recovery-determinism:
 
 bench-smoke:
 	cargo bench -p tamopt_bench --benches -- --test
-
-# --- CI job: bench-results (perf trajectory) --------------------------------
-
-bench-json:
-	rm -rf target/criterion
-	cargo bench -p tamopt_bench \
-	  --bench bench_parallel --bench bench_scan --bench bench_batch \
-	  --bench bench_serve --bench bench_topk --bench bench_shard \
-	  --bench bench_store --bench bench_net --bench bench_journal
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix parallel_ --out BENCH_parallel.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix scan_ --out BENCH_scan.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix batch_ --out BENCH_batch.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix serve_ --out BENCH_serve.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix topk_ --out BENCH_topk.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix shard_ --out BENCH_shard.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix store_ --out BENCH_store.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix net_ --out BENCH_net.json
-	cargo run --release -p tamopt_bench --bin bench_json -- \
-	  --prefix journal_ --out BENCH_journal.json
-
-# Perf-regression comparator (warn-only, mirrors the CI step): put the
-# previous run's exports under baseline/ and compare. Missing baselines
-# pass cleanly.
-bench-compare:
-	for family in parallel scan batch serve topk shard store net journal; do \
-	  cargo run --release -p tamopt_bench --bin bench_json -- \
-	    --compare baseline/BENCH_$${family}.json BENCH_$${family}.json \
-	    --threshold 15 || exit 1; \
-	done
 
 # --- CI job: lint -----------------------------------------------------------
 

@@ -44,82 +44,6 @@ impl CostMatrix {
         })
     }
 
-    /// An empty scratch matrix, to be filled in place by
-    /// [`CostMatrix::from_table_into`] or [`CostMatrix::copy_from`]
-    /// before first use. Scan hot paths keep one per worker so repeated
-    /// rebuilds reuse its row buffers instead of allocating.
-    pub fn scratch() -> Self {
-        CostMatrix {
-            costs: Vec::new(),
-            widths: Vec::new(),
-        }
-    }
-
-    /// [`CostMatrix::from_table`] rebuilding `into` **in place**: row and
-    /// width buffers are cleared and refilled, so once their capacities
-    /// have grown to the largest TAM count seen, rebuilding performs no
-    /// heap allocation at all — the partition scan calls this once per
-    /// enumerated partition.
-    ///
-    /// # Errors
-    ///
-    /// [`AssignError::WidthOutOfTable`] if a TAM is wider than the table
-    /// covers; `into` is left unchanged in that case.
-    pub fn from_table_into(
-        table: &TimeTable,
-        tams: &TamSet,
-        into: &mut CostMatrix,
-    ) -> Result<(), AssignError> {
-        for (index, &width) in tams.widths().iter().enumerate() {
-            if width > table.max_width() {
-                return Err(AssignError::WidthOutOfTable {
-                    index,
-                    width,
-                    max_width: table.max_width(),
-                });
-            }
-        }
-        into.widths.clear();
-        into.widths.extend_from_slice(tams.widths());
-        into.costs.truncate(table.num_cores());
-        while into.costs.len() < table.num_cores() {
-            into.costs.push(Vec::new());
-        }
-        for (core, row) in into.costs.iter_mut().enumerate() {
-            row.clear();
-            row.extend(tams.widths().iter().map(|&w| table.time(core, w)));
-        }
-        Ok(())
-    }
-
-    /// Refills `self` with `source`'s cost values and the given
-    /// (same-length) `widths` — the memo-hit path of the partition scan:
-    /// two partitions whose parts sit past the same Pareto saturation
-    /// points share cost columns but not widths, so the cached costs are
-    /// copied verbatim while the widths stay the partition's own.
-    /// Allocation-free once `self`'s buffers have warmed up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `widths` disagrees with `source` in TAM count.
-    pub fn copy_from(&mut self, source: &CostMatrix, widths: &[u32]) {
-        assert_eq!(
-            source.num_tams(),
-            widths.len(),
-            "replacement widths must cover every tam"
-        );
-        self.widths.clear();
-        self.widths.extend_from_slice(widths);
-        self.costs.truncate(source.costs.len());
-        while self.costs.len() < source.costs.len() {
-            self.costs.push(Vec::new());
-        }
-        for (row, src) in self.costs.iter_mut().zip(&source.costs) {
-            row.clear();
-            row.extend_from_slice(src);
-        }
-    }
-
     /// Wraps a verbatim cost matrix `costs[core][tam]` with the given TAM
     /// widths (used for the paper's Figure 2 example, whose table is
     /// given directly).
@@ -153,6 +77,11 @@ impl CostMatrix {
     /// Panics if `tam` is out of range.
     pub fn width(&self, tam: usize) -> u32 {
         self.widths[tam]
+    }
+
+    /// All TAM widths, in TAM order.
+    pub fn widths(&self) -> &[u32] {
+        &self.widths
     }
 
     /// Testing time of `core` on `tam`.
@@ -227,61 +156,6 @@ mod tests {
             CostMatrix::from_raw(vec![vec![1, 2]], vec![4]).unwrap_err(),
             AssignError::MalformedCosts
         );
-    }
-
-    #[test]
-    fn from_table_into_matches_from_table_and_reuses_buffers() {
-        let soc = benchmarks::d695();
-        let table = TimeTable::new(&soc, 32).unwrap();
-        let mut scratch = CostMatrix::scratch();
-        for widths in [vec![8u32, 32], vec![4, 4, 8, 16], vec![32]] {
-            let tams = TamSet::new(widths).unwrap();
-            CostMatrix::from_table_into(&table, &tams, &mut scratch).unwrap();
-            assert_eq!(scratch, CostMatrix::from_table(&table, &tams).unwrap());
-        }
-        // Shrinking reuses rows; the row capacity from the 4-TAM build
-        // survives the 1-TAM rebuild.
-        assert_eq!(scratch.num_tams(), 1);
-        assert!(scratch.costs[0].capacity() >= 4);
-    }
-
-    #[test]
-    fn from_table_into_rejects_too_wide_tams_and_leaves_scratch_alone() {
-        let soc = benchmarks::d695();
-        let table = TimeTable::new(&soc, 16).unwrap();
-        let mut scratch = CostMatrix::scratch();
-        let good = TamSet::new([8, 8]).unwrap();
-        CostMatrix::from_table_into(&table, &good, &mut scratch).unwrap();
-        let before = scratch.clone();
-        let wide = TamSet::new([8, 24]).unwrap();
-        assert_eq!(
-            CostMatrix::from_table_into(&table, &wide, &mut scratch).unwrap_err(),
-            AssignError::WidthOutOfTable {
-                index: 1,
-                width: 24,
-                max_width: 16
-            }
-        );
-        assert_eq!(scratch, before, "failed rebuild must not corrupt scratch");
-    }
-
-    #[test]
-    fn copy_from_replaces_widths_but_keeps_costs() {
-        let source = CostMatrix::from_raw(vec![vec![5, 9], vec![7, 3]], vec![30, 30]).unwrap();
-        let mut scratch = CostMatrix::scratch();
-        scratch.copy_from(&source, &[40, 64]);
-        assert_eq!(scratch.row(0), source.row(0));
-        assert_eq!(scratch.row(1), source.row(1));
-        assert_eq!(scratch.width(0), 40);
-        assert_eq!(scratch.width(1), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "every tam")]
-    fn copy_from_rejects_mismatched_widths() {
-        let source = CostMatrix::from_raw(vec![vec![5, 9]], vec![8, 16]).unwrap();
-        let mut scratch = CostMatrix::scratch();
-        scratch.copy_from(&source, &[8]);
     }
 
     #[test]

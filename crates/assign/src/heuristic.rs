@@ -1,3 +1,5 @@
+use tamopt_wrapper::TimeTable;
+
 use crate::{AssignResult, CostMatrix};
 
 /// Tie-break switches of the `Core_assign` heuristic (Figure 1 of the
@@ -67,6 +69,10 @@ impl CoreAssignOutcome {
 /// immediately — the partition under evaluation cannot beat the
 /// best-known architecture.
 ///
+/// The matrix is turned into [`TimeColumns`] keyed by TAM index and run
+/// through the same kernel as [`core_assign_widths`], so both share one
+/// implementation of the selection rules.
+///
 /// Complexity: `O(N·(N + B))` for `N` cores and `B` TAMs, matching the
 /// paper's `O(N²)` claim for `B ≤ N`.
 ///
@@ -92,25 +98,95 @@ pub fn core_assign(
     bound: Option<u64>,
     options: &CoreAssignOptions,
 ) -> CoreAssignOutcome {
+    let columns = TimeColumns::from_fn(costs.num_cores(), costs.num_tams(), |core, tam| {
+        costs.time(core, tam)
+    });
     let mut scratch = AssignScratch::new();
-    match core_assign_into(costs, bound, options, &mut scratch) {
-        Some(_) => CoreAssignOutcome::Complete(scratch.result(costs)),
+    match assign_columns(
+        &columns,
+        costs.widths(),
+        |tam| tam,
+        bound,
+        options,
+        &mut scratch,
+    ) {
+        Some(_) => CoreAssignOutcome::Complete(scratch.result()),
         None => CoreAssignOutcome::Aborted {
             bound: bound.expect("only a bound can abort the heuristic"),
         },
     }
 }
 
-/// Reusable working buffers of [`core_assign_into`]: per-TAM loads, the
-/// assignment under construction and the two selection lists. Keep one
+/// Column-major testing times, the input of the `Core_assign` kernel:
+/// column `k` holds every core's time on one width (or one TAM), and
+/// next to it the cores ordered by `(time desc, core asc)`.
+///
+/// The partition scan builds one per scan from its [`TimeTable`]
+/// ([`TimeColumns::from_table`], column `w − 1` is width `w`) and scores
+/// every partition straight from it with [`core_assign_widths`] — no
+/// per-partition cost matrix. [`core_assign`] builds one keyed by TAM
+/// index from its [`CostMatrix`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TimeColumns {
+    cores: usize,
+    /// `times[k · cores + core]`.
+    times: Vec<u64>,
+    /// `order[k · cores ..][..cores]`: column `k`'s cores by `(time
+    /// desc, core asc)`, so the first unassigned entry is line 13's
+    /// largest-time core and the run of equal times after it is its
+    /// tied set, lowest core first.
+    order: Vec<u32>,
+}
+
+impl TimeColumns {
+    /// Width-major copy of `table`: column `w − 1` holds `T_c(w)`.
+    pub fn from_table(table: &TimeTable) -> Self {
+        Self::from_fn(table.num_cores(), table.max_width() as usize, |core, k| {
+            table.row(core)[k]
+        })
+    }
+
+    fn from_fn(cores: usize, columns: usize, time: impl Fn(usize, usize) -> u64) -> Self {
+        let mut times = Vec::with_capacity(columns * cores);
+        let mut order: Vec<u32> = Vec::with_capacity(columns * cores);
+        for k in 0..columns {
+            let start = times.len();
+            times.extend((0..cores).map(|core| time(core, k)));
+            let column = &times[start..];
+            order.extend(0..cores as u32);
+            order[start..].sort_unstable_by_key(|&c| (std::cmp::Reverse(column[c as usize]), c));
+        }
+        TimeColumns {
+            cores,
+            times,
+            order,
+        }
+    }
+
+    /// Number of cores.
+    pub fn num_cores(&self) -> usize {
+        self.cores
+    }
+
+    fn column(&self, k: usize) -> &[u64] {
+        &self.times[k * self.cores..][..self.cores]
+    }
+
+    fn order(&self, k: usize) -> &[u32] {
+        &self.order[k * self.cores..][..self.cores]
+    }
+}
+
+/// Reusable working buffers of the `Core_assign` kernel: per-TAM loads
+/// and column cursors, and the assignment under construction. Keep one
 /// per worker thread — after the first call at the largest `(cores,
 /// tams)` shape, every further call is allocation-free.
 #[derive(Debug, Default)]
 pub struct AssignScratch {
     tam_times: Vec<u64>,
     assignment: Vec<usize>,
-    unassigned: Vec<usize>,
-    tied: Vec<usize>,
+    /// Per TAM, how far into its column's order every core is assigned.
+    cursor: Vec<usize>,
 }
 
 impl AssignScratch {
@@ -119,51 +195,74 @@ impl AssignScratch {
         Self::default()
     }
 
-    /// Materializes the last **completed** [`core_assign_into`] run as an
-    /// owned [`AssignResult`] (this is the only allocating step of the
-    /// hot path, paid just for results worth keeping).
-    ///
-    /// # Panics
-    ///
-    /// Panics (via [`AssignResult::from_assignment`]) if `costs` is not
-    /// the matrix of the last completed run on this scratch.
-    pub fn result(&self, costs: &CostMatrix) -> AssignResult {
-        AssignResult::from_assignment(self.assignment.clone(), costs)
+    /// Materializes the last **completed** kernel run as an owned
+    /// [`AssignResult`], from the run's own assignment and per-TAM times
+    /// (this is the only allocating step of the hot path, paid just for
+    /// results worth keeping).
+    pub fn result(&self) -> AssignResult {
+        AssignResult::from_parts(self.assignment.clone(), self.tam_times.clone())
     }
 }
 
-/// Allocation-free [`core_assign`]: identical selection and abort
-/// semantics, with all working state borrowed from `scratch`.
+/// `Core_assign` on the TAM widths of one partition, reading TAM `t`'s
+/// times from `columns` at width `widths[t]` (columns built by
+/// [`TimeColumns::from_table`]). Same selection and abort semantics as
+/// [`core_assign`], with all working state borrowed from `scratch`.
 ///
 /// Returns `Some(soc_time)` when the assignment completes — the
-/// assignment vector is left in `scratch` and can be materialized with
+/// assignment is left in `scratch` and can be materialized with
 /// [`AssignScratch::result`] — or `None` when the run aborted against
 /// `bound` (lines 18–20 of Figure 1). The τ-pruned partition scan calls
-/// this once per enumerated partition; with a warmed scratch neither
-/// outcome allocates.
-pub fn core_assign_into(
-    costs: &CostMatrix,
+/// this once per partition that passes its bound gate; with a warmed
+/// scratch neither outcome allocates.
+///
+/// # Panics
+///
+/// Panics if a width is `0` or beyond the table's maximum width.
+pub fn core_assign_widths(
+    columns: &TimeColumns,
+    widths: &[u32],
     bound: Option<u64>,
     options: &CoreAssignOptions,
     scratch: &mut AssignScratch,
 ) -> Option<u64> {
-    let n = costs.num_cores();
-    let b = costs.num_tams();
+    assign_columns(
+        columns,
+        widths,
+        |tam| widths[tam] as usize - 1,
+        bound,
+        options,
+        scratch,
+    )
+}
+
+/// The one `Core_assign` kernel: TAM `t` of width `widths[t]` reads
+/// column `column_of(t)`.
+fn assign_columns(
+    columns: &TimeColumns,
+    widths: &[u32],
+    column_of: impl Fn(usize) -> usize,
+    bound: Option<u64>,
+    options: &CoreAssignOptions,
+    scratch: &mut AssignScratch,
+) -> Option<u64> {
+    const UNASSIGNED: usize = usize::MAX;
+    let b = widths.len();
     scratch.tam_times.clear();
     scratch.tam_times.resize(b, 0);
+    scratch.cursor.clear();
+    scratch.cursor.resize(b, 0);
     scratch.assignment.clear();
-    scratch.assignment.resize(n, usize::MAX);
-    scratch.unassigned.clear();
-    scratch.unassigned.extend(0..n);
+    scratch.assignment.resize(columns.num_cores(), UNASSIGNED);
 
-    while !scratch.unassigned.is_empty() {
+    for _ in 0..columns.num_cores() {
         // Lines 10-12: least-loaded TAM, tie broken toward the widest.
         let tam_times = &scratch.tam_times;
         let tam = (0..b)
             .min_by_key(|&t| {
                 let width_key = if options.widest_tam_tie_break {
                     // Larger width wins the tie => smaller key.
-                    u32::MAX - costs.width(t)
+                    u32::MAX - widths[t]
                 } else {
                     0
                 };
@@ -171,51 +270,55 @@ pub fn core_assign_into(
             })
             .expect("at least one tam");
 
-        // Line 13: unassigned core with the largest time on `tam`.
-        let max_time = scratch
-            .unassigned
-            .iter()
-            .map(|&c| costs.time(c, tam))
-            .max()
-            .expect("unassigned is non-empty");
-        scratch.tied.clear();
-        scratch.tied.extend(
-            scratch
-                .unassigned
+        // Line 13: the first unassigned core in the column's order has
+        // the largest time on `tam`; the cursor skips assigned ones.
+        let column = column_of(tam);
+        let times = columns.column(column);
+        let order = columns.order(column);
+        let assignment = &scratch.assignment;
+        let mut at = scratch.cursor[tam];
+        while assignment[order[at] as usize] != UNASSIGNED {
+            at += 1;
+        }
+        scratch.cursor[tam] = at;
+        let mut core = order[at] as usize;
+
+        // Lines 14-16: among the unassigned cores tied at that time,
+        // take the one with the largest time on the next-narrower TAM
+        // (the widest TAM strictly narrower than `tam`); equal times
+        // there keep the lowest core index.
+        if options.next_tam_tie_break {
+            let top = times[core];
+            let mut tied = order[at + 1..]
                 .iter()
-                .copied()
-                .filter(|&c| costs.time(c, tam) == max_time),
-        );
-        let tied = &scratch.tied;
-        let core = if tied.len() >= 2 && options.next_tam_tie_break {
-            // Lines 14-16: compare the tied cores on the next-narrower
-            // TAM (the widest TAM strictly narrower than `tam`).
-            let narrower = (0..b)
-                .filter(|&t| costs.width(t) < costs.width(tam))
-                .max_by_key(|&t| (costs.width(t), usize::MAX - t));
-            match narrower {
-                Some(next) => tied
-                    .iter()
-                    .copied()
-                    .max_by_key(|&c| (costs.time(c, next), usize::MAX - c))
-                    .expect("tied is non-empty"),
-                None => tied[0],
+                .map(|&c| c as usize)
+                .take_while(|&c| times[c] == top)
+                .filter(|&c| assignment[c] == UNASSIGNED)
+                .peekable();
+            if tied.peek().is_some() {
+                let narrower = (0..b)
+                    .filter(|&t| widths[t] < widths[tam])
+                    .max_by_key(|&t| (widths[t], usize::MAX - t));
+                if let Some(next) = narrower {
+                    let next = columns.column(column_of(next));
+                    for c in tied {
+                        if next[c] > next[core] {
+                            core = c;
+                        }
+                    }
+                }
             }
-        } else {
-            tied[0]
-        };
+        }
 
         // Line 17: assign.
         scratch.assignment[core] = tam;
-        scratch.tam_times[tam] += costs.time(core, tam);
-        scratch.unassigned.retain(|&c| c != core);
+        scratch.tam_times[tam] += times[core];
 
-        // Lines 18-20: abort against the best-known bound.
-        if let Some(tau) = bound {
-            let worst = scratch.tam_times.iter().copied().max().expect("non-empty");
-            if worst >= tau {
-                return None;
-            }
+        // Lines 18-20: abort against the best-known bound. Every other
+        // TAM was already below it, so only the one just loaded can
+        // have reached it.
+        if bound.is_some_and(|tau| scratch.tam_times[tam] >= tau) {
+            return None;
         }
     }
     Some(
@@ -365,21 +468,28 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_the_allocating_one() {
+    fn width_columns_match_the_matrix_path() {
         let soc = benchmarks::d695();
         let table = tamopt_wrapper::TimeTable::new(&soc, 32).unwrap();
+        let columns = TimeColumns::from_table(&table);
+        assert_eq!(columns.num_cores(), 10);
         let mut scratch = AssignScratch::new();
         for widths in [vec![8u32, 24], vec![4, 4, 8, 16], vec![32]] {
             let tams = crate::TamSet::new(widths.clone()).unwrap();
             let costs = CostMatrix::from_table(&table, &tams).unwrap();
             for bound in [None, Some(30_000), Some(1)] {
                 let owned = core_assign(&costs, bound, &CoreAssignOptions::default());
-                let fitted =
-                    core_assign_into(&costs, bound, &CoreAssignOptions::default(), &mut scratch);
+                let fitted = core_assign_widths(
+                    &columns,
+                    &widths,
+                    bound,
+                    &CoreAssignOptions::default(),
+                    &mut scratch,
+                );
                 match (owned, fitted) {
                     (CoreAssignOutcome::Complete(result), Some(time)) => {
                         assert_eq!(result.soc_time(), time, "widths {widths:?} bound {bound:?}");
-                        assert_eq!(scratch.result(&costs), result);
+                        assert_eq!(scratch.result(), result);
                     }
                     (CoreAssignOutcome::Aborted { .. }, None) => {}
                     (owned, fitted) => {
@@ -392,20 +502,22 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_shrinking_shapes() {
-        // A scratch warmed on a wide matrix must produce correct results
-        // on a narrower one (buffers shrink logically, not physically).
-        let wide = CostMatrix::from_raw(
-            vec![vec![9, 8, 7, 6], vec![5, 4, 3, 2], vec![1, 2, 3, 4]],
-            vec![4, 8, 16, 32],
-        )
-        .unwrap();
-        let narrow = CostMatrix::from_raw(vec![vec![5], vec![7]], vec![8]).unwrap();
+        // A scratch warmed on a wide partition must produce correct
+        // results on a narrower one (buffers shrink logically, not
+        // physically).
+        let table = tamopt_wrapper::TimeTable::from_matrix(vec![
+            vec![9, 8, 7, 6],
+            vec![5, 4, 3, 2],
+            vec![1, 2, 3, 4],
+        ]);
+        let columns = TimeColumns::from_table(&table);
+        let options = CoreAssignOptions::default();
         let mut scratch = AssignScratch::new();
-        core_assign_into(&wide, None, &CoreAssignOptions::default(), &mut scratch).unwrap();
-        let time =
-            core_assign_into(&narrow, None, &CoreAssignOptions::default(), &mut scratch).unwrap();
-        assert_eq!(time, 12);
-        assert_eq!(scratch.result(&narrow).assignment(), &[0, 0]);
+        core_assign_widths(&columns, &[1, 1, 1, 1], None, &options, &mut scratch).unwrap();
+        let time = core_assign_widths(&columns, &[2], None, &options, &mut scratch).unwrap();
+        assert_eq!(time, 14);
+        assert_eq!(scratch.result().assignment(), &[0, 0, 0]);
+        assert_eq!(scratch.result().tam_times(), &[14]);
     }
 
     #[test]

@@ -55,7 +55,8 @@ mod tam;
 pub use crate::cost::CostMatrix;
 pub use crate::error::AssignError;
 pub use crate::heuristic::{
-    core_assign, core_assign_into, AssignScratch, CoreAssignOptions, CoreAssignOutcome,
+    core_assign, core_assign_widths, AssignScratch, CoreAssignOptions, CoreAssignOutcome,
+    TimeColumns,
 };
 pub use crate::result::AssignResult;
 pub use crate::tam::TamSet;

@@ -41,6 +41,17 @@ impl AssignResult {
         }
     }
 
+    /// Wraps an assignment and the per-TAM times it sums to, as the
+    /// `Core_assign` kernel accumulated them.
+    pub(crate) fn from_parts(assignment: Vec<usize>, tam_times: Vec<u64>) -> Self {
+        let soc_time = tam_times.iter().copied().max().unwrap_or(0);
+        AssignResult {
+            assignment,
+            tam_times,
+            soc_time,
+        }
+    }
+
     /// The assignment vector: `assignment()[core]` is the TAM index the
     /// core is assigned to (0-based; the paper's vectors are 1-based).
     pub fn assignment(&self) -> &[usize] {

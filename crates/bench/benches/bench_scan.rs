@@ -1,8 +1,8 @@
 //! The scan hot path, measured: the paper's heaviest heuristic scan —
 //! p93791, *P_NPAW* at `W = 64`, `B ≤ 10` — on the pipelined executor
 //! at 1/2/4 worker threads, plus single-partition microbenches of the
-//! allocation-free primitives the scan is built from
-//! (`CostMatrix::from_table_into` + `core_assign_into`) and of the
+//! allocation-free `Core_assign` kernel the scan runs per partition
+//! (`core_assign_widths` on the table's `TimeColumns`) and of the
 //! per-partition branch-and-bound the pipeline's step 2 runs.
 //!
 //! Bit-identity across thread counts is asserted before any timing.
@@ -12,7 +12,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tamopt::assign::exact::{self, ExactConfig};
-use tamopt::assign::{core_assign_into, AssignScratch, CoreAssignOptions, CostMatrix, TamSet};
+use tamopt::assign::{
+    core_assign_widths, AssignScratch, CoreAssignOptions, CostMatrix, TamSet, TimeColumns,
+};
 use tamopt::engine::ParallelConfig;
 use tamopt::partition::{partition_evaluate, EvaluateConfig};
 use tamopt::{benchmarks, TimeTable};
@@ -50,45 +52,51 @@ fn bench_scan_threads(c: &mut Criterion) {
 }
 
 fn bench_scan_single_partition(c: &mut Criterion) {
-    // The inner loop of the scan, isolated: rebuild the cost matrix in
-    // place and run the allocation-free heuristic — once τ-pruned (the
-    // common aborting case) and once unbounded (the completing case).
+    // The inner loop of the scan, isolated: run the allocation-free
+    // kernel on the table's columns — once τ-pruned (the common aborting
+    // case) and once unbounded (the completing case).
     let soc = benchmarks::p93791();
     let table = TimeTable::new(&soc, 64).expect("width 64 is valid");
+    let columns = TimeColumns::from_table(&table);
     let tams = TamSet::new([10, 23, 31]).expect("valid partition");
-    let mut matrix = CostMatrix::scratch();
     let mut assign = AssignScratch::new();
-    CostMatrix::from_table_into(&table, &tams, &mut matrix).expect("widths covered");
-    let unbounded = core_assign_into(&matrix, None, &CoreAssignOptions::default(), &mut assign)
-        .expect("unbounded runs complete");
+    let unbounded = core_assign_widths(
+        &columns,
+        tams.widths(),
+        None,
+        &CoreAssignOptions::default(),
+        &mut assign,
+    )
+    .expect("unbounded runs complete");
 
     let mut group = c.benchmark_group("scan_single_partition_p93791_W64");
-    group.bench_function("rebuild_and_assign_unbounded", |b| {
+    group.bench_function("assign_unbounded", |b| {
         b.iter(|| {
-            CostMatrix::from_table_into(black_box(&table), black_box(&tams), &mut matrix)
-                .expect("widths covered");
-            black_box(core_assign_into(
-                &matrix,
+            black_box(core_assign_widths(
+                black_box(&columns),
+                black_box(tams.widths()),
                 None,
                 &CoreAssignOptions::default(),
                 &mut assign,
             ))
         })
     });
-    group.bench_function("rebuild_and_assign_pruned", |b| {
+    group.bench_function("assign_pruned", |b| {
         // A bound at half the achievable time aborts early — the case
         // the paper's pruning makes dominant.
         let bound = Some(unbounded / 2);
         b.iter(|| {
-            CostMatrix::from_table_into(black_box(&table), black_box(&tams), &mut matrix)
-                .expect("widths covered");
-            black_box(core_assign_into(
-                &matrix,
+            black_box(core_assign_widths(
+                black_box(&columns),
+                black_box(tams.widths()),
                 black_box(bound),
                 &CoreAssignOptions::default(),
                 &mut assign,
             ))
         })
+    });
+    group.bench_function("build_columns", |b| {
+        b.iter(|| black_box(TimeColumns::from_table(black_box(&table))))
     });
     group.bench_function("branch_and_bound_exact", |b| {
         let costs = CostMatrix::from_table(&table, &tams).expect("widths covered");

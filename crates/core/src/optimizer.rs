@@ -273,9 +273,8 @@ impl CoOptimizer {
     ///
     /// The builder's own `total_width` is ignored; one wrapper time
     /// table at the sweep's maximum width serves every point, and the
-    /// pipeline strategies share cost-matrix memoization plus
-    /// warm-start bounds across widths. Work sharing never changes a
-    /// winner: each point is bit-identical to an independent
+    /// pipeline strategies share warm-start bounds across widths. Work
+    /// sharing never changes a winner: each point is bit-identical to an independent
     /// [`run`](Self::run) at its width, for every thread count.
     ///
     /// # Errors

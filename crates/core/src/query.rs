@@ -11,8 +11,7 @@
 //!   `W = 16` discussion) instead of silently losing the true winner;
 //! * **frontier** ([`ParetoFrontier`]): the testing-time-versus-width
 //!   trade-off curve of the paper's Tables 11–13, swept as one query
-//!   sharing cost-matrix memoization and warm-start bounds across
-//!   widths.
+//!   sharing warm-start bounds across widths.
 
 use std::fmt::Write as _;
 

@@ -17,13 +17,9 @@
 //! included). A [`SearchBudget`] bounds the whole scan; a truncated run
 //! still returns the best partition of the generations that finished.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
 use serde::{Deserialize, Serialize};
 use tamopt_assign::{
-    core_assign_into, AssignError, AssignResult, AssignScratch, CoreAssignOptions, CostMatrix,
-    TamSet,
+    core_assign_widths, AssignResult, AssignScratch, CoreAssignOptions, TamSet, TimeColumns,
 };
 use tamopt_engine::{search_chunks_with, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
 use tamopt_wrapper::{pareto, TimeTable};
@@ -102,57 +98,6 @@ pub struct EvaluateConfig {
     /// transfer across widths is heuristic), the scan falls back to a
     /// cold rescan rather than returning nothing.
     pub seed_tau: Option<u64>,
-    /// Cross-scan [`MatrixMemo`]: when several scans run over the *same*
-    /// [`TimeTable`] (a `Frontier` sweep across widths), canonical cost
-    /// matrices built by one scan seed the per-worker memos of the next.
-    /// Purely a work-saving device — a memo hit and a rebuild produce
-    /// the same matrix, so results are unaffected.
-    pub shared_memo: Option<Arc<MatrixMemo>>,
-}
-
-/// Cross-scan cache of canonical cost matrices keyed by effective-width
-/// signature (see `ScanScratch`), shared by the widths of a `Frontier`
-/// sweep over one [`TimeTable`].
-///
-/// Workers snapshot the map when their scratch is created and publish
-/// newly built matrices back, so a width solved later starts with the
-/// saturated-signature matrices of the widths solved earlier — the
-/// paper's plateau makes wide widths share almost everything.
-///
-/// Never use one memo across *different* tables: signatures are only
-/// meaningful relative to the table that produced them.
-#[derive(Debug, Default)]
-pub struct MatrixMemo {
-    map: Mutex<HashMap<Vec<u32>, CostMatrix>>,
-}
-
-impl MatrixMemo {
-    /// Creates an empty shared memo.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Number of cached canonical matrices.
-    pub fn len(&self) -> usize {
-        self.map.lock().map(|m| m.len()).unwrap_or(0)
-    }
-
-    /// Whether nothing has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn snapshot(&self) -> HashMap<Vec<u32>, CostMatrix> {
-        self.map.lock().map(|m| m.clone()).unwrap_or_default()
-    }
-
-    fn publish(&self, signature: &[u32], matrix: &CostMatrix) {
-        if let Ok(mut map) = self.map.lock() {
-            if map.len() < MEMO_CAP && !map.contains_key(signature) {
-                map.insert(signature.to_vec(), matrix.clone());
-            }
-        }
-    }
 }
 
 impl EvaluateConfig {
@@ -167,7 +112,6 @@ impl EvaluateConfig {
             budget: SearchBudget::unlimited(),
             parallel: ParallelConfig::default(),
             seed_tau: None,
-            shared_memo: None,
         }
     }
 
@@ -192,7 +136,7 @@ pub struct EvalResult {
     /// Pruning statistics over the whole run.
     pub stats: PruneStats,
     /// How many of `stats.aborted` the per-width bottleneck bound
-    /// skipped before building their cost matrix (see
+    /// skipped before they were scored (see
     /// [`partition_evaluate_top_k`]). An observability counter, not a
     /// Table 1 quantity: always `<= stats.aborted`.
     pub bound_skipped: u64,
@@ -233,7 +177,7 @@ pub struct RankedEvalResult {
     /// *k-th best* time, so completion counts grow with `k`).
     pub stats: PruneStats,
     /// How many of `stats.aborted` the per-width bottleneck bound
-    /// skipped before building their cost matrix. Observability only:
+    /// skipped before they were scored. Observability only:
     /// always `<= stats.aborted`.
     pub bound_skipped: u64,
     /// Whether the whole partition space was scanned.
@@ -282,92 +226,15 @@ impl Ord for Candidate {
 }
 
 /// Per-worker reusable state of the scan hot path: after warm-up, one
-/// partition evaluation performs **zero heap allocations** unless it
-/// improves the incumbent (materializing a result).
-///
-/// * `matrix` / `assign` are grow-once buffers rebuilt in place per
-///   partition ([`CostMatrix::from_table_into`] / [`core_assign_into`]).
-/// * `memo` caches cost matrices keyed by the partition's
-///   **effective-width signature**
-///   ([`TimeTable::effective_widths`]): parts past a core-set's Pareto
-///   saturation width produce identical cost columns — the paper's own
-///   plateau observation — so partitions like `4+40` and `4+64` (both
-///   saturated) share one cached matrix instead of rebuilding it. A
-///   memo hit copies the cached costs and installs the partition's
-///   *actual* widths, so tie-breaks (which compare widths) behave
-///   bit-identically to an uncached build. Signatures equal to the
-///   actual widths are unique to their partition and skip the memo
-///   entirely — caching them could only waste memory.
-///
-/// The memo is per worker: which partitions share a scratch depends on
-/// thread count, but a memo hit and a rebuild produce the same matrix,
-/// so results stay thread-count invariant.
+/// partition evaluation performs **zero heap allocations** unless its
+/// result enters the chunk's ranking (materializing a result).
 struct ScanScratch {
-    matrix: CostMatrix,
+    /// The `Core_assign` kernel's grow-once buffers.
     assign: AssignScratch,
-    signature: Vec<u32>,
-    memo: HashMap<Vec<u32>, CostMatrix>,
     /// Chunk-local bounded best-K heap, drained at the end of every
     /// chunk (a heap persisting across chunks would make retention
     /// depend on which chunks share a worker, i.e. on thread count).
     ranking: Ranking<Candidate>,
-    /// Cross-scan memo this worker snapshots from and publishes to
-    /// (frontier sweeps); `None` for standalone scans.
-    shared: Option<Arc<MatrixMemo>>,
-}
-
-/// Upper bound on memoized matrices per worker — a safety valve for
-/// pathological tables, far above what the benchmark SOCs produce.
-const MEMO_CAP: usize = 4096;
-
-impl ScanScratch {
-    fn new(k: usize, shared: Option<Arc<MatrixMemo>>) -> Self {
-        ScanScratch {
-            matrix: CostMatrix::scratch(),
-            assign: AssignScratch::new(),
-            signature: Vec::new(),
-            // Start from everything sibling scans already built.
-            memo: shared
-                .as_deref()
-                .map(MatrixMemo::snapshot)
-                .unwrap_or_default(),
-            ranking: Ranking::new(k),
-            shared,
-        }
-    }
-
-    /// Rebuilds `self.matrix` for `tams`, via the memo when the
-    /// partition's effective-width signature collapses (some part is
-    /// past saturation), directly from the table otherwise.
-    fn rebuild_matrix(
-        &mut self,
-        table: &TimeTable,
-        tams: &TamSet,
-        effective: &[u32],
-    ) -> Result<(), AssignError> {
-        self.signature.clear();
-        self.signature
-            .extend(tams.widths().iter().map(|&w| effective[w as usize]));
-        if self.signature.as_slice() == tams.widths() {
-            // Canonical widths: no other partition shares this matrix.
-            return CostMatrix::from_table_into(table, tams, &mut self.matrix);
-        }
-        if !self.memo.contains_key(self.signature.as_slice()) {
-            if self.memo.len() >= MEMO_CAP {
-                return CostMatrix::from_table_into(table, tams, &mut self.matrix);
-            }
-            let canonical =
-                TamSet::new(self.signature.iter().copied()).expect("effective widths are positive");
-            let built = CostMatrix::from_table(table, &canonical)?;
-            if let Some(shared) = &self.shared {
-                shared.publish(&self.signature, &built);
-            }
-            self.memo.insert(self.signature.clone(), built);
-        }
-        let cached = &self.memo[self.signature.as_slice()];
-        self.matrix.copy_from(cached, tams.widths());
-        Ok(())
-    }
 }
 
 /// Runs `Partition_evaluate`: enumerates every unique partition of
@@ -449,7 +316,7 @@ pub fn partition_evaluate(
 ///
 /// With pruning on, a partition whose widest TAM `w_max` gives
 /// `LB(w_max) >= τ` ([`pareto::bottleneck_by_width`]) is counted as
-/// aborted without building its cost matrix: the bottleneck core lands
+/// aborted without being scored: the bottleneck core lands
 /// on some TAM of width at most `w_max`, so that TAM's time reaches
 /// `LB(w_max) >= τ` and `Core_assign` would abort at that step or
 /// earlier. Skipping it therefore changes no winner, ranking or
@@ -512,9 +379,9 @@ pub fn partition_evaluate_top_k(
     // time, published to workers through `incumbent` at barriers only.
     let mut global: Ranking<Candidate> = Ranking::new(k);
 
-    // Width canonicalization for the per-worker matrix memo (see
-    // `ScanScratch`): computed once, shared read-only by all workers.
-    let effective = table.effective_widths();
+    // Every partition is scored straight from the table's width-major
+    // columns, built once and shared read-only by all workers.
+    let columns = TimeColumns::from_table(table);
     // `lb[w]`: no partition whose widest TAM is `w` can finish below it.
     let lb = pareto::bottleneck_by_width(table);
 
@@ -523,7 +390,10 @@ pub fn partition_evaluate_top_k(
         items,
         &config.parallel,
         &config.budget,
-        || ScanScratch::new(k, config.shared_memo.clone()),
+        || ScanScratch {
+            assign: AssignScratch::new(),
+            ranking: Ranking::new(k),
+        },
         |scratch: &mut ScanScratch,
          base,
          chunk: Vec<Vec<u32>>|
@@ -552,16 +422,19 @@ pub fn partition_evaluate_top_k(
                     // Parts are non-decreasing: the last is the widest.
                     let widest = *widths.last().expect("partitions have parts");
                     if lb[widest as usize] >= tau {
-                        // `Core_assign` would abort; skip the matrix.
+                        // `Core_assign` would abort; skip it.
                         out_stats.aborted += 1;
                         skipped += 1;
                         continue;
                     }
                 }
-                let tams = TamSet::new(widths).expect("partition parts are positive");
-                scratch.rebuild_matrix(table, &tams, &effective)?;
-                match core_assign_into(&scratch.matrix, bound, &config.options, &mut scratch.assign)
-                {
+                match core_assign_widths(
+                    &columns,
+                    &widths,
+                    bound,
+                    &config.options,
+                    &mut scratch.assign,
+                ) {
                     Some(time) => {
                         out_stats.completed += 1;
                         let index = base + offset as u64;
@@ -570,14 +443,14 @@ pub fn partition_evaluate_top_k(
                             _ => true,
                         };
                         if retain {
-                            // Materializing the result is the hot path's
-                            // only allocation, paid just for candidates
-                            // entering the chunk's ranking.
+                            // Materializing the TAM set and result is the
+                            // hot path's only allocation, paid just for
+                            // candidates entering the chunk's ranking.
                             scratch.ranking.offer(Candidate {
                                 time,
                                 index,
-                                tams,
-                                result: scratch.assign.result(&scratch.matrix),
+                                tams: TamSet::new(widths).expect("partition parts are positive"),
+                                result: scratch.assign.result(),
                             });
                         }
                     }
@@ -947,61 +820,35 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_matrix_equals_a_direct_build_for_every_partition() {
-        // The memo must be invisible: whether a matrix comes from the
-        // effective-width cache or straight from the table, it must be
-        // bit-identical — including the *actual* (uncollapsed) widths
-        // the heuristic's tie-breaks compare.
-        let table = d695_table(64);
-        let effective = table.effective_widths();
-        let mut scratch = ScanScratch::new(1, None);
-        let mut memo_hits = 0u32;
-        for b in 1..=3u32 {
-            for widths in Partitions::new(64, b) {
-                let tams = TamSet::new(widths).unwrap();
-                let sig: Vec<u32> = tams
-                    .widths()
-                    .iter()
-                    .map(|&w| effective[w as usize])
-                    .collect();
-                if sig != tams.widths() {
-                    memo_hits += 1;
-                }
-                scratch.rebuild_matrix(&table, &tams, &effective).unwrap();
-                let direct = CostMatrix::from_table(&table, &tams).unwrap();
-                assert_eq!(scratch.matrix, direct, "widths {:?}", tams.widths());
-            }
-        }
-        assert!(memo_hits > 0, "W=64 must exercise the saturated-part memo");
-    }
-
-    #[test]
-    fn memoized_scan_matches_a_naive_unpruned_scan() {
-        // End-to-end cross-check of the allocation-free hot path against
-        // the straightforward allocate-per-partition loop it replaced.
-        use tamopt_assign::{core_assign, CoreAssignOptions};
-        let table = d695_table(64);
-        let config = EvaluateConfig {
-            prune: false,
-            ..EvaluateConfig::up_to_tams(3)
-        };
-        let eval = partition_evaluate(&table, 64, &config).unwrap();
-        let mut best: Option<(u64, TamSet, AssignResult)> = None;
-        for b in 1..=3u32 {
-            for widths in Partitions::new(64, b) {
-                let tams = TamSet::new(widths).unwrap();
-                let costs = CostMatrix::from_table(&table, &tams).unwrap();
-                let result = core_assign(&costs, None, &CoreAssignOptions::default())
-                    .into_result()
-                    .expect("unbounded");
-                if best.as_ref().is_none_or(|(t, _, _)| result.soc_time() < *t) {
-                    best = Some((result.soc_time(), tams, result));
+    fn scan_matches_a_naive_unpruned_scan() {
+        // End-to-end cross-check of the matrix-free hot path against the
+        // straightforward loop: a cost matrix and an allocating
+        // `core_assign` per partition.
+        use tamopt_assign::{core_assign, CoreAssignOptions, CostMatrix};
+        for soc in [benchmarks::d695(), benchmarks::p93791()] {
+            let table = TimeTable::new(&soc, 64).unwrap();
+            let config = EvaluateConfig {
+                prune: false,
+                ..EvaluateConfig::up_to_tams(3)
+            };
+            let eval = partition_evaluate(&table, 64, &config).unwrap();
+            let mut best: Option<(u64, TamSet, AssignResult)> = None;
+            for b in 1..=3u32 {
+                for widths in Partitions::new(64, b) {
+                    let tams = TamSet::new(widths).unwrap();
+                    let costs = CostMatrix::from_table(&table, &tams).unwrap();
+                    let result = core_assign(&costs, None, &CoreAssignOptions::default())
+                        .into_result()
+                        .expect("unbounded");
+                    if best.as_ref().is_none_or(|(t, _, _)| result.soc_time() < *t) {
+                        best = Some((result.soc_time(), tams, result));
+                    }
                 }
             }
+            let (_, tams, result) = best.unwrap();
+            assert_eq!(eval.tams, tams, "{}", soc.name());
+            assert_eq!(eval.result, result, "{}", soc.name());
         }
-        let (_, tams, result) = best.unwrap();
-        assert_eq!(eval.tams, tams);
-        assert_eq!(eval.result, result);
     }
 
     #[test]
@@ -1094,29 +941,32 @@ mod tests {
         // Cross-check the heap + k-th-best pruning against the obvious
         // oracle: score every partition unpruned, sort by
         // (time, enumeration index), take k.
-        use tamopt_assign::core_assign;
-        let table = d695_table(24);
-        let k = 6usize;
-        let ranked =
-            partition_evaluate_top_k(&table, 24, &EvaluateConfig::up_to_tams(3), k).unwrap();
-        let mut oracle: Vec<(u64, u64, TamSet)> = Vec::new();
-        let mut index = 0u64;
-        for b in 1..=3u32 {
-            for widths in Partitions::new(24, b) {
-                let tams = TamSet::new(widths).unwrap();
-                let costs = CostMatrix::from_table(&table, &tams).unwrap();
-                let result = core_assign(&costs, None, &CoreAssignOptions::default())
-                    .into_result()
-                    .expect("unbounded");
-                oracle.push((result.soc_time(), index, tams));
-                index += 1;
+        use tamopt_assign::{core_assign, CostMatrix};
+        for soc in [benchmarks::d695(), benchmarks::p93791()] {
+            let table = TimeTable::new(&soc, 24).unwrap();
+            let k = 6usize;
+            let ranked =
+                partition_evaluate_top_k(&table, 24, &EvaluateConfig::up_to_tams(3), k).unwrap();
+            let mut oracle: Vec<(u64, u64, TamSet, AssignResult)> = Vec::new();
+            let mut index = 0u64;
+            for b in 1..=3u32 {
+                for widths in Partitions::new(24, b) {
+                    let tams = TamSet::new(widths).unwrap();
+                    let costs = CostMatrix::from_table(&table, &tams).unwrap();
+                    let result = core_assign(&costs, None, &CoreAssignOptions::default())
+                        .into_result()
+                        .expect("unbounded");
+                    oracle.push((result.soc_time(), index, tams, result));
+                    index += 1;
+                }
             }
-        }
-        oracle.sort_by_key(|(time, index, _)| (*time, *index));
-        assert_eq!(ranked.entries.len(), k);
-        for (entry, (time, _, tams)) in ranked.entries.iter().zip(&oracle) {
-            assert_eq!(entry.soc_time(), *time);
-            assert_eq!(&entry.tams, tams);
+            oracle.sort_by_key(|(time, index, _, _)| (*time, *index));
+            assert_eq!(ranked.entries.len(), k);
+            for (entry, (time, _, tams, result)) in ranked.entries.iter().zip(&oracle) {
+                assert_eq!(entry.soc_time(), *time, "{}", soc.name());
+                assert_eq!(&entry.tams, tams, "{}", soc.name());
+                assert_eq!(&entry.result, result, "{}", soc.name());
+            }
         }
     }
 
@@ -1142,33 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_memo_changes_nothing_but_gets_populated() {
-        let table = d695_table(64);
-        let cold = partition_evaluate(&table, 64, &EvaluateConfig::up_to_tams(3)).unwrap();
-        let memo = MatrixMemo::new();
-        let with_memo = |memo: &Arc<MatrixMemo>| {
-            partition_evaluate(
-                &table,
-                64,
-                &EvaluateConfig {
-                    shared_memo: Some(memo.clone()),
-                    ..EvaluateConfig::up_to_tams(3)
-                },
-            )
-            .unwrap()
-        };
-        let first = with_memo(&memo);
-        assert_eq!(first, cold, "publishing to the memo must be invisible");
-        assert!(!memo.is_empty(), "W=64 must publish saturated signatures");
-        let populated = memo.len();
-        // A second scan over the same table starts warm and must still
-        // be bit-identical.
-        let second = with_memo(&memo);
-        assert_eq!(second, cold, "snapshotting the memo must be invisible");
-        assert_eq!(memo.len(), populated, "nothing new to publish");
-    }
-
-    #[test]
     fn bound_gate_only_skips_partitions_core_assign_aborts() {
         // For every partition of W = 64 into at most 4 TAMs and a sweep
         // of τ around the achieved times: `LB(w_max) >= τ` must imply
@@ -1176,25 +999,30 @@ mod tests {
         for soc in [benchmarks::d695(), benchmarks::p93791()] {
             let table = TimeTable::new(&soc, 64).unwrap();
             let lb = pareto::bottleneck_by_width(&table);
+            let columns = TimeColumns::from_table(&table);
             let options = CoreAssignOptions::default();
-            let mut matrix = CostMatrix::scratch();
             let mut assign = AssignScratch::new();
             let mut gated = 0u64;
             for b in 1..=4u32 {
                 for widths in Partitions::new(64, b) {
                     let bound = lb[*widths.last().unwrap() as usize];
-                    let tams = TamSet::new(widths).unwrap();
-                    CostMatrix::from_table_into(&table, &tams, &mut matrix).unwrap();
-                    let time = core_assign_into(&matrix, None, &options, &mut assign).unwrap();
+                    let time =
+                        core_assign_widths(&columns, &widths, None, &options, &mut assign).unwrap();
                     for tau in [bound - 1, bound, bound + 1, time - 1, time, time + 1] {
                         if bound >= tau {
                             gated += 1;
                             assert_eq!(
-                                core_assign_into(&matrix, Some(tau), &options, &mut assign),
+                                core_assign_widths(
+                                    &columns,
+                                    &widths,
+                                    Some(tau),
+                                    &options,
+                                    &mut assign
+                                ),
                                 None,
                                 "{}: {:?} LB {bound} >= tau {tau}",
                                 soc.name(),
-                                tams.widths()
+                                widths
                             );
                         }
                     }

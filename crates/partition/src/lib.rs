@@ -61,8 +61,8 @@ pub mod pipeline;
 
 pub use crate::error::PartitionError;
 pub use crate::evaluate::{
-    partition_evaluate, partition_evaluate_top_k, EvalResult, EvaluateConfig, MatrixMemo,
-    PruneStats, RankedEvalResult, RankedPartition,
+    partition_evaluate, partition_evaluate_top_k, EvalResult, EvaluateConfig, PruneStats,
+    RankedEvalResult, RankedPartition,
 };
 pub use crate::pipeline::{
     co_optimize, co_optimize_frontier, co_optimize_frontier_seeded, co_optimize_top_k,

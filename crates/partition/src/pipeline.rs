@@ -13,7 +13,6 @@
 //! both the heuristic and the optimized results visible.
 
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tamopt_assign::exact::ExactConfig;
@@ -22,9 +21,7 @@ use tamopt_assign::{exact, ilp, AssignResult, CoreAssignOptions, CostMatrix, Tam
 use tamopt_engine::{search_generations, ParallelConfig, SearchBudget};
 use tamopt_wrapper::TimeTable;
 
-use crate::evaluate::{
-    partition_evaluate_top_k, EvaluateConfig, MatrixMemo, PruneStats, RankedPartition,
-};
+use crate::evaluate::{partition_evaluate_top_k, EvaluateConfig, PruneStats, RankedPartition};
 use crate::PartitionError;
 
 /// Which exact solver performs the final optimization step.
@@ -69,14 +66,6 @@ pub struct PipelineConfig {
     /// winner, strictly fewer completed evaluations; unreachable seeds
     /// fall back to a cold rescan automatically.
     pub seed_tau: Option<u64>,
-    /// Cross-scan effective-width-signature memo. When set, step 1's
-    /// workers snapshot it at scratch creation and publish newly built
-    /// canonical cost matrices back, so several scans over the *same*
-    /// [`TimeTable`] (a frontier sweep, repeated service requests) share
-    /// the work. Purely work-saving: a memo hit equals a rebuild, so
-    /// results are unaffected. Never share one memo across different
-    /// tables.
-    pub shared_memo: Option<Arc<MatrixMemo>>,
 }
 
 impl PipelineConfig {
@@ -91,7 +80,6 @@ impl PipelineConfig {
             budget: SearchBudget::unlimited(),
             parallel: ParallelConfig::default(),
             seed_tau: None,
-            shared_memo: None,
         }
     }
 
@@ -228,7 +216,6 @@ pub fn co_optimize_top_k(
         budget: config.budget.clone(),
         parallel: config.parallel.clone(),
         seed_tau: config.seed_tau,
-        shared_memo: config.shared_memo.clone(),
     };
     let eval_start = Instant::now();
     let ranked = partition_evaluate_top_k(table, total_width, &eval_config, k)?;
@@ -293,22 +280,16 @@ pub struct FrontierResult {
 /// engine chunk; `sweep_parallel` controls how many widths run
 /// concurrently while each width's own partition scan stays
 /// single-threaded (the parallelism budget is spent across the sweep,
-/// not inside it). Two forms of work sharing connect the widths, neither
-/// of which can change any winner:
+/// not inside it). A width's scan is warm-started (`seed_tau`) with the
+/// best heuristic SOC time merged from *narrower* widths — achievable
+/// there, hence achievable at any wider budget (testing time is
+/// non-increasing in width) — which cannot change any winner. Seeds are
+/// read at generation barriers on the driver thread, so the swept
+/// results are bit-identical for every `sweep_parallel.threads`, and
+/// identical to independent [`co_optimize`] calls per width.
 ///
-/// * all widths share one [`MatrixMemo`] keyed by effective-width
-///   signature, so a cost matrix built at one width is reused verbatim
-///   at every other;
-/// * a width's scan is warm-started (`seed_tau`) with the best heuristic
-///   SOC time merged from *narrower* widths — achievable there, hence
-///   achievable at any wider budget (testing time is non-increasing in
-///   width). Seeds are read at generation barriers on the driver
-///   thread, so the swept results are bit-identical for every
-///   `sweep_parallel.threads`, and identical to independent
-///   [`co_optimize`] calls per width.
-///
-/// `config.seed_tau` and `config.shared_memo` are ignored (the sweep
-/// manages both internally — to warm-start a sweep from *outside*
+/// `config.seed_tau` is ignored (the sweep manages it internally — to
+/// warm-start a sweep from *outside*
 /// knowledge, e.g. a service-layer incumbent cache, use
 /// [`co_optimize_frontier_seeded`]); `config.parallel.threads` is
 /// forced to 1 for the inner scans. The pipeline budget's deadline and
@@ -364,13 +345,11 @@ pub fn co_optimize_frontier_seeded(
         });
     }
 
-    let memo = MatrixMemo::new();
     let inner = PipelineConfig {
         parallel: ParallelConfig {
             threads: 1,
             ..config.parallel.clone()
         },
-        shared_memo: Some(memo.clone()),
         ..config.clone()
     };
     // One width per chunk: chunks merge in index order, so `points`

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tamopt_assign::{core_assign_into, AssignScratch, CoreAssignOptions, CostMatrix, TamSet};
+use tamopt_assign::{core_assign_widths, AssignScratch, CoreAssignOptions, TimeColumns};
 use tamopt_partition::count;
 use tamopt_partition::enumerate::{Compositions, Partitions};
 use tamopt_partition::pipeline::{
@@ -47,24 +47,22 @@ proptest! {
         let lb = pareto::bottleneck_by_width(&table);
         prop_assert!(lb[1..].windows(2).all(|p| p[0] >= p[1]), "LB not non-increasing: {:?}", lb);
         let width = table.max_width();
+        let columns = TimeColumns::from_table(&table);
         let options = CoreAssignOptions::default();
-        let mut matrix = CostMatrix::scratch();
         let mut scratch = AssignScratch::new();
         for b in 1..=max_tams {
             for widths in Partitions::new(width, b) {
                 let bound = lb[*widths.last().expect("non-empty") as usize];
-                let tams = TamSet::new(widths).expect("positive parts");
-                CostMatrix::from_table_into(&table, &tams, &mut matrix).expect("widths fit");
-                let time = core_assign_into(&matrix, None, &options, &mut scratch)
+                let time = core_assign_widths(&columns, &widths, None, &options, &mut scratch)
                     .expect("unbounded runs complete");
-                prop_assert!(time >= bound, "{:?}: {} below LB {}", tams.widths(), time, bound);
+                prop_assert!(time >= bound, "{:?}: {} below LB {}", &widths, time, bound);
                 for tau in [1, bound.saturating_sub(1), bound, time, time + 1] {
                     if bound >= tau {
                         prop_assert_eq!(
-                            core_assign_into(&matrix, Some(tau), &options, &mut scratch),
+                            core_assign_widths(&columns, &widths, Some(tau), &options, &mut scratch),
                             None,
                             "{:?}: LB {} >= tau {} but Core_assign finished",
-                            tams.widths(), bound, tau
+                            &widths, bound, tau
                         );
                     }
                 }

@@ -31,8 +31,8 @@ pub enum RequestKind {
         k: usize,
     },
     /// A testing-time-versus-width sweep over
-    /// `min_width..=max_width` in strides of `step`, sharing cost-matrix
-    /// memoization and warm-start bounds across widths. The request's
+    /// `min_width..=max_width` in strides of `step`, sharing warm-start
+    /// bounds across widths. The request's
     /// own `width` must equal `max_width` (it sizes the shared wrapper
     /// time table).
     Frontier {

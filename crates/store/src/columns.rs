@@ -3,8 +3,8 @@
 //!
 //! A time table's columns form a Pareto staircase — once every core has
 //! passed its saturation width, adding wires changes nothing, so long
-//! runs of widths share one column of per-core testing times
-//! ([`TimeTable::effective_widths`]). [`CostColumns`] stores only the
+//! runs of widths share one column of per-core testing times.
+//! [`CostColumns`] stores only the
 //! breakpoints (the widths whose column differs from the previous one)
 //! and expands back to a table that is **bit-identical** to
 //! `TimeTable::new` at any width it covers. Each row is

@@ -302,30 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_widths_are_exactly_the_union_of_pareto_points() {
-        // `TimeTable::effective_widths` is the table-level face of the
-        // staircase: a width is its own effective width iff some core
-        // steps down there, i.e. iff it is a Pareto point of at least
-        // one core.
-        let soc = benchmarks::d695();
-        let table = TimeTable::new(&soc, 48).unwrap();
-        let eff = table.effective_widths();
-        let mut pareto_points = std::collections::HashSet::new();
-        for core in soc.cores() {
-            for p in pareto_widths(core, 48).unwrap() {
-                pareto_points.insert(p.width);
-            }
-        }
-        for w in 1..=48u32 {
-            assert_eq!(
-                eff[w as usize] == w,
-                pareto_points.contains(&w),
-                "width {w}"
-            );
-        }
-    }
-
-    #[test]
     fn idle_wires_zero_at_pareto_points() {
         let core = &benchmarks::d695().cores()[3].clone();
         for p in pareto_widths(core, 32).unwrap() {

@@ -94,36 +94,6 @@ impl TimeTable {
         *self.times[core].iter().min().expect("max_width >= 1")
     }
 
-    /// The **effective width** of every width `1..=max_width`: entry `w`
-    /// is the smallest width whose column of per-core times equals
-    /// `w`'s (entry 0 is unused and holds 0).
-    ///
-    /// This is the table-level face of the Pareto staircase
-    /// ([`crate::pareto`]): once every core has passed its saturation
-    /// point, adding wires changes nothing, so distinct widths collapse
-    /// onto one effective width and produce *identical* cost columns.
-    /// The partition scan keys its per-worker matrix memo on these
-    /// values — partitions differing only in past-saturation parts
-    /// share one cached matrix instead of rebuilding it.
-    ///
-    /// The map is non-decreasing (`w1 <= w2` implies `eff(w1) <=
-    /// eff(w2)`), and `eff(w) <= w` with equality exactly when `w`'s
-    /// column differs from `w - 1`'s.
-    pub fn effective_widths(&self) -> Vec<u32> {
-        let mut effective = vec![0u32; (self.max_width + 1) as usize];
-        effective[1] = 1;
-        for w in 2..=self.max_width {
-            let index = (w - 1) as usize;
-            let same_column = self.times.iter().all(|row| row[index] == row[index - 1]);
-            effective[w as usize] = if same_column {
-                effective[(w - 1) as usize]
-            } else {
-                w
-            };
-        }
-        effective
-    }
-
     /// Builds a table directly from an externally supplied cost matrix
     /// (`times[core][width - 1]`). Used for tables given verbatim, such
     /// as the paper's Figure 2 example.
@@ -204,34 +174,6 @@ mod tests {
         for core in 0..t.num_cores() {
             assert_eq!(t.min_time(core), t.time(core, 24));
         }
-    }
-
-    #[test]
-    fn effective_widths_canonicalize_identical_columns() {
-        let soc = benchmarks::d695();
-        let t = TimeTable::new(&soc, 64).unwrap();
-        let eff = t.effective_widths();
-        assert_eq!(eff.len(), 65);
-        assert_eq!(eff[1], 1);
-        for w in 1..=64u32 {
-            let e = eff[w as usize];
-            assert!(e >= 1 && e <= w, "eff({w}) = {e} out of range");
-            // The effective width's column is identical to w's…
-            for core in 0..t.num_cores() {
-                assert_eq!(t.time(core, e), t.time(core, w), "core {core} width {w}");
-            }
-            // …and it is the smallest such width.
-            if e > 1 {
-                assert!(
-                    (0..t.num_cores()).any(|c| t.time(c, e - 1) != t.time(c, e)),
-                    "eff({w}) = {e} is not minimal"
-                );
-            }
-        }
-        // Monotone non-decreasing.
-        assert!(eff[1..].windows(2).all(|p| p[0] <= p[1]));
-        // d695 saturates well before 64 wires: the tail must collapse.
-        assert!(eff[64] < 64, "no collapse at all would be surprising");
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! and report mean time per iteration. There are no statistics or plots,
 //! but each measurement **is** persisted in the real crate's on-disk
 //! layout — `target/criterion/<id>/new/estimates.json` with a
-//! `mean.point_estimate` in nanoseconds — so estimate extractors (CI's
-//! perf-trajectory step, `tamopt_bench`'s `bench_json` bin) work
+//! `mean.point_estimate` in nanoseconds — so estimate extractors work
 //! unchanged against shim and real criterion alike. Criterion's `--test`
 //! CLI mode (run every benchmark body exactly once, measure nothing) is
 //! supported because CI uses it as a bench-rot smoke check; `--bench`,
