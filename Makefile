@@ -90,39 +90,39 @@ determinism: serve-determinism shard-determinism store-determinism \
 	  diff /tmp/$${manifest}_t1.json /tmp/$${manifest}_t4.json || exit 1; \
 	done
 
-# Live-daemon gate: the trace-replay suite plus a byte-level diff of the
-# `tamopt serve` stream (outcome lines + final report, minus wall_clock*
-# lines) at threads 1 vs 4 over the example traces — serve.trace for the
-# classic point workload, kinds.trace for the mixed point/topk/frontier
-# one.
+# One byte-level diff of the `tamopt serve` stream (outcome lines +
+# final report, minus wall_clock* lines) at threads 1 vs 4:
+# $(call serve_diff,<name>,<flags>,<trace>) runs `tamopt serve <flags>
+# --threads T < examples/<trace>.trace` into /tmp/<name>_tT.txt for
+# T = 1, 4 and diffs the two. `$$t` in <flags> is the thread count.
+define serve_diff
+	set -o pipefail; \
+	for t in 1 4; do \
+	  ./target/release/tamopt serve $(2) --threads $$t < examples/$(3).trace \
+	    | grep -v wall_clock > /tmp/$(1)_t$$t.txt || exit 1; \
+	done; \
+	diff /tmp/$(1)_t1.txt /tmp/$(1)_t4.txt
+endef
+
+# Live-daemon gate: the trace-replay suite plus the serve stream diff
+# over the example traces — serve.trace for the classic point workload,
+# kinds.trace for the mixed point/topk/frontier one.
 serve-determinism:
 	cargo test --release -p tamopt_service --test live
 	cargo test --release -p tamopt_service --test kinds
 	cargo build --release -p tamopt
-	set -o pipefail; \
-	for trace in serve kinds; do \
-	  ./target/release/tamopt serve --threads 1 < examples/$${trace}.trace \
-	    | grep -v wall_clock > /tmp/$${trace}_t1.txt; \
-	  ./target/release/tamopt serve --threads 4 < examples/$${trace}.trace \
-	    | grep -v wall_clock > /tmp/$${trace}_t4.txt; \
-	  diff /tmp/$${trace}_t1.txt /tmp/$${trace}_t4.txt || exit 1; \
-	done
+	$(call serve_diff,serve,,serve)
+	$(call serve_diff,kinds,,kinds)
 
 # Sharded-daemon gate: the shard suite (threads {1,2,8} × shards
-# {1,2,4} grid plus the proportional-split property) and a byte-level
-# diff of `tamopt serve --shards 4` (shard-stamped outcome lines + final
-# report, minus wall_clock* lines) at threads 1 vs 4 over the mixed-kind
-# shard.trace.
+# {1,2,4} grid plus the proportional-split property) and the serve
+# stream diff of `tamopt serve --shards 4` (shard-stamped outcome lines)
+# over the mixed-kind shard.trace.
 shard-determinism:
 	cargo test --release -p tamopt_service --test shard
 	cargo test --release -p tamopt_service --test proptest_split
 	cargo build --release -p tamopt
-	set -o pipefail; \
-	./target/release/tamopt serve --shards 4 --threads 1 < examples/shard.trace \
-	  | grep -v wall_clock > /tmp/shard_t1.txt; \
-	./target/release/tamopt serve --shards 4 --threads 4 < examples/shard.trace \
-	  | grep -v wall_clock > /tmp/shard_t4.txt; \
-	diff /tmp/shard_t1.txt /tmp/shard_t4.txt
+	$(call serve_diff,shard,--shards 4,shard)
 
 # Warm-store gate: the store crate suite (format, crash safety, the
 # committed v1 upgrade fixture), the service-level store suite
@@ -135,16 +135,11 @@ store-determinism:
 	cargo test --release -p tamopt_store
 	cargo test --release -p tamopt_service --test store
 	cargo build --release -p tamopt
-	set -o pipefail; \
 	./target/release/tamopt serve --threads 1 --store /tmp/seed.tamstore \
-	  < examples/serve.trace > /dev/null; \
-	cp /tmp/seed.tamstore /tmp/warm_t1.tamstore; \
-	cp /tmp/seed.tamstore /tmp/warm_t4.tamstore; \
-	./target/release/tamopt serve --threads 1 --store /tmp/warm_t1.tamstore \
-	  < examples/serve.trace | grep -v wall_clock > /tmp/serve_warm_t1.txt; \
-	./target/release/tamopt serve --threads 4 --store /tmp/warm_t4.tamstore \
-	  < examples/serve.trace | grep -v wall_clock > /tmp/serve_warm_t4.txt; \
-	diff /tmp/serve_warm_t1.txt /tmp/serve_warm_t4.txt
+	  < examples/serve.trace > /dev/null
+	cp /tmp/seed.tamstore /tmp/warm_t1.tamstore
+	cp /tmp/seed.tamstore /tmp/warm_t4.tamstore
+	$(call serve_diff,serve_warm,--store /tmp/warm_t$$t.tamstore,serve)
 
 # Crash-safety gate: the service-level recovery suite (journal redo
 # over threads {1,2,8} × shards {flat,1,2,4}, torn-tail recovery,

@@ -61,7 +61,7 @@ fn session(clients: usize, threads: usize) -> Vec<Vec<String>> {
         warm_start: false,
         ..LiveConfig::with_threads(threads)
     };
-    let server = NetServer::start(config, None, listener, parser());
+    let server = NetServer::start(config, listener, parser());
     let addr = server.addr().to_owned();
     let workers: Vec<_> = (0..clients)
         .map(|_| {

@@ -12,10 +12,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tamopt::benchmarks;
-use tamopt::service::{LiveConfig, Request, RequestOutcome, ShardTrace, ShardedQueue};
+use tamopt::service::{LiveConfig, LiveQueue, Request, RequestOutcome, Trace};
 
-fn shard_trace() -> ShardTrace {
-    ShardTrace::new()
+fn shard_trace() -> Trace {
+    Trace::new()
         .submit_at(0, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
         .submit_at(
             0,
@@ -66,6 +66,13 @@ fn stable_text(stream: &[RequestOutcome], report: &tamopt::service::BatchReport)
     text
 }
 
+fn config(threads: usize, shards: usize) -> LiveConfig {
+    LiveConfig {
+        shards: Some(shards),
+        ..LiveConfig::with_threads(threads)
+    }
+}
+
 fn bench_shard_counts(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_replay");
     group.sample_size(10);
@@ -73,12 +80,10 @@ fn bench_shard_counts(c: &mut Criterion) {
         // Determinism gate before timing anything: the stream and
         // report of this shard count must be bit-identical across
         // worker thread counts.
-        let (stream, report) =
-            ShardedQueue::replay(shard_trace(), LiveConfig::with_threads(1), shards);
+        let (stream, report) = LiveQueue::replay(shard_trace(), config(1, shards));
         let reference = stable_text(&stream, &report);
         for threads in [2usize, 4] {
-            let (stream, report) =
-                ShardedQueue::replay(shard_trace(), LiveConfig::with_threads(threads), shards);
+            let (stream, report) = LiveQueue::replay(shard_trace(), config(threads, shards));
             assert_eq!(
                 stable_text(&stream, &report),
                 reference,
@@ -87,10 +92,9 @@ fn bench_shard_counts(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
             b.iter(|| {
-                black_box(ShardedQueue::replay(
+                black_box(LiveQueue::replay(
                     black_box(shard_trace()),
-                    LiveConfig::with_threads(1),
-                    shards,
+                    config(1, shards),
                 ))
             })
         });

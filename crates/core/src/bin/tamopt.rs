@@ -93,8 +93,8 @@ use tamopt::cost::{BusCost, GateWeights};
 use tamopt::rail::{design_rails, RailConfig, RailCostModel};
 use tamopt::schedule::TestSchedule;
 use tamopt::service::{
-    BatchConfig, JournalBinding, LiveConfig, NetDirective, NetListener, NetOptions, NetServer,
-    Request, RequestOutcome, RequestStatus, ServeQueue, ShardTrace, StoreBinding, SubmitError,
+    BatchConfig, JournalBinding, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions,
+    NetServer, Request, RequestOutcome, RequestStatus, StoreBinding, SubmitError, Trace,
     WIRE_VERSION,
 };
 use tamopt::soc::format::parse_soc;
@@ -332,9 +332,9 @@ struct ServeArgs {
     time_limit: Option<Duration>,
     warm_start: bool,
     aging: u32,
-    /// `Some(n)` engages the fingerprint-sharded machinery (even for
-    /// `n = 1`, whose outcomes carry shard stamps); `None` keeps the
-    /// single-queue daemon with its byte-identical legacy output.
+    /// [`LiveConfig::shards`]: `Some(n)` runs `n` fingerprint-routed
+    /// shards and stamps outcomes with them (even for `n = 1`); `None`
+    /// runs one unstamped shard with its byte-identical legacy output.
     shards: Option<usize>,
     store: Option<String>,
     /// `--journal <path>`: write-ahead request journal for crash-safe
@@ -477,6 +477,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     config.warm_start = args.warm_start;
     config.aging = args.aging;
     config.max_pending = args.max_pending;
+    config.shards = args.shards;
     if let Some(limit) = args.time_limit {
         config = config.time_limit(limit);
     }
@@ -577,7 +578,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
 
     let report = match first {
         // Empty input: an empty trace still owes a valid (empty) report.
-        None => ServeQueue::replay(ShardTrace::new(), config, args.shards).1,
+        None => LiveQueue::replay(Trace::new(), config).1,
         Some((first_number, _, (tag @ Some(_), first_directive))) => {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
@@ -592,7 +593,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let (stream, report) = ServeQueue::replay(trace, config, args.shards);
+            let (stream, report) = LiveQueue::replay(trace, config);
             for outcome in &stream {
                 print!("{}", outcome.to_json_line());
             }
@@ -602,7 +603,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             // Live mode: submit each line as it is read; outcomes stream
             // concurrently. Parse errors are reported and skipped — work
             // already submitted keeps running — but fail the exit code.
-            let queue = ServeQueue::start(config, args.shards);
+            let queue = LiveQueue::start(config);
             let mut parse_errors = 0u32;
             let report = std::thread::scope(|scope| {
                 let printer = scope.spawn(|| {
@@ -628,7 +629,7 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                         ServeLine::Submit(mut request) => {
                             clamp_budget(&mut request, args.max_budget);
                             match queue.submit(request) {
-                                Ok(id) => {
+                                Ok((id, _)) => {
                                     if let Some(journal) = &journal {
                                         journal.submit(id.index(), None, queue.shard_of(id), line);
                                     }
@@ -731,15 +732,15 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
 }
 
 /// Collects a trace-mode input — its first tagged directive, then the
-/// remaining stdin lines — into one [`ShardTrace`], replayed flat or
-/// sharded by [`ServeQueue::replay`]. Fails on the first line that only
+/// remaining stdin lines — into one [`Trace`], replayed by
+/// [`LiveQueue::replay`]. Fails on the first line that only
 /// live mode accepts (an untagged line, `stats`), on a shard pin
 /// without `--shards`, and on unreadable or malformed input.
 fn collect_trace(
     first: (usize, Option<ServeTag>, ServeLine),
     lines: impl Iterator<Item = (usize, std::io::Result<String>)>,
     args: &ServeArgs,
-) -> Result<ShardTrace, String> {
+) -> Result<Trace, String> {
     type Event = Option<(usize, Option<ServeTag>, ServeLine)>;
     let rest = lines.map(|(number, line)| -> Result<Event, String> {
         let line = line.map_err(|e| format!("serve: cannot read stdin: {e}"))?;
@@ -747,7 +748,7 @@ fn collect_trace(
             .map_err(|msg| format!("serve: line {}: {msg}", number + 1))?;
         Ok(parsed.map(|(tag, directive)| (number, tag, directive)))
     });
-    let mut trace = ShardTrace::new();
+    let mut trace = Trace::new();
     for event in std::iter::once(Ok(Some(first))).chain(rest) {
         let Some((number, tag, directive)) = event? else {
             continue;
@@ -856,17 +857,17 @@ fn recover_journal(
         }
     }
     if !live.is_empty() {
-        // Same queue shape (flat or sharded) and the same warm store,
+        // Same queue shape (shard count) and the same warm store,
         // but no backlog cap: everything here was accepted once
         // already, so recovery must never shed it.
         let mut recovery_config = config.clone();
         recovery_config.max_pending = 0;
-        let queue = ServeQueue::start(recovery_config, args.shards);
+        let queue = LiveQueue::start(recovery_config);
         let mut owner = std::collections::HashMap::new();
         for (r, request) in &live {
             // Pin to the accept-time shard stamp, so the redo runs
             // where the original did.
-            let id = queue
+            let (id, _) = queue
                 .submit_pinned(r.shard.map(|s| s as usize), request.clone())
                 .map_err(|e| format!("journal: request {}: resubmission failed: {e}", r.id))?;
             owner.insert(id.index(), *r);
@@ -929,7 +930,7 @@ fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBindin
         max_inflight: args.max_inflight,
         journal: journal.clone(),
     };
-    let server = NetServer::start_with_options(config, args.shards, listener, parser, options);
+    let server = NetServer::start_with_options(config, listener, parser, options);
 
     // Stdin is not a request source in network mode — it is the
     // lifetime: the server runs until it closes.

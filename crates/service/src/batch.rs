@@ -162,8 +162,7 @@ impl Batch {
             warm_start: config.store.is_some(),
             warm_capacity: 0,
             store: config.store.clone(),
-            aging: 0,
-            max_pending: 0,
+            ..LiveConfig::default()
         };
         LiveQueue::replay(trace, live).1
     }

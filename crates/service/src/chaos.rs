@@ -6,8 +6,9 @@
 //! [`LiveQueue::replay`](crate::LiveQueue::replay): every client is a
 //! **script** of generation-tagged raw protocol lines plus an optional
 //! mid-run disconnect, and [`replay`] compiles the scripts into one
-//! [`ShardTrace`] (replayed flat or sharded by [`ServeQueue::replay`])
-//! with exactly the semantics the socket server applies live:
+//! [`Trace`](crate::Trace), replayed by
+//! [`LiveQueue::replay`](crate::LiveQueue::replay), with exactly the
+//! semantics the socket server applies live:
 //!
 //! * submissions get global ids in merge order (generation, then
 //!   client, then script position) and local per-client ids in script
@@ -33,10 +34,9 @@
 
 use std::collections::HashSet;
 
-use crate::live::LiveConfig;
+use crate::live::{LiveConfig, LiveQueue, Trace};
 use crate::net::{error_line, LineFramer, NetDirective};
 use crate::report::{BatchReport, RequestOutcome};
-use crate::shard::{ServeQueue, ShardTrace};
 
 /// One scripted client: generation-tagged protocol lines and an
 /// optional disconnect. Generations are lower bounds exactly as in
@@ -148,9 +148,8 @@ struct ClientState {
 /// Replays a multi-client scenario deterministically and returns the
 /// per-client transcripts plus the client-stamped final report.
 ///
-/// `shards = None` replays on a flat [`LiveQueue`](crate::LiveQueue);
-/// `Some(n)` on a [`ShardedQueue`](crate::ShardedQueue) over `n` shards
-/// (outcome lines then also carry the shard stamp). `parser` maps raw
+/// The queue's shape is [`LiveConfig::shards`]: with `Some(n)`, outcome
+/// lines also carry the shard stamp. `parser` maps raw
 /// lines to directives, exactly as the injected
 /// [`crate::net::LineParser`] does for the socket server.
 /// Lines are pushed through the same [`LineFramer`] the server uses, so
@@ -158,7 +157,6 @@ struct ClientState {
 pub fn replay(
     scenario: &ChaosScenario,
     config: LiveConfig,
-    shards: Option<usize>,
     parser: &dyn Fn(&str) -> Result<Option<NetDirective>, String>,
 ) -> ChaosOutcome {
     // Merge the scripts: stable order by (generation, client, script
@@ -185,8 +183,8 @@ pub fn replay(
         .collect();
 
     // Compile to one trace; global ids are assigned by submission order
-    // within it, matching Trace/ShardTrace numbering.
-    let mut trace = ShardTrace::new();
+    // within it, matching Trace numbering.
+    let mut trace = Trace::new();
     let mut next_global = 0usize;
     // Global id → client, for splitting the stream afterwards.
     let mut owner: Vec<usize> = Vec::new();
@@ -274,7 +272,7 @@ pub fn replay(
         }
     }
 
-    let (stream, mut report) = ServeQueue::replay(trace, config, shards);
+    let (stream, mut report) = LiveQueue::replay(trace, config);
 
     let mut transcripts: Vec<ClientTranscript> = states
         .into_iter()

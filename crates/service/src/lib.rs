@@ -33,13 +33,12 @@
 //!   long-running daemon: non-blocking [`LiveQueue::submit`] while
 //!   requests execute, re-prioritization at every generation barrier,
 //!   streamed outcomes, deterministic [`Trace`] replay and a warm-start
-//!   incumbent cache across requests on the same SOC;
-//! * a [`ShardedQueue`] (module [`shard`]) scales the daemon out to `N`
-//!   independent queue shards routed by SOC fingerprint hash with
-//!   deterministic work stealing, one warm cache shared by all shards,
-//!   shard-stamped outcomes and a sharded [`ShardTrace`] replay
-//!   preserving the bit-identity contract; a [`ServeQueue`] puts the
-//!   flat and sharded shapes behind one surface;
+//!   incumbent cache across requests on the same SOC. It runs `1..N`
+//!   shards ([`LiveConfig::shards`]), each with its own dispatcher and
+//!   pool: one unstamped shard by default, or `N` shards routed by SOC
+//!   fingerprint hash with deterministic work stealing (module
+//!   [`shard`]), sharing one warm cache and stamping each outcome with
+//!   its shard — trace replay stays bit-identical across thread counts;
 //! * a [`StoreBinding`] attaches a persistent, versioned, crash-safe
 //!   [`tamopt_store`] warm-start store behind the in-memory cache: the
 //!   queue preloads from it at start, feeds it at every merge and
@@ -108,6 +107,4 @@ pub use crate::net::{
 };
 pub use crate::report::{BatchReport, RequestOutcome, RequestStatus, ResultEntry, WIRE_VERSION};
 pub use crate::request::{Request, RequestError, RequestKind};
-pub use crate::shard::{
-    ServeQueue, ShardStats, ShardTrace, ShardedQueue, ShardedStats, STEAL_MARGIN,
-};
+pub use crate::shard::{ShardStats, ShardedStats, STEAL_MARGIN};

@@ -1,20 +1,31 @@
-//! The live serving daemon: a non-blocking request queue over one
-//! long-lived worker pool, with between-generation re-prioritization.
+//! The live serving daemon: a non-blocking request queue over `1..N`
+//! shards, each a dispatcher with its own long-lived worker pool and
+//! between-generation re-prioritization.
 //!
 //! [`crate::Batch`] is build-then-run: a request arriving mid-run waits
-//! for the whole batch. A [`LiveQueue`] removes that limitation — it
-//! owns the engine's worker pool for its lifetime and accepts
-//! [`submit`](LiveQueue::submit) calls *while requests execute*. The
-//! dispatcher re-reads the priority queue at every generation barrier of
-//! the engine ([`tamopt_engine::search_generations`]), so a
-//! high-priority request submitted mid-run preempts queued (not yet
-//! dispatched) lower-priority work — bounded by the optional
-//! [`LiveConfig::aging`] term, which deterministically raises the
-//! effective priority of waiting work so a stream of high-priority
-//! submissions cannot starve the backlog. Completed outcomes stream out via
+//! for the whole batch. A [`LiveQueue`] removes that limitation — each
+//! shard's dispatcher owns an engine worker pool for the queue's
+//! lifetime, and the queue accepts [`submit`](LiveQueue::submit) calls
+//! *while requests execute*. A dispatcher re-reads its priority queue at
+//! every generation barrier of the engine
+//! ([`tamopt_engine::search_generations`]), so a high-priority request
+//! submitted mid-run preempts queued (not yet dispatched) lower-priority
+//! work — bounded by the optional [`LiveConfig::aging`] term, which
+//! deterministically raises the effective priority of waiting work so a
+//! stream of high-priority submissions cannot starve the backlog.
+//! Completed outcomes stream out via
 //! [`recv_outcome`](LiveQueue::recv_outcome) as they merge instead of
 //! one terminal report; [`shutdown`](LiveQueue::shutdown) drains the
 //! queue and returns the final [`BatchReport`].
+//!
+//! # Shards
+//!
+//! [`LiveConfig::shards`] sets the shape. `None` runs one shard that
+//! stamps nothing — the plain daemon. `Some(n)` runs `n` shards and
+//! stamps every outcome with the shard that ran it. The queue numbers
+//! every submission itself and routes it to a shard (see
+//! [`crate::shard`]); shards never number anything, and they all send
+//! into one outcome stream and share one warm cache.
 //!
 //! # Determinism
 //!
@@ -22,9 +33,10 @@
 //! relative to the running generations depends on wall-clock timing. The
 //! determinism contract is therefore stated over **traces**: for a fixed
 //! [`Trace`] (a sequence of submit/cancel events tagged with generation
-//! indices), [`LiveQueue::replay`] produces a bit-identical outcome
-//! stream and final report for every thread count. Live operation is the
-//! same machinery with the trace written by the wall clock.
+//! indices) and shard count, [`LiveQueue::replay`] produces a
+//! bit-identical outcome stream and final report for every thread count.
+//! Live operation is the same machinery with the trace written by the
+//! wall clock.
 //!
 //! # Warm starts
 //!
@@ -42,9 +54,8 @@
 //! below it, so a `topk:K` answer at `(SOC, W)` accelerates a later
 //! frontier covering widths ≥ W. Cache reads happen at dispatch and
 //! writes at merge, both on the dispatcher thread at generation
-//! barriers, so warm starts never break trace determinism; queues
-//! sharded behind a [`crate::ShardedQueue`] share one cache across
-//! shards.
+//! barriers, so warm starts never break trace determinism; all shards of
+//! a queue share one cache.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -63,6 +74,7 @@ use tamopt_wrapper::{pareto, TimeTable};
 
 use crate::report::{json_string, BatchReport, RequestOutcome, RequestStatus, ResultEntry};
 use crate::request::RequestKind;
+use crate::shard::{place, split, ShardAction, ShardEvent, ShardStats, ShardedStats};
 use crate::Request;
 
 /// Configuration of a [`LiveQueue`].
@@ -73,10 +85,16 @@ pub struct LiveConfig {
     /// flags are intersected into every request and a node budget caps
     /// the number of requests *dispatched*.
     pub budget: SearchBudget,
-    /// Worker threads of the pool (`0` = one per available CPU, `1` =
-    /// inline on the dispatcher). Pure execution policy: replayed traces
-    /// are bit-identical for every value.
+    /// Worker threads of each shard's pool (`0` = one per available
+    /// CPU, `1` = inline on the dispatcher). Pure execution policy:
+    /// replayed traces are bit-identical for every value.
     pub threads: usize,
+    /// Shard count: `None` (the default) runs one shard and stamps
+    /// nothing; `Some(n)` runs `n.max(1)` fingerprint-routed shards and
+    /// stamps every outcome with its shard (the `--shards` flag of
+    /// `tamopt serve`). `threads`, `requests_per_generation` and
+    /// `max_pending` apply per shard; the warm cache is shared.
+    pub shards: Option<usize>,
     /// Upper bound on requests dispatched per generation — the window of
     /// the exponential ramp and therefore the preemption granularity:
     /// smaller generations re-read the priority queue more often.
@@ -132,12 +150,12 @@ pub const DEFAULT_SNAPSHOT_EVERY: u32 = 32;
 /// start, records every merged incumbent (and freshly computed cost
 /// columns) into both tiers, and calls [`Store::save`] when the store
 /// is dirty — every `snapshot_every` generation barriers and once at
-/// shutdown. Sharded queues clone the binding per shard; the
-/// [`SharedStore`] mutex is a leaf lock, so cross-shard recording
-/// cannot deadlock. Store contents only ever *seed* searches: a
-/// pre-populated store changes completed-evaluation counts, never
-/// winners, and replayed traces stay byte-identical across thread and
-/// shard counts for any fixed starting store.
+/// shutdown. Every shard clones the binding; the [`SharedStore`] mutex
+/// is a leaf lock, so cross-shard recording cannot deadlock. Store
+/// contents only ever *seed* searches: a pre-populated store changes
+/// completed-evaluation counts, never winners, and replayed traces stay
+/// byte-identical across thread and shard counts for any fixed starting
+/// store.
 #[derive(Debug, Clone)]
 pub struct StoreBinding {
     /// The shared store handle.
@@ -272,6 +290,7 @@ impl Default for LiveConfig {
         LiveConfig {
             budget: SearchBudget::unlimited(),
             threads: 1,
+            shards: None,
             requests_per_generation: 8,
             warm_start: true,
             aging: 0,
@@ -296,6 +315,12 @@ impl LiveConfig {
     pub fn time_limit(mut self, limit: Duration) -> Self {
         self.budget = self.budget.and_time_limit(limit);
         self
+    }
+
+    /// Shards a queue runs: [`shards`](Self::shards) clamped to at
+    /// least one, one when `None`.
+    fn shard_count(&self) -> usize {
+        self.shards.map_or(1, |n| n.max(1))
     }
 }
 
@@ -364,6 +389,11 @@ pub struct TraceEvent {
     pub generation: u32,
     /// What happens.
     pub action: TraceAction,
+    /// The shard a submission is pinned to, bypassing fingerprint
+    /// routing and stealing (wrapped `% N`); `None` routes it. Pins on
+    /// cancellations are ignored: a cancel goes to the submission's
+    /// shard.
+    pub shard: Option<usize>,
 }
 
 /// The action of a [`TraceEvent`].
@@ -389,22 +419,37 @@ impl Trace {
         Self::default()
     }
 
-    /// Appends a submission applying at generation barrier `generation`.
+    /// Appends a submission applying at generation barrier `generation`
+    /// of the shard it routes to.
     pub fn submit_at(mut self, generation: u32, request: Request) -> Self {
         self.events.push(TraceEvent {
             generation,
             action: TraceAction::Submit(request),
+            shard: None,
+        });
+        self
+    }
+
+    /// Appends a submission pinned to `shard` (wrapped `% N`; the CLI's
+    /// `@<generation>/<shard>` tags), applying at generation barrier
+    /// `generation` of that shard.
+    pub fn submit_pinned_at(mut self, generation: u32, shard: usize, request: Request) -> Self {
+        self.events.push(TraceEvent {
+            generation,
+            action: TraceAction::Submit(request),
+            shard: Some(shard),
         });
         self
     }
 
     /// Appends a cancellation of submission `id` (the index of an
     /// earlier submit event) applying at generation barrier
-    /// `generation`.
+    /// `generation` of the shard that owns the submission.
     pub fn cancel_at(mut self, generation: u32, id: impl Into<RequestId>) -> Self {
         self.events.push(TraceEvent {
             generation,
             action: TraceAction::Cancel(id.into()),
+            shard: None,
         });
         self
     }
@@ -645,7 +690,6 @@ struct State {
     /// [`RequestStatus::Shed`] outcome at the next generation barrier
     /// (outcomes only ever stream from the dispatcher thread).
     shed: Vec<Pending>,
-    next_id: usize,
     shutdown: bool,
     /// The most recent generation barrier the dispatcher reached — the
     /// reference point of [`LiveQueue::stats`]'s aging arithmetic.
@@ -654,7 +698,8 @@ struct State {
     /// dispatched), so [`LiveQueue::cancel`] and trace cancel events can
     /// reach them. Pruned when a submission's outcome is emitted —
     /// cancelling a finished request is meaningless, and a long-running
-    /// daemon must not accumulate one entry per request forever.
+    /// daemon must not accumulate one entry per request forever. Its
+    /// length is the shard's load for live work stealing.
     handles: HashMap<usize, CancelHandle>,
 }
 
@@ -670,16 +715,15 @@ fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
 
 /// The incumbent cache: best known heuristic times per SOC fingerprint,
 /// indexed by the width and TAM count that achieved them, plus the
-/// SOC's compressed cost table once one has been computed. Owned by one
-/// queue's dispatcher, or shared across the shards of a
-/// [`crate::ShardedQueue`] (see [`SharedWarmCache`]). Bounded by an
+/// SOC's compressed cost table once one has been computed. Shared by
+/// every shard of one queue (see [`SharedWarmCache`]). Bounded by an
 /// LRU-by-fingerprint entry cap ([`LiveConfig::warm_capacity`]): every
 /// dispatch-time read and merge-time write touches the fingerprint's
 /// recency, both on the dispatcher thread at generation barriers, so
 /// eviction order is deterministic under trace replay — and eviction
 /// only ever forgets seeds, never results.
 #[derive(Debug, Default)]
-pub(crate) struct WarmCache {
+struct WarmCache {
     slots: HashMap<u64, CacheSlot>,
     /// Logical recency clock; bumped on every touch.
     clock: u64,
@@ -705,7 +749,7 @@ struct WarmEntry {
 /// writes at merge, both at generation barriers on a dispatcher thread;
 /// the mutex is a leaf lock (never held across another lock), so
 /// cross-shard sharing cannot deadlock.
-pub(crate) type SharedWarmCache = Arc<Mutex<WarmCache>>;
+type SharedWarmCache = Arc<Mutex<WarmCache>>;
 
 impl WarmCache {
     /// An empty cache evicting beyond `capacity` fingerprints
@@ -718,7 +762,7 @@ impl WarmCache {
     }
 
     /// [`with_capacity`](Self::with_capacity), shared.
-    pub(crate) fn shared(capacity: usize) -> SharedWarmCache {
+    fn shared(capacity: usize) -> SharedWarmCache {
         Arc::new(Mutex::new(Self::with_capacity(capacity)))
     }
 
@@ -854,26 +898,47 @@ impl WarmCache {
 
     /// Number of fingerprints cached.
     #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.slots.len()
     }
 }
 
-/// Dispatcher-thread bookkeeping: the warm cache, the outcome stream and
-/// the accumulated outcomes for the final report. Wrapped in a `RefCell`
-/// because both the barrier hook and the merge closure need it — they
-/// run at disjoint times on the dispatcher thread.
+/// Dispatcher-thread bookkeeping: the warm cache, the shard stamp, the
+/// live outcome stream and the outcomes emitted so far, in emit order.
+/// Wrapped in a `RefCell` because both the barrier hook and the merge
+/// closure need it — they run at disjoint times on the dispatcher
+/// thread.
 struct Book {
     cache: SharedWarmCache,
+    /// Stamped into every outcome (`None` for an unstamped queue).
+    shard: Option<usize>,
+    /// The queue's shared outcome channel; `None` under replay, whose
+    /// stream is [`outcomes`](Self::outcomes) itself.
+    stream: Option<Sender<RequestOutcome>>,
     outcomes: Vec<RequestOutcome>,
-    stream: Sender<RequestOutcome>,
 }
 
 impl Book {
-    fn emit(&mut self, outcome: RequestOutcome) {
-        // A receiver may have been dropped (fire-and-forget callers);
-        // the final report still collects everything.
-        let _ = self.stream.send(outcome.clone());
+    fn new(
+        cache: &SharedWarmCache,
+        shard: Option<usize>,
+        stream: Option<Sender<RequestOutcome>>,
+    ) -> Self {
+        Book {
+            cache: Arc::clone(cache),
+            shard,
+            stream,
+            outcomes: Vec::new(),
+        }
+    }
+
+    fn emit(&mut self, mut outcome: RequestOutcome) {
+        outcome.shard = self.shard;
+        if let Some(stream) = &self.stream {
+            // A receiver may have been dropped (fire-and-forget
+            // callers); the final report still collects everything.
+            let _ = stream.send(outcome.clone());
+        }
         self.outcomes.push(outcome);
     }
 }
@@ -891,8 +956,7 @@ const SHED_NOTE: &str =
 /// zero barriers, so it loses ties deliberately: admission never evicts
 /// equal-priority work that queued first.
 ///
-/// Returns the evicted queued entry (handle already unregistered;
-/// caller moves it to [`State::shed`] for its barrier-time outcome), or
+/// Returns the evicted queued entry (handle already unregistered), or
 /// `None` when the incoming submission itself is the weakest and must
 /// be the one shed.
 fn overload_victim(state: &mut State, aging: u32, incoming_priority: i32) -> Option<Pending> {
@@ -910,6 +974,39 @@ fn overload_victim(state: &mut State, aging: u32, incoming_priority: i32) -> Opt
     } else {
         None
     }
+}
+
+/// Admits submission `id` into the backlog: the one admission path of
+/// live submits and replayed trace events. At the
+/// [`LiveConfig::max_pending`] cap, [`overload_victim`] picks what
+/// makes room; an evicted queued entry moves to [`State::shed`] for its
+/// barrier-time outcome. Returns the queued entry's [`CancelHandle`],
+/// or the incoming entry itself when it is the weakest — live refuses
+/// it with [`SubmitError::Overloaded`], replay sheds it with an outcome.
+fn admit(
+    state: &mut State,
+    id: usize,
+    request: Request,
+    max_pending: usize,
+    aging: u32,
+) -> Result<CancelHandle, Box<Pending>> {
+    let (budget, handle) = request.budget.clone().cancellable();
+    let entry = Pending {
+        id,
+        fingerprint: request.soc.fingerprint(),
+        request: Request { budget, ..request },
+        handle: handle.clone(),
+        seen_at: None,
+    };
+    if max_pending > 0 && state.pending.len() >= max_pending {
+        match overload_victim(state, aging, entry.request.priority) {
+            Some(victim) => state.shed.push(victim),
+            None => return Err(Box::new(entry)),
+        }
+    }
+    state.handles.insert(id, handle.clone());
+    state.pending.push(entry);
+    Ok(handle)
 }
 
 /// An outcome carrying no result — cancelled before dispatch, or skipped
@@ -994,13 +1091,18 @@ impl QueueStats {
     }
 }
 
-/// A long-running request queue over one worker pool.
+/// A long-running request queue over `1..N` shards.
 ///
 /// Start it with [`LiveQueue::start`], feed it with
 /// [`submit`](Self::submit) (thread-safe, non-blocking, callable while
 /// requests run), stream results with [`recv_outcome`](Self::recv_outcome)
 /// and finish with [`shutdown`](Self::shutdown). For reproducible runs,
 /// [`replay`](Self::replay) executes a fixed [`Trace`] instead.
+///
+/// The queue numbers submissions 0, 1, 2, … in acceptance order and
+/// hands each to a shard ([`LiveConfig::shards`]; [`crate::shard`] has
+/// the routing). Ids are global: outcomes, cancellations and the final
+/// report use them whatever the shard count.
 ///
 /// # Example
 ///
@@ -1014,6 +1116,7 @@ impl QueueStats {
 ///     .unwrap();
 /// let outcome = queue.recv_outcome().unwrap();
 /// assert_eq!(outcome.index, id.index());
+/// assert_eq!(outcome.shard, None, "one unstamped shard");
 /// let report = queue.shutdown().expect("first shutdown returns the report");
 /// assert!(report.complete);
 /// // The queue is sealed now.
@@ -1021,128 +1124,119 @@ impl QueueStats {
 /// ```
 #[derive(Debug)]
 pub struct LiveQueue {
-    shared: Arc<Shared>,
-    /// The aging rate of the launching config, kept for
-    /// [`stats`](Self::stats) (the dispatcher owns the config itself).
-    aging: u32,
-    /// The backlog cap of the launching config, kept for
-    /// [`submit`](Self::submit)'s admission check.
-    max_pending: usize,
+    shards: Vec<Shard>,
+    /// Whether outcomes and stats carry shard stamps
+    /// ([`LiveConfig::shards`] is `Some`).
+    stamped: bool,
+    /// Submission id → the shard that accepted it; its length is the
+    /// next id. Held across a shard's admission, so ids go only to
+    /// accepted submissions, in acceptance order.
+    owner: Mutex<Vec<usize>>,
+    /// The one outcome stream every shard's dispatcher sends into.
     /// Behind a mutex so the queue is `Sync`: one thread can submit
     /// while another drains outcomes (the `tamopt serve` pattern).
     outcomes: Mutex<Receiver<RequestOutcome>>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<BatchReport>>>,
+    start: Instant,
 }
 
 impl LiveQueue {
-    /// Starts the queue: spawns the dispatcher thread, which owns the
-    /// worker pool until [`shutdown`](Self::shutdown).
+    /// Starts the queue: spawns one dispatcher thread per shard, each
+    /// owning its worker pool until [`shutdown`](Self::shutdown).
     pub fn start(config: LiveConfig) -> Self {
         let cache = WarmCache::shared(config.warm_capacity);
-        Self::launch(config, None, cache)
-    }
-
-    /// Starts the queue with a warm cache shared with other queues —
-    /// the shard entry point of [`crate::ShardedQueue`].
-    pub(crate) fn start_with_cache(config: LiveConfig, cache: SharedWarmCache) -> Self {
-        Self::launch(config, None, cache)
+        let (tx, rx) = std::sync::mpsc::channel();
+        let shards = (0..config.shard_count())
+            .map(|shard| {
+                let book = Book::new(&cache, config.shards.map(|_| shard), Some(tx.clone()));
+                Shard::launch(config.clone(), book)
+            })
+            .collect();
+        LiveQueue {
+            shards,
+            stamped: config.shards.is_some(),
+            owner: Mutex::new(Vec::new()),
+            outcomes: Mutex::new(rx),
+            start: Instant::now(),
+        }
     }
 
     /// Replays a fixed submission trace and returns the streamed
     /// outcomes (in stream order) plus the final drained report.
     ///
-    /// For a fixed trace and [`LiveConfig::requests_per_generation`],
-    /// both are bit-identical across [`LiveConfig::threads`] values —
-    /// wall-clock fields aside. The queue shuts down by itself once the
-    /// trace is exhausted and the backlog drained.
+    /// The trace is split up front into one sub-trace per shard (see
+    /// [`crate::shard`]), and the shards replay **one after another in
+    /// shard-id order** over one warm cache, on the calling thread. The
+    /// stream is the per-shard streams concatenated in shard-id order;
+    /// the report holds one outcome per submission, in id order. For a
+    /// fixed trace, shard count and
+    /// [`LiveConfig::requests_per_generation`], both are bit-identical
+    /// across [`LiveConfig::threads`] values — wall-clock fields aside.
+    /// Each shard stops by itself once its sub-trace is exhausted and
+    /// its backlog drained.
     pub fn replay(trace: Trace, config: LiveConfig) -> (Vec<RequestOutcome>, BatchReport) {
+        let start = Instant::now();
         let cache = WarmCache::shared(config.warm_capacity);
-        Self::replay_with_cache(trace, config, cache)
-    }
-
-    /// [`replay`](Self::replay) with a warm cache carried in from (and
-    /// back out to) the caller — the shard replay entry point of
-    /// [`crate::ShardedQueue`], which replays its shards sequentially
-    /// over one cache so cross-shard warm sharing stays deterministic.
-    pub(crate) fn replay_with_cache(
-        trace: Trace,
-        config: LiveConfig,
-        cache: SharedWarmCache,
-    ) -> (Vec<RequestOutcome>, BatchReport) {
-        let queue = Self::launch(config, Some(trace.events.into()), cache);
         let mut stream = Vec::new();
-        while let Some(outcome) = queue.recv_outcome() {
-            stream.push(outcome);
+        // Shard `s` starts from the exact cache state shards `0..s` left
+        // behind — itself thread-count invariant by induction — so
+        // cross-shard warm sharing cannot break the byte-identity
+        // contract.
+        for (shard, events) in split(trace, config.shard_count()).into_iter().enumerate() {
+            let book = Book::new(&cache, config.shards.map(|_| shard), None);
+            stream.extend(dispatch(&Shared::default(), &config, Some(events), book));
         }
-        let report = queue.join().expect("replay joins exactly once");
+        let report = final_report(stream.clone(), start);
         (stream, report)
     }
 
-    fn launch(
-        config: LiveConfig,
-        replay: Option<VecDeque<TraceEvent>>,
-        cache: SharedWarmCache,
-    ) -> Self {
-        let shared = Arc::new(Shared::default());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let aging = config.aging;
-        let max_pending = config.max_pending;
-        let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher = std::thread::Builder::new()
-            .name("tamopt-live-dispatcher".to_owned())
-            .spawn(move || dispatch(&dispatcher_shared, &config, replay, cache, tx))
-            .expect("spawning the dispatcher thread");
-        LiveQueue {
-            shared,
-            aging,
-            max_pending,
-            outcomes: Mutex::new(rx),
-            dispatcher: Mutex::new(Some(dispatcher)),
-        }
-    }
-
-    /// Submits `request`, returning its [`RequestId`] and the
-    /// [`CancelHandle`] that cancels it — and only it. Thread-safe and
-    /// non-blocking; may be called while other requests are executing.
-    /// The request becomes dispatchable at the next generation barrier,
-    /// ahead of any queued work of lower priority.
+    /// Submits `request` to its fingerprint's home shard (or a stealing
+    /// shard — see [`crate::shard`]), returning its [`RequestId`] and
+    /// the [`CancelHandle`] that cancels it — and only it. Thread-safe
+    /// and non-blocking; may be called while other requests are
+    /// executing. The request becomes dispatchable at its shard's next
+    /// generation barrier, ahead of any queued work of lower priority.
     ///
     /// # Errors
     ///
     /// [`SubmitError::ShutDown`] after [`shutdown`](Self::shutdown) (or
     /// after the dispatcher stopped because the global budget expired);
-    /// [`SubmitError::Overloaded`] when the backlog is at
+    /// [`SubmitError::Overloaded`] when the shard's backlog is at
     /// [`LiveConfig::max_pending`] and this request is the weakest
     /// thing in it (lowest aged effective priority; ties shed the
     /// newest submission). A refused request consumes no id: the queue
     /// looks exactly as if the submission never happened, and the
     /// caller may retry once the backlog drains.
     pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
-        let mut state = lock(&self.shared);
-        if state.shutdown {
-            return Err(SubmitError::ShutDown);
-        }
-        if self.max_pending > 0 && state.pending.len() >= self.max_pending {
-            match overload_victim(&mut state, self.aging, request.priority) {
-                Some(victim) => state.shed.push(victim),
-                None => return Err(SubmitError::Overloaded),
-            }
-        }
-        let (budget, handle) = request.budget.clone().cancellable();
-        let fingerprint = request.soc.fingerprint();
-        let id = state.next_id;
-        state.next_id += 1;
-        state.pending.push(Pending {
-            id,
-            request: Request { budget, ..request },
-            handle: handle.clone(),
-            fingerprint,
-            seen_at: None,
-        });
-        state.handles.insert(id, handle.clone());
-        drop(state);
-        self.shared.cv.notify_all();
+        self.submit_pinned(None, request)
+    }
+
+    /// [`submit`](Self::submit), pinned to shard `pin % N` when `pin` is
+    /// `Some` (bypassing fingerprint routing and stealing) — the
+    /// recovery path re-runs a journalled request on the shard that
+    /// accepted it.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Self::submit).
+    pub fn submit_pinned(
+        &self,
+        pin: Option<usize>,
+        request: Request,
+    ) -> Result<(RequestId, CancelHandle), SubmitError> {
+        let mut owner = self.owner();
+        let loads: Vec<usize> = self.shards.iter().map(Shard::in_flight).collect();
+        let shard = place(request.soc.fingerprint(), pin, &loads);
+        let id = owner.len();
+        let handle = self.shards[shard].submit(id, request)?;
+        owner.push(shard);
         Ok((RequestId(id), handle))
+    }
+
+    /// The shard that accepted submission `id` — the accept-time stamp
+    /// the journal records. `None` for unknown ids and on an unstamped
+    /// queue.
+    pub fn shard_of(&self, id: RequestId) -> Option<usize> {
+        self.owner().get(id.0).copied().filter(|_| self.stamped)
     }
 
     /// Cancels submission `id` (pending or already dispatched); returns
@@ -1151,52 +1245,46 @@ impl LiveQueue {
     /// Equivalent to the [`CancelHandle`] returned by
     /// [`submit`](Self::submit).
     pub fn cancel(&self, id: RequestId) -> bool {
-        let state = lock(&self.shared);
-        let known = state.handles.get(&id.0).inspect(|h| h.cancel()).is_some();
-        drop(state);
-        self.shared.cv.notify_all();
-        known
+        let shard = self.owner().get(id.0).copied();
+        shard.is_some_and(|shard| self.shards[shard].cancel(id.0))
     }
 
     /// Number of submissions accepted so far.
     pub fn submitted(&self) -> usize {
-        lock(&self.shared).next_id
+        self.owner().len()
     }
 
-    /// A snapshot of the backlog: pending entries with their raw
-    /// priority, barriers waited and aged effective priority, ordered as
-    /// the dispatcher would pick them (effective priority descending,
-    /// ties by submission id). Deterministic under replay — the aging
-    /// clock counts generation barriers, never the wall clock.
-    pub fn stats(&self) -> QueueStats {
-        let state = lock(&self.shared);
-        let generation = state.last_barrier;
-        let mut backlog: Vec<&Pending> = state.pending.iter().collect();
-        backlog.sort_by_key(|p| p.dispatch_key(generation, self.aging));
-        let pending = backlog
-            .into_iter()
-            .map(|p| {
-                let (Reverse(effective_priority), id) = p.dispatch_key(generation, self.aging);
-                PendingStat {
-                    id,
-                    soc: p.request.soc.name().to_owned(),
-                    kind: p.request.kind,
-                    priority: p.request.priority,
-                    barriers_waited: p.waited(generation),
-                    effective_priority,
-                }
-            })
-            .collect();
-        drop(state);
-        QueueStats {
-            generation,
-            aging: self.aging,
-            pending,
+    /// A backlog snapshot per shard, in shard-id order: each shard's
+    /// in-flight count and its pending entries with their raw priority,
+    /// barriers waited and aged effective priority, ordered as its
+    /// dispatcher would pick them (effective priority descending, ties
+    /// by submission id). Deterministic under replay — the aging clock
+    /// counts generation barriers, never the wall clock.
+    pub fn stats(&self) -> ShardedStats {
+        ShardedStats {
+            shards: self
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(shard, s)| s.stats(shard))
+                .collect(),
         }
     }
 
-    /// Blocks until the next outcome streams out of the pool; `None`
-    /// once the dispatcher has finished and all outcomes were received.
+    /// The `stats` verb's JSON: [`ShardedStats::to_json`] on a stamped
+    /// queue, the one shard's [`QueueStats::to_json`] otherwise.
+    pub fn stats_json(&self) -> String {
+        let stats = self.stats();
+        if self.stamped {
+            stats.to_json()
+        } else {
+            stats.shards[0].queue.to_json()
+        }
+    }
+
+    /// Blocks until the next outcome streams out of any shard; `None`
+    /// once every dispatcher has finished and all outcomes were
+    /// received.
     pub fn recv_outcome(&self) -> Option<RequestOutcome> {
         self.outcomes
             .lock()
@@ -1221,13 +1309,133 @@ impl LiveQueue {
     }
 
     /// Stops accepting submissions (later [`submit`](Self::submit)s
-    /// return [`SubmitError::ShutDown`] immediately), drains the
-    /// backlog, joins the worker pool and returns the final report —
-    /// outcomes in submission order, exactly one per accepted
+    /// return [`SubmitError::ShutDown`] immediately), drains every
+    /// shard's backlog, joins the worker pools and returns the final
+    /// report — outcomes in submission order, exactly one per accepted
     /// submission. `None` if the queue was already shut down.
     pub fn shutdown(&self) -> Option<BatchReport> {
-        self.signal_shutdown();
-        self.join()
+        for shard in &self.shards {
+            shard.signal_shutdown();
+        }
+        let mut outcomes = Vec::new();
+        for shard in &self.shards {
+            outcomes.extend(shard.join()?);
+        }
+        Some(final_report(outcomes, self.start))
+    }
+
+    fn owner(&self) -> std::sync::MutexGuard<'_, Vec<usize>> {
+        self.owner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Drop for LiveQueue {
+    fn drop(&mut self) {
+        // A queue dropped without `shutdown` still winds every pool down
+        // cleanly (finishing the backlog it already accepted).
+        let _ = self.shutdown();
+    }
+}
+
+/// The final report over every outcome a queue emitted: submission
+/// order, complete unless something was skipped.
+fn final_report(mut outcomes: Vec<RequestOutcome>, start: Instant) -> BatchReport {
+    outcomes.sort_by_key(|o| o.index);
+    let complete = outcomes.iter().all(|o| o.status != RequestStatus::Skipped);
+    BatchReport {
+        outcomes,
+        complete,
+        wall_time: start.elapsed(),
+    }
+}
+
+/// One shard of a [`LiveQueue`]: a dispatcher thread owning a worker
+/// pool, fed with submissions the queue has already numbered.
+#[derive(Debug)]
+struct Shard {
+    shared: Arc<Shared>,
+    /// The aging rate of the launching config, kept for
+    /// [`stats`](Self::stats) (the dispatcher owns the config itself).
+    aging: u32,
+    /// The backlog cap of the launching config, kept for
+    /// [`submit`](Self::submit)'s admission check.
+    max_pending: usize,
+    dispatcher: Mutex<Option<std::thread::JoinHandle<Vec<RequestOutcome>>>>,
+}
+
+impl Shard {
+    fn launch(config: LiveConfig, book: Book) -> Self {
+        let shared = Arc::new(Shared::default());
+        let (aging, max_pending) = (config.aging, config.max_pending);
+        let dispatcher_shared = Arc::clone(&shared);
+        let dispatcher = std::thread::Builder::new()
+            .name("tamopt-live-dispatcher".to_owned())
+            .spawn(move || dispatch(&dispatcher_shared, &config, None, book))
+            .expect("spawning the dispatcher thread");
+        Shard {
+            shared,
+            aging,
+            max_pending,
+            dispatcher: Mutex::new(Some(dispatcher)),
+        }
+    }
+
+    /// Admits submission `id` (see [`LiveQueue::submit`] for the
+    /// errors).
+    fn submit(&self, id: usize, request: Request) -> Result<CancelHandle, SubmitError> {
+        let mut state = lock(&self.shared);
+        if state.shutdown {
+            return Err(SubmitError::ShutDown);
+        }
+        let handle = admit(&mut state, id, request, self.max_pending, self.aging)
+            .map_err(|_| SubmitError::Overloaded)?;
+        drop(state);
+        self.shared.cv.notify_all();
+        Ok(handle)
+    }
+
+    fn cancel(&self, id: usize) -> bool {
+        let state = lock(&self.shared);
+        let known = state.handles.get(&id).inspect(|h| h.cancel()).is_some();
+        drop(state);
+        self.shared.cv.notify_all();
+        known
+    }
+
+    /// Submissions in flight (pending or dispatched) — the load live
+    /// work stealing reads.
+    fn in_flight(&self) -> usize {
+        lock(&self.shared).handles.len()
+    }
+
+    fn stats(&self, shard: usize) -> ShardStats {
+        let state = lock(&self.shared);
+        let generation = state.last_barrier;
+        let mut backlog: Vec<&Pending> = state.pending.iter().collect();
+        backlog.sort_by_key(|p| p.dispatch_key(generation, self.aging));
+        let pending = backlog
+            .into_iter()
+            .map(|p| {
+                let (Reverse(effective_priority), id) = p.dispatch_key(generation, self.aging);
+                PendingStat {
+                    id,
+                    soc: p.request.soc.name().to_owned(),
+                    kind: p.request.kind,
+                    priority: p.request.priority,
+                    barriers_waited: p.waited(generation),
+                    effective_priority,
+                }
+            })
+            .collect();
+        ShardStats {
+            shard,
+            outstanding: state.handles.len(),
+            queue: QueueStats {
+                generation,
+                aging: self.aging,
+                pending,
+            },
+        }
     }
 
     fn signal_shutdown(&self) {
@@ -1235,7 +1443,9 @@ impl LiveQueue {
         self.shared.cv.notify_all();
     }
 
-    fn join(&self) -> Option<BatchReport> {
+    /// The dispatcher's outcomes in emit order; `None` if already
+    /// joined.
+    fn join(&self) -> Option<Vec<RequestOutcome>> {
         let handle = self
             .dispatcher
             .lock()
@@ -1245,29 +1455,19 @@ impl LiveQueue {
     }
 }
 
-impl Drop for LiveQueue {
-    fn drop(&mut self) {
-        // A queue dropped without `shutdown` still winds the pool down
-        // cleanly (finishing the backlog it already accepted).
-        self.signal_shutdown();
-        let _ = self.join();
-    }
-}
-
 /// The dispatcher: runs the engine's generation loop for the queue's
 /// whole lifetime. The barrier hook re-reads (and re-prioritizes) the
 /// pending queue, injects due trace events, reports
 /// cancelled-before-dispatch entries, resolves warm-start seeds, and —
 /// in live mode — blocks waiting for work; `merge` streams outcomes and
-/// feeds the warm cache.
+/// feeds the warm cache. Returns every outcome the shard emitted, in
+/// emit order.
 fn dispatch(
     shared: &Shared,
     config: &LiveConfig,
-    mut replay: Option<VecDeque<TraceEvent>>,
-    cache: SharedWarmCache,
-    stream: Sender<RequestOutcome>,
-) -> BatchReport {
-    let start = Instant::now();
+    mut replay: Option<VecDeque<ShardEvent>>,
+    book: Book,
+) -> Vec<RequestOutcome> {
     let parallel = ParallelConfig {
         threads: config.threads,
         chunk_size: 1,
@@ -1283,49 +1483,25 @@ fn dispatch(
     // cache and store mutexes are both leaf locks, never nested.
     if let Some(binding) = &config.store {
         let contents = binding.contents();
-        let mut warm = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut warm = book.cache.lock().unwrap_or_else(PoisonError::into_inner);
         for (fingerprint, entry) in contents {
             warm.adopt(fingerprint, entry);
         }
     }
-    let book = RefCell::new(Book {
-        cache,
-        outcomes: Vec::new(),
-        stream,
-    });
+    let book = RefCell::new(book);
 
-    let apply = |state: &mut State, event: TraceEvent| match event.action {
-        TraceAction::Submit(request) => {
-            let (budget, handle) = request.budget.clone().cancellable();
-            let fingerprint = request.soc.fingerprint();
-            let id = state.next_id;
-            state.next_id += 1;
-            let entry = Pending {
-                id,
-                request: Request { budget, ..request },
-                handle: handle.clone(),
-                fingerprint,
-                seen_at: None,
-            };
+    let apply = |state: &mut State, event: ShardEvent| match event.action {
+        ShardAction::Submit(id, request) => {
             // Unlike the live path, a replayed submission that loses
-            // the overload decision still consumes its id and owes a
-            // [`RequestStatus::Shed`] outcome: trace ids are positional
-            // (cancels reference them), so refusal must not renumber
-            // everything after it.
-            if config.max_pending > 0 && state.pending.len() >= config.max_pending {
-                match overload_victim(state, config.aging, entry.request.priority) {
-                    Some(victim) => state.shed.push(victim),
-                    None => {
-                        state.shed.push(entry);
-                        return;
-                    }
-                }
+            // the overload decision cannot be refused: trace ids are
+            // positional (cancels reference them), so it keeps its id
+            // and owes a [`RequestStatus::Shed`] outcome.
+            if let Err(entry) = admit(state, id, request, config.max_pending, config.aging) {
+                state.shed.push(*entry);
             }
-            state.handles.insert(id, handle);
-            state.pending.push(entry);
         }
-        TraceAction::Cancel(id) => {
-            if let Some(handle) = state.handles.get(&id.0) {
+        ShardAction::Cancel(id) => {
+            if let Some(handle) = state.handles.get(&id) {
                 handle.cancel();
             }
         }
@@ -1572,15 +1748,7 @@ fn dispatch(
     if let Some(binding) = &config.store {
         binding.snapshot();
     }
-
-    let mut outcomes = book.outcomes;
-    outcomes.sort_by_key(|o| o.index);
-    let complete = outcomes.iter().all(|o| o.status != RequestStatus::Skipped);
-    BatchReport {
-        outcomes,
-        complete,
-        wall_time: start.elapsed(),
-    }
+    book.outcomes
 }
 
 #[cfg(test)]

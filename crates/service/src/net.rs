@@ -3,12 +3,12 @@
 //!
 //! A [`NetServer`] binds a [`NetListener`] and serves the line protocol
 //! of `tamopt serve` to any number of concurrent connections, all
-//! feeding one [`ServeQueue`] (a flat [`LiveQueue`](crate::LiveQueue),
-//! or a [`ShardedQueue`](crate::ShardedQueue) behind `shards = Some(n)`):
+//! feeding one [`LiveQueue`] (one shard, or `N` with
+//! [`LiveConfig::shards`]):
 //!
 //! * every connection gets a **client id** `C`, announced by a greeting
 //!   line and stamped into every outcome line as `"client": C` (next to
-//!   the `"shard"` stamp of sharded queues);
+//!   the `"shard"` stamp of a queue with `shards = Some(n)`);
 //! * ids are **per-client namespaces**: each client's submissions are
 //!   numbered 0, 1, 2, … in its own submission order, outcome lines
 //!   carry that local id, and `cancel <id>` can only name the caller's
@@ -51,10 +51,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::live::{JournalBinding, LiveConfig, RequestId, SubmitError};
+use crate::live::{JournalBinding, LiveConfig, LiveQueue, RequestId, SubmitError};
 use crate::report::{json_string, BatchReport, WIRE_VERSION};
 use crate::request::Request;
-use crate::shard::ServeQueue;
 
 /// Longest accepted protocol line in bytes. A partial line growing past
 /// this is discarded up to its terminating newline and answered with an
@@ -360,7 +359,7 @@ impl Mux {
 }
 
 struct Shared {
-    queue: ServeQueue,
+    queue: LiveQueue,
     mux: Mutex<Mux>,
     shutdown: AtomicBool,
     parser: LineParser,
@@ -446,7 +445,7 @@ impl Shared {
             }
         }
         match self.queue.submit(request) {
-            Ok(id) => {
+            Ok((id, _)) => {
                 let global = id.index();
                 let slot = &mut mux.clients[client];
                 let local = slot.globals.len();
@@ -567,28 +566,22 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Starts the queue ([`ServeQueue::start`]: `shards = None` for one
-    /// flat queue, `Some(n)` for `n` shards) and begins accepting
-    /// connections on `listener`, parsing protocol lines with `parser`.
-    pub fn start(
-        config: LiveConfig,
-        shards: Option<usize>,
-        listener: NetListener,
-        parser: LineParser,
-    ) -> Self {
-        Self::start_with_options(config, shards, listener, parser, NetOptions::default())
+    /// Starts the queue ([`LiveQueue::start`], shaped by
+    /// [`LiveConfig::shards`]) and begins accepting connections on
+    /// `listener`, parsing protocol lines with `parser`.
+    pub fn start(config: LiveConfig, listener: NetListener, parser: LineParser) -> Self {
+        Self::start_with_options(config, listener, parser, NetOptions::default())
     }
 
     /// [`start`](Self::start) with explicit front-end tunables (the
     /// `--max-inflight` path of `tamopt serve`).
     pub fn start_with_options(
         config: LiveConfig,
-        shards: Option<usize>,
         listener: NetListener,
         parser: LineParser,
         options: NetOptions,
     ) -> Self {
-        let queue = ServeQueue::start(config, shards);
+        let queue = LiveQueue::start(config);
         let addr = listener.addr().to_owned();
         let unix_path = listener.unix_path.clone();
         let shared = Arc::new(Shared {

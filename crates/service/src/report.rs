@@ -89,10 +89,11 @@ pub struct RequestOutcome {
     /// the JSON renderings, so all single-client output is
     /// byte-identical to earlier wire versions.
     pub client: Option<usize>,
-    /// The shard that executed the request, when it ran behind a
-    /// [`crate::ShardedQueue`]. `None` for plain batches and unsharded
-    /// queues — and then absent from the JSON renderings, so all
-    /// unsharded output is byte-identical to earlier wire versions.
+    /// The shard that executed the request, when its queue stamps
+    /// shards ([`crate::LiveConfig::shards`] is `Some`). `None` for
+    /// plain batches and unstamped queues — and then absent from the
+    /// JSON renderings, so all unsharded output is byte-identical to
+    /// earlier wire versions.
     pub shard: Option<usize>,
     /// Name of the request's SOC.
     pub soc: String,

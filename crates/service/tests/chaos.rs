@@ -88,7 +88,14 @@ fn chaos_scenario() -> ChaosScenario {
 fn chaos_replay_is_byte_identical_across_threads_and_shards() {
     let scenario = chaos_scenario();
     for shards in [None, Some(1), Some(2), Some(4)] {
-        let reference = replay(&scenario, LiveConfig::with_threads(1), shards, &parse);
+        let reference = replay(
+            &scenario,
+            LiveConfig {
+                shards,
+                ..LiveConfig::with_threads(1)
+            },
+            &parse,
+        );
         assert_eq!(reference.transcripts.len(), 3);
         // The reference itself is sane: client 1's dropped submission
         // never ran, client 2 got its three error lines.
@@ -107,7 +114,14 @@ fn chaos_replay_is_byte_identical_across_threads_and_shards() {
         assert!(responses[1].contains("\"error\": \"unknown-id\""));
         assert!(responses[2].contains("\"error\": \"unsupported\""));
         for threads in [2, 8] {
-            let run = replay(&scenario, LiveConfig::with_threads(threads), shards, &parse);
+            let run = replay(
+                &scenario,
+                LiveConfig {
+                    shards,
+                    ..LiveConfig::with_threads(threads)
+                },
+                &parse,
+            );
             assert_eq!(
                 run.transcripts, reference.transcripts,
                 "transcripts drifted at threads {threads}, shards {shards:?}"
@@ -129,7 +143,7 @@ fn outcome_lines_carry_client_stamps_and_local_ids() {
             .line_at(0, "d695 12 2"),
         ClientScript::new().line_at(0, "p31108 24 3"),
     ]);
-    let out = replay(&scenario, LiveConfig::with_threads(1), None, &parse);
+    let out = replay(&scenario, LiveConfig::with_threads(1), &parse);
     assert_eq!(out.transcripts[0].outcomes.len(), 2);
     assert_eq!(out.transcripts[1].outcomes.len(), 1);
     for (local, line) in out.transcripts[0].outcomes.iter().enumerate() {
@@ -151,7 +165,7 @@ fn oversized_scripted_lines_get_an_error_and_the_client_survives() {
     let scenario = ChaosScenario::new(vec![ClientScript::new()
         .line_at(0, huge)
         .line_at(0, "d695 16 2")]);
-    let out = replay(&scenario, LiveConfig::with_threads(1), None, &parse);
+    let out = replay(&scenario, LiveConfig::with_threads(1), &parse);
     assert_eq!(out.transcripts[0].responses.len(), 1);
     assert!(out.transcripts[0].responses[0].contains("\"error\": \"oversized\""));
     assert_eq!(out.transcripts[0].outcomes.len(), 1, "the follow-up ran");
@@ -185,17 +199,18 @@ fn disconnect_mid_run_is_indistinguishable_from_explicit_cancels_for_siblings() 
         .line_at(1, "cancel 1");
     for shards in [None, Some(2)] {
         for threads in [1, 2] {
-            let config = LiveConfig::with_threads(threads);
+            let config = LiveConfig {
+                shards,
+                ..LiveConfig::with_threads(threads)
+            };
             let a = replay(
                 &ChaosScenario::new(vec![sibling.clone(), dropped.clone()]),
                 config.clone(),
-                shards,
                 &parse,
             );
             let b = replay(
                 &ChaosScenario::new(vec![sibling.clone(), cancelled.clone()]),
                 config,
-                shards,
                 &parse,
             );
             assert_eq!(

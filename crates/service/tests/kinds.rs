@@ -283,7 +283,7 @@ fn live_queue_reports_backlog_stats() {
         aging: 3,
         ..LiveConfig::default()
     });
-    let stats = queue.stats();
+    let stats = queue.stats().shards.remove(0).queue;
     assert_eq!(stats.aging, 3);
     assert!(stats.pending.is_empty());
     assert_eq!(

@@ -64,13 +64,16 @@ fn parser() -> LineParser {
 
 fn tcp_server(threads: usize, shards: Option<usize>) -> NetServer {
     let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-    NetServer::start(
-        LiveConfig::with_threads(threads),
+    let config = LiveConfig {
         shards,
-        listener,
-        parser(),
-    )
+        ..LiveConfig::with_threads(threads)
+    };
+    NetServer::start(config, listener, parser())
 }
+
+/// How client 0's `stats` reply starts. Outcome lines carry a
+/// `"stats"` key too (their prune counters), so match the prefix.
+const STATS_REPLY: &str = "{\"v\": 1, \"client\": 0, \"stats\": ";
 
 /// A line-oriented test client. Reads block with a generous timeout so
 /// a regression fails the test instead of hanging it.
@@ -227,7 +230,7 @@ fn stats_reports_per_client_outstanding_counts() {
     alice.send("stats");
     let stats = loop {
         let line = alice.read_line();
-        if line.contains("\"stats\"") {
+        if line.starts_with(STATS_REPLY) {
             break line;
         }
         assert!(line.contains("\"id\": "), "unexpected line: {line}");
@@ -292,18 +295,24 @@ fn disconnect_cancels_pending_work_without_leaking_or_touching_siblings() {
     let mut config = LiveConfig::with_threads(1);
     config.requests_per_generation = 1;
     let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-    let server = NetServer::start(config, None, listener, parser());
+    let server = NetServer::start(config, listener, parser());
     let addr = server.addr().to_owned();
     let mut dropper = Client::connect(&addr);
     let mut sibling = Client::connect(&addr);
 
-    for _ in 0..4 {
+    // The first request runs for over a second in a debug build (a
+    // tenth of that in release), so the three behind it are still
+    // queued when the connection dies.
+    dropper.send("d695 64 16");
+    for _ in 0..3 {
         dropper.send("d695 32 6");
     }
-    // Drop without reading: the reader thread processes the four
-    // buffered submissions before it sees EOF, so the disconnect is
-    // guaranteed to find them registered — and, with one-per-generation
-    // dispatch, mostly still queued.
+    // Barrier: the reader handles lines in order, so the `stats` reply
+    // proves all four submissions were accepted — ahead of the
+    // sibling's, and before the shutdown below, which stops readers
+    // without a disconnect — by the time the dropper goes away.
+    dropper.send("stats");
+    while !dropper.read_line().starts_with(STATS_REPLY) {}
     drop(dropper);
 
     // The sibling is unaffected: its request completes normally.
@@ -379,7 +388,7 @@ fn outcome_lines_are_run_invariant_per_client_with_warm_start_off() {
         let mut config = LiveConfig::with_threads(threads);
         config.warm_start = false;
         let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-        let server = NetServer::start(config, None, listener, parser());
+        let server = NetServer::start(config, listener, parser());
         let mut client = Client::connect(server.addr());
         let mut lines = Vec::new();
         for spec in ["d695 16 2", "p31108 24 3", "d695 24 3"] {
@@ -400,7 +409,7 @@ fn unix_socket_end_to_end() {
     let path = std::env::temp_dir().join(format!("tamopt-net-test-{}.sock", std::process::id()));
     let listener = NetListener::unix(&path).expect("binding the unix socket");
     assert_eq!(listener.addr(), path.to_string_lossy());
-    let server = NetServer::start(LiveConfig::with_threads(1), None, listener, parser());
+    let server = NetServer::start(LiveConfig::with_threads(1), listener, parser());
 
     let stream = std::os::unix::net::UnixStream::connect(&path).expect("connecting");
     stream
@@ -433,17 +442,29 @@ fn shutdown_streams_sealed_outcomes_to_connected_clients() {
     for _ in 0..4 {
         client.send("d695 32 6");
     }
-    // Wait for the first outcome so the backlog is registered, then
-    // seal the queue while requests are still pending.
-    client.read_line();
+    // Barrier: the reader handles lines in order, so the `stats` reply
+    // proves the backlog is registered before the shutdown below,
+    // which stops readers. Then seal the queue while requests are
+    // still pending.
+    client.send("stats");
+    let mut seen = Vec::new();
+    loop {
+        let line = client.read_line();
+        if line.starts_with(STATS_REPLY) {
+            break;
+        }
+        seen.push(line);
+    }
     let report = server.shutdown().expect("report");
     assert_eq!(report.outcomes.len(), 4);
     // The still-connected client received a line for every submission,
     // including the sealed (cancelled/skipped) tail — exactly one line
     // per local id, in whatever completion order the race produced.
-    let mut seen: Vec<String> = (1..4).map(|_| client.read_line()).collect();
+    while seen.len() < 4 {
+        seen.push(client.read_line());
+    }
     seen.sort();
-    for (line, local) in seen.iter().zip(1..4) {
+    for (line, local) in seen.iter().zip(0..4) {
         assert!(
             line.contains(&format!("\"id\": {local}, \"client\": 0")),
             "sealed line {local}: {line}"

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use tamopt_service::{
     LineParser, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions, NetServer, Request,
-    RequestOutcome, RequestStatus, ShardTrace, ShardedQueue, SubmitError, Trace,
+    RequestOutcome, RequestStatus, SubmitError, Trace,
 };
 use tamopt_soc::benchmarks;
 use tamopt_store::journal::unsealed;
@@ -163,14 +163,18 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
                     });
                     LiveQueue::replay(trace, LiveConfig::with_threads(threads)).0
                 }
-                Some(shards) => {
+                Some(_) => {
                     // Pin each redo to its recorded accept-time shard,
                     // exactly as `tamopt serve` recovery does.
-                    let trace = live.iter().fold(ShardTrace::new(), |t, r| {
+                    let trace = live.iter().fold(Trace::new(), |t, r| {
                         let pin = r.shard.expect("sharded submits carry a stamp") as usize;
                         t.submit_pinned_at(0, pin, request(WORKLOAD[r.id as usize]))
                     });
-                    ShardedQueue::replay(trace, LiveConfig::with_threads(threads), shards).0
+                    let config = LiveConfig {
+                        shards,
+                        ..LiveConfig::with_threads(threads)
+                    };
+                    LiveQueue::replay(trace, config).0
                 }
             };
             let mut outcomes = outcomes;
@@ -311,7 +315,7 @@ fn live_submission_is_refused_only_when_it_is_the_weakest() {
     let (heavy, handle) = queue
         .submit(request(("p31108", 64, 8, 0)))
         .expect("the first submission is accepted");
-    while !queue.stats().pending.is_empty() {
+    while !queue.stats().shards[0].queue.pending.is_empty() {
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -436,7 +440,6 @@ fn inflight_quota_answers_with_a_typed_error_and_keeps_the_connection() {
     let parser: LineParser = Arc::new(parse);
     let server = NetServer::start_with_options(
         LiveConfig::with_threads(1),
-        None,
         listener,
         parser,
         NetOptions {

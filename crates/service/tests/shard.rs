@@ -3,10 +3,7 @@
 //! routing and work stealing, cross-shard warm sharing, and live-mode
 //! facade behavior.
 
-use tamopt_service::{
-    LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus, ServeQueue, ShardTrace,
-    ShardedQueue, Trace,
-};
+use tamopt_service::{LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus, Trace};
 use tamopt_soc::benchmarks;
 
 /// Renders a streamed outcome sequence as its wire format (the JSON
@@ -14,6 +11,14 @@ use tamopt_soc::benchmarks;
 /// key, shard stamps included.
 fn stream_text(outcomes: &[RequestOutcome]) -> String {
     outcomes.iter().map(RequestOutcome::to_json_line).collect()
+}
+
+/// `config` over `n` stamped shards.
+fn sharded(n: usize, config: LiveConfig) -> LiveConfig {
+    LiveConfig {
+        shards: Some(n),
+        ..config
+    }
 }
 
 /// Strips the wall-clock lines a pretty report may vary on.
@@ -29,8 +34,8 @@ fn stable_lines(report_json: &str) -> String {
 /// stealing (several submissions of one hot fingerprint), a mid-run
 /// priority jump and a cancellation — the sharded analogue of the flat
 /// suite's `mixed_trace`.
-fn mixed_shard_trace() -> ShardTrace {
-    ShardTrace::new()
+fn mixed_shard_trace() -> Trace {
+    Trace::new()
         .submit_at(0, Request::new(benchmarks::d695(), 16).unwrap().max_tams(2)) // id 0
         .submit_at(
             0,
@@ -70,16 +75,17 @@ fn sharded_replays_are_thread_count_invariant_at_every_shard_count() {
     // For each shard count, the stream (shard stamps included) and the
     // stable report must be byte-identical across thread counts.
     for shards in [1, 2, 4] {
-        let (ref_stream, ref_report) =
-            ShardedQueue::replay(mixed_shard_trace(), LiveConfig::with_threads(1), shards);
+        let (ref_stream, ref_report) = LiveQueue::replay(
+            mixed_shard_trace(),
+            sharded(shards, LiveConfig::with_threads(1)),
+        );
         assert_eq!(ref_report.outcomes.len(), 6, "one outcome per submission");
         let ref_stream_text = stream_text(&ref_stream);
         let ref_report_text = stable_lines(&ref_report.to_json());
         for threads in [2, 8] {
-            let (stream, report) = ShardedQueue::replay(
+            let (stream, report) = LiveQueue::replay(
                 mixed_shard_trace(),
-                LiveConfig::with_threads(threads),
-                shards,
+                sharded(shards, LiveConfig::with_threads(threads)),
             );
             assert_eq!(
                 stream_text(&stream),
@@ -98,7 +104,8 @@ fn sharded_replays_are_thread_count_invariant_at_every_shard_count() {
 #[test]
 fn every_outcome_is_shard_stamped_with_global_ids() {
     let shards = 4;
-    let (stream, report) = ShardedQueue::replay(mixed_shard_trace(), LiveConfig::default(), shards);
+    let (stream, report) =
+        LiveQueue::replay(mixed_shard_trace(), sharded(shards, LiveConfig::default()));
     assert_eq!(stream.len(), 6);
     for outcome in &stream {
         let shard = outcome.shard.expect("sharded outcomes carry their shard");
@@ -115,7 +122,7 @@ fn every_outcome_is_shard_stamped_with_global_ids() {
 
 #[test]
 fn pinned_submissions_land_on_their_shard_and_pins_wrap() {
-    let trace = ShardTrace::new()
+    let trace = Trace::new()
         .submit_pinned_at(
             0,
             1,
@@ -127,7 +134,7 @@ fn pinned_submissions_land_on_their_shard_and_pins_wrap() {
             5,
             Request::new(benchmarks::d695(), 16).unwrap().max_tams(2),
         );
-    let (stream, _) = ShardedQueue::replay(trace, LiveConfig::default(), 4);
+    let (stream, _) = LiveQueue::replay(trace, sharded(4, LiveConfig::default()));
     assert_eq!(stream[0].shard, Some(1));
     assert_eq!(stream[1].shard, Some(1));
 }
@@ -136,11 +143,11 @@ fn pinned_submissions_land_on_their_shard_and_pins_wrap() {
 fn work_stealing_spreads_a_hot_fingerprint_across_shards() {
     // Six submissions of one SOC all hash to one home shard; with the
     // steal margin at 2, a drained neighbor must take some of them.
-    let mut trace = ShardTrace::new();
+    let mut trace = Trace::new();
     for _ in 0..6 {
         trace = trace.submit_at(0, Request::new(benchmarks::d695(), 16).unwrap().max_tams(2));
     }
-    let (stream, report) = ShardedQueue::replay(trace, LiveConfig::default(), 2);
+    let (stream, report) = LiveQueue::replay(trace, sharded(2, LiveConfig::default()));
     let shards: std::collections::BTreeSet<usize> =
         stream.iter().map(|o| o.shard.unwrap()).collect();
     assert_eq!(shards.len(), 2, "stealing must engage both shards");
@@ -158,7 +165,7 @@ fn single_shard_replay_matches_the_flat_queue_modulo_stamps() {
             1,
             Request::new(benchmarks::p31108(), 24).unwrap().max_tams(3),
         );
-    let shard_trace = ShardTrace::new()
+    let shard_trace = Trace::new()
         .submit_at(0, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
         .submit_at(0, Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
         .submit_at(
@@ -166,7 +173,7 @@ fn single_shard_replay_matches_the_flat_queue_modulo_stamps() {
             Request::new(benchmarks::p31108(), 24).unwrap().max_tams(3),
         );
     let (_, flat) = LiveQueue::replay(flat_trace, LiveConfig::default());
-    let (_, sharded) = ShardedQueue::replay(shard_trace, LiveConfig::default(), 1);
+    let (_, sharded) = LiveQueue::replay(shard_trace, sharded(1, LiveConfig::default()));
     assert_eq!(flat.outcomes.len(), sharded.outcomes.len());
     for (a, b) in flat.outcomes.iter().zip(&sharded.outcomes) {
         assert_eq!(a.shard, None, "the flat queue never stamps");
@@ -188,16 +195,16 @@ fn warm_incumbents_transfer_across_shards() {
     // shard 1.)
     let request = || Request::new(benchmarks::d695(), 32).unwrap().max_tams(4);
     let trace = || {
-        ShardTrace::new()
+        Trace::new()
             .submit_pinned_at(0, 0, request())
             .submit_pinned_at(0, 1, request())
     };
-    let (_, warm) = ShardedQueue::replay(trace(), LiveConfig::default(), 2);
+    let (_, warm) = LiveQueue::replay(trace(), sharded(2, LiveConfig::default()));
     let cold_config = LiveConfig {
         warm_start: false,
         ..LiveConfig::default()
     };
-    let (_, cold) = ShardedQueue::replay(trace(), cold_config, 2);
+    let (_, cold) = LiveQueue::replay(trace(), sharded(2, cold_config));
     for report in [&warm, &cold] {
         assert_eq!(report.count(RequestStatus::Complete), 2);
     }
@@ -216,8 +223,8 @@ fn warm_incumbents_transfer_across_shards() {
 
 #[test]
 fn sharded_live_queue_streams_routes_and_seals() {
-    let queue = ShardedQueue::start(LiveConfig::default(), 2);
-    assert_eq!(queue.shard_count(), 2);
+    let queue = LiveQueue::start(sharded(2, LiveConfig::default()));
+    assert_eq!(queue.stats().shards.len(), 2);
     let (id0, _) = queue
         .submit(Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
         .unwrap();
@@ -247,7 +254,7 @@ fn sharded_live_queue_streams_routes_and_seals() {
 
 #[test]
 fn sharded_cancel_routes_to_the_owning_shard() {
-    let queue = ShardedQueue::start(LiveConfig::default(), 2);
+    let queue = LiveQueue::start(sharded(2, LiveConfig::default()));
     // A long request keeps one shard busy while we cancel a queued one
     // behind it (the same fingerprint routes both to the same shard).
     queue
@@ -269,7 +276,7 @@ fn sharded_cancel_routes_to_the_owning_shard() {
 #[test]
 fn sharded_stats_report_per_shard_backlogs_with_global_ids() {
     // No submissions yet: every shard reports an empty backlog.
-    let queue = ShardedQueue::start(LiveConfig::default(), 3);
+    let queue = LiveQueue::start(sharded(3, LiveConfig::default()));
     let stats = queue.stats();
     assert_eq!(stats.shards.len(), 3);
     for (i, s) in stats.shards.iter().enumerate() {
@@ -294,7 +301,7 @@ fn sharded_stats_report_per_shard_backlogs_with_global_ids() {
 
 #[test]
 fn empty_sharded_trace_produces_a_valid_empty_report() {
-    let (stream, report) = ShardedQueue::replay(ShardTrace::new(), LiveConfig::default(), 4);
+    let (stream, report) = LiveQueue::replay(Trace::new(), sharded(4, LiveConfig::default()));
     assert!(stream.is_empty());
     assert!(report.outcomes.is_empty());
     assert!(report.complete);
@@ -302,14 +309,14 @@ fn empty_sharded_trace_produces_a_valid_empty_report() {
 
 /// Trace case 30 of `cargo run --example fuzz -- --seed 1`: id 1 is
 /// pinned to shard 2 and cancelled at generation 2.
-fn fuzz_seed1_case30_trace() -> ShardTrace {
+fn fuzz_seed1_case30_trace() -> Trace {
     let request = |soc, width, max_tams, priority| {
         Request::new(soc, width)
             .unwrap()
             .max_tams(max_tams)
             .priority(priority)
     };
-    ShardTrace::new()
+    Trace::new()
         .submit_pinned_at(0, 0, request(benchmarks::p21241(), 23, 1, 0)) // id 0
         .submit_pinned_at(0, 2, request(benchmarks::d695(), 22, 1, 0)) // id 1
         .submit_pinned_at(0, 2, request(benchmarks::p21241(), 14, 3, 8)) // id 2
@@ -343,12 +350,12 @@ fn cancel_timing_may_differ_across_shard_shapes_but_winners_do_not() {
     // shard already has, so it completes there.
     let cancelled = 1;
     let config = || LiveConfig::with_threads(1);
-    let (flat, _) = ServeQueue::replay(fuzz_seed1_case30_trace(), config(), None);
+    let (flat, _) = LiveQueue::replay(fuzz_seed1_case30_trace(), config());
     let flat = winners_by_id(flat);
     assert_eq!(flat[cancelled].0, RequestStatus::Cancelled);
     let mut completed = Vec::new();
     for shards in [1, 2, 4] {
-        let (outcomes, _) = ShardedQueue::replay(fuzz_seed1_case30_trace(), config(), shards);
+        let (outcomes, _) = LiveQueue::replay(fuzz_seed1_case30_trace(), sharded(shards, config()));
         let sharded = winners_by_id(outcomes);
         assert_eq!(sharded.len(), flat.len());
         for (id, (outcome, expected)) in sharded.iter().zip(&flat).enumerate() {

@@ -8,9 +8,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use tamopt_service::{
-    LiveConfig, LiveQueue, Request, RequestOutcome, ShardTrace, ShardedQueue, StoreBinding, Trace,
-};
+use tamopt_service::{LiveConfig, LiveQueue, Request, RequestOutcome, StoreBinding, Trace};
 use tamopt_soc::benchmarks;
 use tamopt_store::{Store, StoreConfig};
 
@@ -208,7 +206,7 @@ fn flat_replay_grid_is_byte_identical_with_a_prepopulated_store() {
 #[test]
 fn sharded_replay_grid_is_byte_identical_with_a_prepopulated_store() {
     let trace = || {
-        ShardTrace::new()
+        Trace::new()
             .submit_at(0, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
             .submit_at(0, Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
             .submit_at(
@@ -232,9 +230,10 @@ fn sharded_replay_grid_is_byte_identical_with_a_prepopulated_store() {
             std::fs::write(&copy.path, &snapshot).unwrap();
             let config = LiveConfig {
                 store: Some(copy.open()),
+                shards: Some(shards),
                 ..LiveConfig::with_threads(threads)
             };
-            let (stream, report) = ShardedQueue::replay(trace(), config, shards);
+            let (stream, report) = LiveQueue::replay(trace(), config);
             (stream_text(&stream), stable_lines(&report.to_json()))
         };
         let reference = run(1);

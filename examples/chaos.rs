@@ -256,14 +256,13 @@ impl Session {
 fn check_replay(s: &mut Session, id: u64, scenario: &Scenario) {
     let chaos = scenario.to_chaos();
     for shards in [None, Some(1), Some(2), Some(4)] {
-        let reference = replay(&chaos, LiveConfig::with_threads(1), shards, &net_parse);
+        let config = |threads| LiveConfig {
+            shards,
+            ..LiveConfig::with_threads(threads)
+        };
+        let reference = replay(&chaos, config(1), &net_parse);
         for threads in [2, 8] {
-            let run = replay(
-                &chaos,
-                LiveConfig::with_threads(threads),
-                shards,
-                &net_parse,
-            );
+            let run = replay(&chaos, config(threads), &net_parse);
             if run.transcripts != reference.transcripts {
                 s.fail(
                     id,
@@ -377,7 +376,11 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
             return;
         }
     };
-    let server = NetServer::start(LiveConfig::with_threads(2), shards, listener, parser);
+    let config = LiveConfig {
+        shards,
+        ..LiveConfig::with_threads(2)
+    };
+    let server = NetServer::start(config, listener, parser);
     let addr = server.addr().to_owned();
 
     // Connect sequentially, reading each greeting before the next

@@ -9,8 +9,8 @@
 //!   the serve grammar): split, merged, oversized and interleaved
 //!   lines must frame chunking-invariantly and answer with error
 //!   lines — never a panic or a wedged connection,
-//! * whole tagged submit/cancel **traces** ([`tamopt::service::Trace`]
-//!   / [`ShardTrace`]): structure-aware generation whose oracle is the
+//! * whole tagged submit/cancel **traces** ([`tamopt::service::Trace`]):
+//!   structure-aware generation whose oracle is the
 //!   workspace invariant itself — replays are byte-identical across
 //!   threads and winner-identical across shard shapes (a cancelled id
 //!   only where it completes), a store-backed
@@ -43,7 +43,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use tamopt::cli::{parse_manifest, parse_serve_line};
 use tamopt::service::{
     error_line, Frame, LineFramer, LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus,
-    ShardTrace, ShardedQueue, StoreBinding, Trace, MAX_LINE_LEN,
+    StoreBinding, Trace, MAX_LINE_LEN,
 };
 use tamopt::soc::itc02::{parse_itc02, write_itc02};
 use tamopt::soc::{
@@ -507,13 +507,12 @@ fn fuzz_net(s: &mut Session, iters: u64) {
 }
 
 /// One event of a generated trace, kept structured so the same steps
-/// build a flat [`Trace`], a [`ShardTrace`], a journal record stream
-/// and a failure artifact.
+/// build a [`Trace`], a journal record stream and a failure artifact.
 enum TraceStep {
     Submit {
         generation: u32,
         request: Request,
-        /// Explicit shard pin for the sharded builds (`None` = routed).
+        /// Explicit shard pin (`None` = routed; one shard ignores it).
         pin: Option<usize>,
     },
     Cancel {
@@ -557,33 +556,20 @@ fn gen_trace_steps(rng: &mut StdRng) -> Vec<TraceStep> {
     steps
 }
 
-fn flat_trace(steps: &[TraceStep]) -> Trace {
+fn trace(steps: &[TraceStep]) -> Trace {
     steps.iter().fold(Trace::new(), |trace, step| match step {
         TraceStep::Submit {
             generation,
             request,
-            ..
+            pin: Some(shard),
+        } => trace.submit_pinned_at(*generation, *shard, request.clone()),
+        TraceStep::Submit {
+            generation,
+            request,
+            pin: None,
         } => trace.submit_at(*generation, request.clone()),
         TraceStep::Cancel { generation, id } => trace.cancel_at(*generation, *id),
     })
-}
-
-fn shard_trace(steps: &[TraceStep]) -> ShardTrace {
-    steps
-        .iter()
-        .fold(ShardTrace::new(), |trace, step| match step {
-            TraceStep::Submit {
-                generation,
-                request,
-                pin: Some(shard),
-            } => trace.submit_pinned_at(*generation, *shard, request.clone()),
-            TraceStep::Submit {
-                generation,
-                request,
-                pin: None,
-            } => trace.submit_at(*generation, request.clone()),
-            TraceStep::Cancel { generation, id } => trace.cancel_at(*generation, *id),
-        })
 }
 
 /// Human-readable step list, the failure artifact for this surface.
@@ -683,10 +669,12 @@ fn completed_evals(outcome: &RequestOutcome) -> u64 {
 }
 
 /// A fresh [`LiveConfig`] for trace replay, optionally store-backed.
-fn trace_config(threads: usize, store: Option<StoreBinding>) -> LiveConfig {
-    let mut config = LiveConfig::with_threads(threads);
-    config.store = store;
-    config
+fn trace_config(threads: usize, shards: Option<usize>, store: Option<StoreBinding>) -> LiveConfig {
+    LiveConfig {
+        shards,
+        store,
+        ..LiveConfig::with_threads(threads)
+    }
 }
 
 fn fuzz_trace(s: &mut Session, iters: u64) {
@@ -696,7 +684,7 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
     for case in 0..iters {
         let steps = gen_trace_steps(&mut s.rng);
         let artifact = render_steps(&steps);
-        let (reference, _) = LiveQueue::replay(flat_trace(&steps), trace_config(1, None));
+        let (reference, _) = LiveQueue::replay(trace(&steps), trace_config(1, None, None));
         let cold_lines: Vec<String> = reference.iter().map(RequestOutcome::to_json_line).collect();
         // Streams interleave cancellations and completions; key the
         // winner views by submission id so differently-ordered streams
@@ -705,7 +693,7 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
 
         // Oracle 1a: flat replay is byte-identical across threads.
         for threads in [2, 8] {
-            let (outcomes, _) = LiveQueue::replay(flat_trace(&steps), trace_config(threads, None));
+            let (outcomes, _) = LiveQueue::replay(trace(&steps), trace_config(threads, None, None));
             let lines: Vec<String> = outcomes.iter().map(RequestOutcome::to_json_line).collect();
             if lines != cold_lines {
                 s.fail(
@@ -740,12 +728,11 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
             &mut cancelled_winners,
         );
         for shards in [1, 2, 4] {
-            let (base, _) =
-                ShardedQueue::replay(shard_trace(&steps), trace_config(1, None), shards);
+            let (base, _) = LiveQueue::replay(trace(&steps), trace_config(1, Some(shards), None));
             let base_lines: Vec<String> = base.iter().map(RequestOutcome::to_json_line).collect();
             for threads in [2, 8] {
                 let (outcomes, _) =
-                    ShardedQueue::replay(shard_trace(&steps), trace_config(threads, None), shards);
+                    LiveQueue::replay(trace(&steps), trace_config(threads, Some(shards), None));
                 let lines: Vec<String> =
                     outcomes.iter().map(RequestOutcome::to_json_line).collect();
                 if lines != base_lines {
@@ -840,8 +827,8 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
             .collect();
         let warm_binding = StoreBinding::new(Store::in_memory(StoreConfig::default()));
         let _ = LiveQueue::replay(
-            flat_trace(&prefix),
-            trace_config(2, Some(warm_binding.clone())),
+            trace(&prefix),
+            trace_config(2, None, Some(warm_binding.clone())),
         );
         let bytes = warm_binding.store.lock().map(|store| store.to_bytes());
         let revived = bytes
@@ -857,7 +844,7 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
             Some(revived) => {
                 let binding = StoreBinding::new(revived);
                 let (warm, _) =
-                    LiveQueue::replay(flat_trace(&steps), trace_config(2, Some(binding)));
+                    LiveQueue::replay(trace(&steps), trace_config(2, None, Some(binding)));
                 if winners_by_id(&warm) != cold_winners {
                     s.fail(
                         "trace",
