@@ -3,12 +3,11 @@
 //! The live front-end ([`crate::net`]) is inherently racy: outcome
 //! interleavings across sockets depend on the scheduler. This module is
 //! its deterministic twin — the multi-client extension of
-//! [`LiveQueue::replay`](crate::LiveQueue::replay): every client is a
-//! **script** of generation-tagged raw protocol lines plus an optional
-//! mid-run disconnect, and [`replay`] compiles the scripts into one
-//! [`Trace`](crate::Trace), replayed by
-//! [`LiveQueue::replay`](crate::LiveQueue::replay), with exactly the
-//! semantics the socket server applies live:
+//! [`LiveQueue::replay`]: every client is a **script** of
+//! generation-tagged raw protocol lines plus an optional mid-run
+//! disconnect, and [`replay`] compiles the scripts into one [`Trace`],
+//! replayed by [`LiveQueue::replay`], with exactly the semantics the
+//! socket server applies live:
 //!
 //! * submissions get global ids in merge order (generation, then
 //!   client, then script position) and local per-client ids in script
@@ -40,7 +39,7 @@ use crate::report::{BatchReport, RequestOutcome};
 
 /// One scripted client: generation-tagged protocol lines and an
 /// optional disconnect. Generations are lower bounds exactly as in
-/// [`Trace`](crate::Trace); events keep script order within a generation.
+/// [`Trace`]; events keep script order within a generation.
 #[derive(Debug, Clone, Default)]
 pub struct ClientScript {
     events: Vec<(u32, ScriptEvent)>,

@@ -15,7 +15,7 @@
 //! # Routing and work stealing
 //!
 //! The home shard of a request is `fingerprint % N`. Routing is decided
-//! once, at submission time, by [`route`]: when the home shard already
+//! once, at submission time, by `route`: when the home shard already
 //! holds [`STEAL_MARGIN`] more requests than the least-loaded shard, the
 //! request is *stolen* by that least-loaded shard (lowest shard id on
 //! ties) — a drained shard never idles while another's backlog grows. A
