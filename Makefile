@@ -70,7 +70,6 @@ chaos-soak:
 determinism: serve-determinism shard-determinism store-determinism \
              recovery-determinism
 	cargo test --release -p tamopt_partition --test determinism
-	cargo test --release -p tamopt_rail --test determinism
 	cargo test --release -p tamopt_service --test batch
 	cargo build --release -p tamopt
 	set -o pipefail; \

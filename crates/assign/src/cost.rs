@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use tamopt_wrapper::TimeTable;
 
 use crate::{AssignError, TamSet};
@@ -10,7 +9,7 @@ use crate::{AssignError, TamSet};
 /// (Figure 1 line 6 of the paper: "Find `T_c(w_b)` using
 /// `Design_wrapper`"); [`CostMatrix::from_raw`] accepts a verbatim
 /// matrix for cases like the paper's Figure 2 example.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostMatrix {
     /// `costs[core][tam]`.
     costs: Vec<Vec<u64>>,

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::CostMatrix;
 
 /// A complete assignment of cores to TAMs with its derived testing
 /// times — the solution form of problem *P_AW*.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssignResult {
     assignment: Vec<usize>,
     tam_times: Vec<u64>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::AssignError;
 
 /// A set of test access mechanisms (TAMs), each with a fixed width in
@@ -21,7 +19,7 @@ use crate::AssignError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TamSet {
     widths: Vec<u32>,
 }

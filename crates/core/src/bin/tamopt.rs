@@ -6,13 +6,13 @@
 //!          --width <W> [--max-tams <B>] [--tams <B>]
 //!          [--strategy two-step|two-step-ilp|heuristic|exhaustive]
 //!          [--threads <N>] [--time-limit <seconds>]
-//!          [--analyze] [--gantt] [--svg <out.svg>] [--rail]
+//!          [--analyze]
 //!
 //!   tamopt batch <manifest> [--threads <N>] [--time-limit <seconds>]
 //!                [--out <report.json>] [--store <file.tamstore>]
 //!
 //!   tamopt serve [--threads <N>] [--time-limit <seconds>]
-//!                [--no-warm-start] [--aging <rate>]
+//!                [--no-warm-start] [--aging <rate>] [--shards <N>]
 //!                [--store <file.tamstore>] [--journal <file.tamjrnl>]
 //!                [--sync always|interval[:N]|never] [--break-locks]
 //!                [--max-pending <N>] [--max-inflight <N>] [--max-budget <nodes>]
@@ -25,8 +25,7 @@
 //! tamopt --soc d695 --width 32 --max-tams 4
 //! tamopt --soc p93791 --width 64 --max-tams 10 --threads 4 --time-limit 5
 //! tamopt --soc my_chip.soc --width 48 --tams 3 --strategy exhaustive
-//! tamopt --soc d695 --width 48 --max-tams 6 --analyze --gantt --rail
-//! tamopt --soc p21241 --width 64 --max-tams 6 --svg schedule.svg
+//! tamopt --soc d695 --width 48 --max-tams 6 --analyze
 //! tamopt batch examples/batch.manifest --threads 4
 //! tamopt serve --threads 4 < examples/serve.trace
 //! ```
@@ -89,9 +88,6 @@ use tamopt::analysis::UtilizationReport;
 use tamopt::cli::{
     parse_manifest, parse_serve_line, parse_threads, parse_time_limit, ServeLine, ServeTag,
 };
-use tamopt::cost::{BusCost, GateWeights};
-use tamopt::rail::{design_rails, RailConfig, RailCostModel};
-use tamopt::schedule::TestSchedule;
 use tamopt::service::{
     BatchConfig, JournalBinding, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions,
     NetServer, Request, RequestOutcome, RequestStatus, StoreBinding, SubmitError, Trace,
@@ -112,9 +108,6 @@ struct Args {
     threads: usize,
     time_limit: Option<Duration>,
     analyze: bool,
-    gantt: bool,
-    svg: Option<String>,
-    rail: bool,
 }
 
 fn usage() -> &'static str {
@@ -122,9 +115,12 @@ fn usage() -> &'static str {
      [--max-tams <B>] [--tams <B>] \
      [--strategy two-step|two-step-ilp|heuristic|exhaustive] \
      [--threads <N, 0 = all CPUs>] [--time-limit <seconds>] \
-     [--analyze] [--gantt] [--svg <out.svg>] [--rail]\n\
+     [--analyze]\n\
      or:    tamopt batch <manifest> [--threads <N>] [--time-limit <seconds>] \
-     [--out <report.json>]"
+     [--out <report.json>] [--store <file.tamstore>]\n\
+     or:    tamopt serve [--threads <N>] [--time-limit <seconds>] [--store <file.tamstore>] \
+     [--journal <file.tamjrnl>] [--listen <ip:port> | --socket <path>] ...\n\
+     run `tamopt batch --help` or `tamopt serve --help` for their full flag lists"
 }
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -137,9 +133,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut threads = 1usize;
     let mut time_limit = None;
     let mut analyze = false;
-    let mut gantt = false;
-    let mut svg = None;
-    let mut rail = false;
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| {
             argv.next()
@@ -185,9 +178,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--threads" => threads = parse_threads(&value("--threads")?)?,
             "--time-limit" => time_limit = Some(parse_time_limit(&value("--time-limit")?)?),
             "--analyze" => analyze = true,
-            "--gantt" => gantt = true,
-            "--svg" => svg = Some(value("--svg")?),
-            "--rail" => rail = true,
             "--help" | "-h" => return Err(usage().to_owned()),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
@@ -202,9 +192,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         threads,
         time_limit,
         analyze,
-        gantt,
-        svg,
-        rail,
     })
 }
 
@@ -1008,7 +995,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut optimizer = CoOptimizer::new(soc.clone(), args.width)
+    let mut optimizer = CoOptimizer::new(soc, args.width)
         .min_tams(args.min_tams)
         .strategy(args.strategy)
         .threads(args.threads);
@@ -1031,50 +1018,6 @@ fn main() -> ExitCode {
     if args.analyze {
         println!();
         print!("{}", UtilizationReport::new(&arch));
-        let cost = BusCost::of(&arch);
-        println!(
-            "hardware: {} boundary cells, {} mux2 equivalents, {} wire attachments \
-             ({:.0} gate equivalents)",
-            cost.boundary_cells,
-            cost.mux_equivalents,
-            cost.wire_attachments,
-            cost.gate_equivalents(&GateWeights::default())
-        );
-    }
-    if args.gantt {
-        println!();
-        print!("{}", TestSchedule::serial(&arch).gantt(72));
-    }
-    if let Some(path) = &args.svg {
-        let svg = TestSchedule::serial(&arch).to_svg(900);
-        if let Err(e) = std::fs::write(path, svg) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nschedule written to {path}");
-    }
-    if args.rail {
-        let max_rails = args.fixed_tams.or(args.max_tams).unwrap_or(6);
-        let comparison = RailCostModel::new(&soc, args.width)
-            .map_err(|e| e.to_string())
-            .and_then(|model| {
-                design_rails(&model, args.width, &RailConfig::up_to_rails(max_rails))
-                    .map_err(|e| e.to_string())
-            });
-        match comparison {
-            Ok(design) => {
-                println!();
-                print!("{}", design.report());
-                println!(
-                    "  bypass tax   : {:+.1} % vs the test-bus architecture",
-                    (design.soc_time() as f64 / arch.soc_time() as f64 - 1.0) * 100.0
-                );
-            }
-            Err(e) => {
-                eprintln!("testrail comparison failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     ExitCode::SUCCESS
 }
@@ -1138,26 +1081,18 @@ mod tests {
             "--strategy",
             "exhaustive",
             "--analyze",
-            "--gantt",
-            "--svg",
-            "out.svg",
-            "--rail",
         ])
         .unwrap();
         assert_eq!(a.min_tams, 2);
         assert_eq!(a.max_tams, Some(6));
         assert_eq!(a.strategy, Strategy::Exhaustive);
         assert!(a.analyze);
-        assert!(a.gantt);
-        assert_eq!(a.svg.as_deref(), Some("out.svg"));
-        assert!(a.rail);
     }
 
     #[test]
     fn report_flags_default_off() {
         let a = args(&["--soc", "d695", "--width", "32"]).unwrap();
-        assert!(!a.analyze && !a.gantt && !a.rail);
-        assert!(a.svg.is_none());
+        assert!(!a.analyze);
     }
 
     #[test]
@@ -1168,6 +1103,9 @@ mod tests {
         assert!(args(&["--soc", "d695"])
             .unwrap_err()
             .contains("--width is required"));
+        assert!(args(&["--width", "32"])
+            .unwrap_err()
+            .contains("tamopt serve"));
     }
 
     #[test]

@@ -5,8 +5,6 @@ use tamopt_assign::AssignError;
 use tamopt_partition::PartitionError;
 use tamopt_wrapper::WrapperError;
 
-use crate::schedule::ScheduleError;
-
 /// Top-level error type of the `tamopt` facade.
 ///
 /// Wraps the layer-specific errors so that [`crate::CoOptimizer::run`]
@@ -20,8 +18,6 @@ pub enum TamOptError {
     Assign(AssignError),
     /// Partition optimization failed (validation or solver).
     Partition(PartitionError),
-    /// Power-aware scheduling failed (missing or oversized ratings).
-    Schedule(ScheduleError),
     /// A frontier sweep specification produced no widths: zero stride,
     /// an empty range, or a range starting at width 0.
     InvalidFrontier {
@@ -40,7 +36,6 @@ impl fmt::Display for TamOptError {
             TamOptError::Wrapper(e) => write!(f, "wrapper design: {e}"),
             TamOptError::Assign(e) => write!(f, "core assignment: {e}"),
             TamOptError::Partition(e) => write!(f, "partition optimization: {e}"),
-            TamOptError::Schedule(e) => write!(f, "power scheduling: {e}"),
             TamOptError::InvalidFrontier {
                 min_width,
                 max_width,
@@ -59,15 +54,8 @@ impl Error for TamOptError {
             TamOptError::Wrapper(e) => Some(e),
             TamOptError::Assign(e) => Some(e),
             TamOptError::Partition(e) => Some(e),
-            TamOptError::Schedule(e) => Some(e),
             TamOptError::InvalidFrontier { .. } => None,
         }
-    }
-}
-
-impl From<ScheduleError> for TamOptError {
-    fn from(e: ScheduleError) -> Self {
-        TamOptError::Schedule(e)
     }
 }
 

@@ -47,25 +47,16 @@
 //! | [`service`] | batched + live multi-SOC request queues on one worker pool | extension |
 //! | [`store`] | persistent, versioned, crash-safe warm-start store | extension |
 //! | [`lp`], [`ilp`] | simplex + branch-and-bound substrate (lpsolve stand-in) | — |
-//! | [`rail`] | TestRail (daisy-chain) model of the paper's ref [11] | extension |
 //! | [`analysis`] | idle-wire / utilization metrics behind the paper's motivation | extension |
-//! | [`schedule`] | serial + power-capped test schedules, Gantt/SVG rendering | extension |
-//! | [`power`] | power-aware co-optimization (the paper's refs [9, 13]) | extension |
-//! | [`cost`] | first-order DFT area accounting (bus muxes vs rail bypasses) | extension |
-//! | [`classic`] | multiplexing / distribution baselines (the paper's ref [1]) | extension |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
 mod architecture;
-pub mod classic;
-pub mod cost;
 mod error;
 mod optimizer;
-pub mod power;
 mod query;
-pub mod schedule;
 
 pub mod cli;
 
@@ -95,13 +86,6 @@ pub mod assign {
 /// [`tamopt_partition`]).
 pub mod partition {
     pub use tamopt_partition::*;
-}
-
-/// TestRail (daisy-chain) architecture model and optimizer, the
-/// alternative to the paper's test-bus model (re-export of
-/// [`tamopt_rail`]).
-pub mod rail {
-    pub use tamopt_rail::*;
 }
 
 /// Deterministic parallel search engine: the unified [`SearchBudget`],

@@ -175,7 +175,8 @@ pub struct DedupStats {
 
 /// Runs the enumeration-comparison method for `total` over `parts`.
 /// Kept as a baseline to quantify why the canonical enumeration of
-/// [`Partitions`] wins; see `bench_ablation`.
+/// [`Partitions`] wins; the unit test
+/// `dedup_work_explodes_relative_to_canonical` measures the gap.
 ///
 /// # Example
 ///

@@ -17,7 +17,6 @@
 //! included). A [`SearchBudget`] bounds the whole scan; a truncated run
 //! still returns the best partition of the generations that finished.
 
-use serde::{Deserialize, Serialize};
 use tamopt_assign::{
     core_assign_widths, AssignResult, AssignScratch, CoreAssignOptions, TamSet, TimeColumns,
 };
@@ -35,7 +34,7 @@ use crate::PartitionError;
 /// [`crate::exhaustive::ExhaustiveResult::stats`] reuses the type with
 /// **branch-and-bound nodes**. Do not merge statistics across searches
 /// with different units.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Unique partitions enumerated (pruning level 1 already applied).
     pub enumerated: u64,

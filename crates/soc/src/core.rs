@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::SocError;
 
 /// Classification of a core by its test interface, following the paper's
@@ -24,7 +22,7 @@ use crate::SocError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoreKind {
     /// Scan-testable logic core (one or more internal scan chains).
     Logic,
@@ -67,7 +65,7 @@ impl std::fmt::Display for CoreKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Core {
     name: String,
     inputs: u32,

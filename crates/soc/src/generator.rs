@@ -34,7 +34,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{Core, CoreKind, Soc, SocError};
 
@@ -42,7 +41,7 @@ use crate::{Core, CoreKind, Soc, SocError};
 /// Tables 4, 8, 14 (“Logic cores” / “Memory cores”).
 ///
 /// All ranges are inclusive `(min, max)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreClass {
     /// Name prefix for generated cores (`<prefix><index>`).
     pub prefix: String,
@@ -138,7 +137,7 @@ impl CoreClass {
 }
 
 /// Deterministic specification of a synthetic SOC.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocSpec {
     name: String,
     seed: u64,
@@ -430,7 +429,7 @@ fn sample_log_u64(range: (u64, u64), rng: &mut StdRng) -> u64 {
 
 /// Observed min/max statistics of one core kind within an SOC — the
 /// "Number range" rows of the paper's Tables 4, 8 and 14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindRanges {
     /// Number of cores of this kind.
     pub count: usize,

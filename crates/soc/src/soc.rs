@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{complexity, Core, CoreKind, SocError};
 
 /// A system-on-chip under test: a named, ordered collection of embedded
@@ -19,7 +17,7 @@ use crate::{complexity, Core, CoreKind, SocError};
 /// // The complexity number is what names the SOC.
 /// assert!((600..800).contains(&d695.complexity_number()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Soc {
     name: String,
     cores: Vec<Core>,
@@ -377,15 +375,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn debug_output_names_the_core() {
         let soc = Soc::builder("s").core(core("a", 7)).build().unwrap();
-        let json = serde_json_like(&soc);
-        assert!(json.contains('a'));
-    }
-
-    // serde_json is not a workspace dependency; exercise Serialize via the
-    // compact debug of the serde data model instead.
-    fn serde_json_like(soc: &Soc) -> String {
-        format!("{soc:?}")
+        assert!(format!("{soc:?}").contains("name: \"a\""));
     }
 }

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use tamopt_soc::Core;
 
 use crate::{testing_time, WrapperError};
@@ -10,7 +9,7 @@ use crate::{testing_time, WrapperError};
 /// and then its scan cells (`scan_in_length`); on the scan-out path the
 /// response shifts through the scan cells and then the output cells
 /// (`scan_out_length`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainLayout {
     /// Lengths of the internal scan chains threaded through this wrapper
     /// chain, in threading order.
@@ -50,7 +49,7 @@ impl ChainLayout {
 /// [`test_time`](WrapperDesign::test_time) (priority 1 of the paper's
 /// `Design_wrapper`) and [`used_width`](WrapperDesign::used_width)
 /// (priority 2: TAM wires that actually carry a non-empty chain).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrapperDesign {
     width: u32,
     chains: Vec<ChainLayout>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use tamopt_soc::Soc;
 
 use crate::{time_row, WrapperError};
@@ -29,7 +28,7 @@ use crate::{time_row, WrapperError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeTable {
     /// `times[core][width - 1]`.
     times: Vec<Vec<u64>>,

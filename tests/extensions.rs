@@ -1,20 +1,11 @@
-//! Cross-crate integration tests of the extension layers — utilization
-//! analysis, the TestRail model, power-aware co-optimization and the
-//! scenario generators — composed on top of the paper-reproduction
-//! pipeline.
+//! Cross-crate integration tests of the layers beyond the paper's
+//! tables — the idle-wire utilization analysis behind its motivation
+//! and the scenario generators — composed on top of the
+//! paper-reproduction pipeline.
 
 use tamopt_repro::analysis::UtilizationReport;
-use tamopt_repro::power::{co_optimize_with_power, PowerConfig};
-use tamopt_repro::rail::{design_rails, RailConfig, RailCostModel};
-use tamopt_repro::schedule::TestSchedule;
 use tamopt_repro::soc::scenarios;
-use tamopt_repro::{benchmarks, CoOptimizer, Soc, Strategy};
-
-fn powers(soc: &Soc) -> Vec<f64> {
-    soc.iter()
-        .map(|c| 1.0 + c.scan_cells() as f64 / 500.0)
-        .collect()
-}
+use tamopt_repro::{benchmarks, CoOptimizer};
 
 #[test]
 fn analysis_accounts_for_the_full_wire_cycle_budget_on_every_benchmark() {
@@ -36,54 +27,6 @@ fn analysis_accounts_for_the_full_wire_cycle_budget_on_every_benchmark() {
 }
 
 #[test]
-fn rail_architectures_cost_at_least_the_bus_exact_optimum() {
-    // On a fixed partition with the same assignment space, the rail
-    // model adds non-negative bypass penalties, so the *exact* bus
-    // optimum lower-bounds any rail architecture at the same width.
-    let soc = benchmarks::d695();
-    for width in [16u32, 32] {
-        let bus_exact = CoOptimizer::new(soc.clone(), width)
-            .max_tams(4)
-            .strategy(Strategy::Exhaustive)
-            .run()
-            .expect("exhaustive is feasible on d695 at B <= 4");
-        let model = RailCostModel::new(&soc, width).expect("positive width");
-        let rails = design_rails(&model, width, &RailConfig::up_to_rails(4))
-            .expect("feasible partitions exist");
-        assert!(
-            rails.soc_time() >= bus_exact.soc_time(),
-            "W={width}: rail {} beat the exact bus optimum {}",
-            rails.soc_time(),
-            bus_exact.soc_time()
-        );
-    }
-}
-
-#[test]
-fn power_coopt_dominates_decoupled_flow_across_caps() {
-    let soc = benchmarks::d695();
-    let powers = powers(&soc);
-    let plain = CoOptimizer::new(soc.clone(), 24)
-        .max_tams(3)
-        .strategy(Strategy::Heuristic)
-        .run()
-        .expect("heuristic run succeeds");
-    for cap in [5.0f64, 7.0, 10.0] {
-        let decoupled = tamopt_repro::schedule::schedule_with_power_cap(&plain, &powers, cap)
-            .expect("all cores fit under these caps");
-        let co = co_optimize_with_power(&soc, 24, &powers, &PowerConfig::new(cap, 3))
-            .expect("same caps are feasible");
-        assert!(
-            co.capped_makespan() <= decoupled.makespan(),
-            "cap {cap}: co-opt {} worse than decoupled {}",
-            co.capped_makespan(),
-            decoupled.makespan()
-        );
-        assert!(co.schedule.peak_power(&powers) <= cap + 1e-9);
-    }
-}
-
-#[test]
 fn scenarios_run_through_the_full_pipeline() {
     let socs = [
         scenarios::logic_heavy(12, 99).expect("valid"),
@@ -97,17 +40,6 @@ fn scenarios_run_through_the_full_pipeline() {
             .run()
             .unwrap_or_else(|e| panic!("{}: {e}", soc.name()));
         assert_eq!(arch.tams.total_width(), 24, "{}", soc.name());
-        // The schedule view agrees with the architecture.
-        let schedule = TestSchedule::serial(&arch);
-        assert_eq!(schedule.makespan(), arch.soc_time(), "{}", soc.name());
-        // The SVG report renders for every scenario.
-        let svg = schedule.to_svg(400);
-        assert_eq!(
-            svg.matches("<title>core ").count(),
-            soc.num_cores(),
-            "{}",
-            soc.name()
-        );
     }
 }
 
@@ -146,25 +78,4 @@ fn uniform_scenario_prefers_equal_partitions() {
         "uniform cores should get near-uniform TAMs, got {}",
         arch.tams
     );
-}
-
-#[test]
-fn rail_and_bus_report_the_same_vocabulary() {
-    // The two architecture reports can be diffed side by side: both use
-    // the paper's partition notation and 1-based assignment vectors.
-    let soc = benchmarks::d695();
-    let bus = CoOptimizer::new(soc.clone(), 16)
-        .max_tams(3)
-        .run()
-        .expect("valid");
-    let model = RailCostModel::new(&soc, 16).expect("positive width");
-    let rail = design_rails(&model, 16, &RailConfig::up_to_rails(3)).expect("feasible");
-    let bus_report = bus.report();
-    let rail_report = rail.report();
-    for report in [&bus_report, &rail_report] {
-        assert!(report.contains("testing time"));
-        assert!(report.contains("(1") || report.contains("(2") || report.contains("(3"));
-    }
-    assert!(bus_report.contains("TAM 1"));
-    assert!(rail_report.contains("rail 1"));
 }

@@ -1,7 +1,9 @@
-//! Integration tests for the `.soc` exchange format across the stack:
-//! parse → optimize → export → re-parse → re-optimize must agree.
+//! Integration tests for the `.soc` and ITC'02 exchange formats across
+//! the stack: parse → optimize → export → re-parse → re-optimize must
+//! agree.
 
 use tamopt_repro::soc::format::{parse_soc, write_soc};
+use tamopt_repro::soc::itc02::{parse_itc02, write_itc02};
 use tamopt_repro::{benchmarks, CoOptimizer};
 
 #[test]
@@ -59,5 +61,22 @@ fn complexity_number_stable_across_roundtrip() {
     for soc in benchmarks::all() {
         let reparsed = parse_soc(&write_soc(&soc)).expect("round-trip parses");
         assert_eq!(reparsed.complexity_number(), soc.complexity_number());
+    }
+}
+
+#[test]
+fn itc02_roundtrip_preserves_optimization() {
+    for soc in benchmarks::all() {
+        let reparsed = parse_itc02(&write_itc02(&soc)).expect("own output parses");
+        assert_eq!(reparsed, soc);
+        let a = CoOptimizer::new(soc.clone(), 16)
+            .max_tams(2)
+            .run()
+            .expect("valid run");
+        let b = CoOptimizer::new(reparsed, 16)
+            .max_tams(2)
+            .run()
+            .expect("valid run");
+        assert_eq!(a.soc_time(), b.soc_time(), "{}", soc.name());
     }
 }

@@ -1,12 +1,9 @@
-//! Property-based tests of the extension layers on randomly generated
-//! scenario SOCs: the wire-cycle decomposition of the analysis module,
-//! the power co-optimization invariants, and the rail/bus ordering.
+//! Property-based tests of the layers beyond the paper's tables on
+//! randomly generated scenario SOCs: the wire-cycle decomposition of
+//! the analysis module.
 
 use proptest::prelude::*;
 use tamopt_repro::analysis::UtilizationReport;
-use tamopt_repro::power::{co_optimize_with_power, PowerConfig};
-use tamopt_repro::rail::{design_rails, RailConfig, RailCostModel};
-use tamopt_repro::schedule::TestSchedule;
 use tamopt_repro::soc::scenarios;
 use tamopt_repro::Strategy as OptStrategy;
 use tamopt_repro::{CoOptimizer, Soc};
@@ -27,8 +24,7 @@ fn arb_soc() -> impl Strategy<Value = Soc> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// used + idle-wire waste + slack always equals the W x T budget,
-    /// and the schedule view agrees with the architecture.
+    /// used + idle-wire waste + slack always equals the W x T budget.
     #[test]
     fn wire_cycle_budget_decomposes(soc in arb_soc(), width in 8u32..33, max_tams in 1u32..5) {
         let arch = CoOptimizer::new(soc, width)
@@ -43,46 +39,5 @@ proptest! {
                 + report.slack_wire_cycles(),
             report.capacity_wire_cycles()
         );
-        prop_assert_eq!(TestSchedule::serial(&arch).makespan(), arch.soc_time());
-    }
-
-    /// The power co-optimizer never violates its cap and never beats
-    /// physics: its capped makespan is at least the unconstrained time
-    /// of its own architecture.
-    #[test]
-    fn power_coopt_invariants(soc in arb_soc(), width in 8u32..25) {
-        let powers: Vec<f64> =
-            soc.iter().map(|c| 1.0 + c.scan_cells() as f64 / 400.0).collect();
-        let hungriest = powers.iter().cloned().fold(f64::MIN, f64::max);
-        let cap = hungriest * 1.5;
-        let result = co_optimize_with_power(&soc, width, &powers, &PowerConfig::new(cap, 3))
-            .expect("every core fits under 1.5x the hungriest");
-        prop_assert!(result.schedule.peak_power(&powers) <= cap + 1e-9);
-        prop_assert!(result.capped_makespan() >= result.unconstrained_time());
-        // Every core scheduled exactly once.
-        let mut seen: Vec<usize> =
-            result.schedule.entries().iter().map(|e| e.core).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..soc.num_cores()).collect::<Vec<_>>());
-    }
-
-    /// A rail design never beats the bus bottleneck bound at the same
-    /// width, and its reported time recomputes from its assignment.
-    #[test]
-    fn rail_respects_bus_bounds(soc in arb_soc(), width in 4u32..25) {
-        let model = RailCostModel::new(&soc, width).expect("positive width");
-        let design = design_rails(&model, width, &RailConfig::up_to_rails(3))
-            .expect("W >= 4 admits partitions");
-        let bottleneck = (0..model.num_cores())
-            .map(|c| model.bus_time(c, width))
-            .max()
-            .expect("non-empty soc");
-        prop_assert!(design.soc_time() >= bottleneck);
-        let recomputed = tamopt_repro::rail::RailAssignment::from_assignment(
-            design.assignment.assignment().to_vec(),
-            &model,
-            &design.rails,
-        );
-        prop_assert_eq!(recomputed.soc_time(), design.soc_time());
     }
 }
