@@ -66,7 +66,7 @@ fn allocations() -> u64 {
 }
 
 /// Allocations the d695 `W = 32`, `B <= 4` scan may make beyond one per
-/// enumerated partition (351): the bound vector, the table's time
+/// enumerated partition (351): the abort gate's table, the time
 /// columns, the engine's chunk and slot buffers, per-worker scratch
 /// warm-up and the TAM sets and results of candidates entering the
 /// ranking. The count is deterministic, and this is exactly what it
@@ -74,10 +74,12 @@ fn allocations() -> u64 {
 const SCAN_OVERHEAD_ALLOCATIONS: u64 = 92;
 
 /// The same allowance for the d695 `W = 64`, `B <= 6` scan (26207
-/// partitions, 1811 skipped by the bound gate, 82 completed), measured
-/// exactly. A per-partition cost matrix or a matrix cache would add
-/// allocations per scored partition: the memo this replaced made 85103
-/// allocations on this scan, about 2.2 per partition beyond the
+/// partitions, 82 completed), measured exactly. It does not depend on
+/// how many partitions the abort gate skips: the gate's table replaced
+/// the bottleneck-bound vector one for one and is filled on a worker's
+/// kernel buffers. A per-partition cost matrix or a matrix cache would
+/// add allocations per scored partition: the memo this replaced made
+/// 85103 allocations on this scan, about 2.2 per partition beyond the
 /// enumerator's.
 const WIDE_SCAN_OVERHEAD_ALLOCATIONS: u64 = 1514;
 

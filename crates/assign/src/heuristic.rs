@@ -3,8 +3,10 @@ use tamopt_wrapper::TimeTable;
 use crate::{AssignResult, CostMatrix};
 
 /// Tie-break switches of the `Core_assign` heuristic (Figure 1 of the
-/// paper). Both default to on; the ablation benches turn them off to
-/// quantify their contribution.
+/// paper). Both default to on. The unit tests `next_tam_tie_break_matters`
+/// and `widest_tam_tie_break_matters` turn one off to show what it
+/// decides, and the `kernel_equivalence` proptests run all four
+/// settings against the reference kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreAssignOptions {
     /// Lines 11–12: when several TAMs are equally least-loaded, pick the
@@ -107,6 +109,7 @@ pub fn core_assign(
         costs.widths(),
         |tam| tam,
         bound,
+        usize::MAX,
         options,
         &mut scratch,
     ) {
@@ -231,18 +234,56 @@ pub fn core_assign_widths(
         widths,
         |tam| widths[tam] as usize - 1,
         bound,
+        usize::MAX,
         options,
         scratch,
     )
 }
 
+/// The largest TAM load after the first `steps` steps of `Core_assign`
+/// on the TAM widths `widths` (all steps if there are fewer cores),
+/// read from `columns` as in [`core_assign_widths`]. Runs the kernel
+/// itself, unbounded, so the loads follow its selection rules exactly.
+///
+/// Loads only grow, so a bounded run on the same widths aborts within
+/// its first `steps` steps exactly when this is `>= bound`. The
+/// partition scan's abort gate is built from it: with the widest-TAM
+/// tie-break on, the first two steps of a partition depend only on its
+/// two widest TAMs, so the value on `[w_2nd, w_max]` holds for every
+/// partition whose two widest TAMs are `w_2nd <= w_max`.
+///
+/// # Panics
+///
+/// Panics if a width is `0` or beyond the table's maximum width.
+pub fn core_assign_first_steps(
+    columns: &TimeColumns,
+    widths: &[u32],
+    steps: usize,
+    options: &CoreAssignOptions,
+    scratch: &mut AssignScratch,
+) -> u64 {
+    assign_columns(
+        columns,
+        widths,
+        |tam| widths[tam] as usize - 1,
+        None,
+        steps,
+        options,
+        scratch,
+    )
+    .expect("an unbounded run never aborts")
+}
+
 /// The one `Core_assign` kernel: TAM `t` of width `widths[t]` reads
-/// column `column_of(t)`.
+/// column `column_of(t)`. It stops after `steps` steps (pass
+/// `usize::MAX` for a full run) and returns the largest TAM load, or
+/// `None` if a load reached `bound` first.
 fn assign_columns(
     columns: &TimeColumns,
     widths: &[u32],
     column_of: impl Fn(usize) -> usize,
     bound: Option<u64>,
+    steps: usize,
     options: &CoreAssignOptions,
     scratch: &mut AssignScratch,
 ) -> Option<u64> {
@@ -255,7 +296,7 @@ fn assign_columns(
     scratch.assignment.clear();
     scratch.assignment.resize(columns.num_cores(), UNASSIGNED);
 
-    for _ in 0..columns.num_cores() {
+    for _ in 0..columns.num_cores().min(steps) {
         // Lines 10-12: least-loaded TAM, tie broken toward the widest.
         let tam_times = &scratch.tam_times;
         let tam = (0..b)

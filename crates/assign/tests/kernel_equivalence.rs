@@ -10,11 +10,17 @@
 //! fire constantly), both tie-break switches and bounds around the
 //! achieved time, the two must return the same value, and the same
 //! assignment whenever the run completes.
+//!
+//! The same reference also checks the partition scan's abort gate: the
+//! kernel's first two steps on a TAM set's two widest widths decide
+//! exactly whether the reference aborts with at most two cores assigned.
+
+use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
 use tamopt_assign::{
-    core_assign, core_assign_widths, AssignScratch, CoreAssignOptions, CoreAssignOutcome,
-    CostMatrix, TamSet, TimeColumns,
+    core_assign, core_assign_first_steps, core_assign_widths, AssignScratch, CoreAssignOptions,
+    CoreAssignOutcome, CostMatrix, TamSet, TimeColumns,
 };
 use tamopt_wrapper::TimeTable;
 
@@ -129,6 +135,20 @@ fn reference_run(
     (time, time.map(|_| scratch.assignment))
 }
 
+/// How many cores the reference had assigned when it aborted against
+/// `bound`, or `None` if it completed.
+fn reference_abort_step(
+    costs: &CostMatrix,
+    bound: Option<u64>,
+    options: &CoreAssignOptions,
+) -> Option<usize> {
+    let mut scratch = reference::AssignScratch::default();
+    match reference::core_assign_into(costs, bound, options, &mut scratch) {
+        Some(_) => None,
+        None => Some(costs.num_cores() - scratch.unassigned.len()),
+    }
+}
+
 /// The bounds to test against a run that achieves `achieved`: none, a
 /// random one, and the three around the achieved time.
 fn bounds(achieved: u64, random: u64) -> [Option<u64>; 5] {
@@ -160,13 +180,15 @@ fn arb_costs() -> impl Strategy<Value = CostMatrix> {
     })
 }
 
-/// A random table up to width 8 with times in `1..=4`, and a partition
+/// A random table up to width 8 with times in `times`, and a partition
 /// of TAM widths into it (widths repeat, in any order).
-fn arb_table_and_widths() -> impl Strategy<Value = (TimeTable, Vec<u32>)> {
-    (1usize..=40, 1u32..=8, 1usize..=10).prop_flat_map(|(cores, max_width, tams)| {
+fn arb_table_and_widths(
+    times: RangeInclusive<u64>,
+) -> impl Strategy<Value = (TimeTable, Vec<u32>)> {
+    (1usize..=40, 1u32..=8, 1usize..=10).prop_flat_map(move |(cores, max_width, tams)| {
         (
             proptest::collection::vec(
-                proptest::collection::vec(1u64..=4, max_width as usize),
+                proptest::collection::vec(times.clone(), max_width as usize),
                 cores,
             ),
             proptest::collection::vec(1u32..=max_width, tams),
@@ -210,7 +232,7 @@ proptest! {
     /// the partition's cost matrix.
     #[test]
     fn width_kernel_matches_the_reference(
-        (table, widths) in arb_table_and_widths(),
+        (table, widths) in arb_table_and_widths(1..=4),
         widest in any::<bool>(),
         next in any::<bool>(),
         random in 0u64..=60,
@@ -231,6 +253,43 @@ proptest! {
                 prop_assert_eq!(assignment.as_deref(), Some(result.assignment()));
                 prop_assert_eq!(result.soc_time(), achieved);
             }
+        }
+    }
+
+    /// The scan's abort gate: with the widest-TAM tie-break on (the only
+    /// setting the scan gates under) and either next-TAM setting, the
+    /// kernel's largest load after two steps on the TAM set's two widest
+    /// widths `[w_2nd, w_max]` (its one width, for a single TAM) reaches
+    /// a bound iff the reference run under that bound aborts with at
+    /// most two cores assigned. Times include 0, so a first step that
+    /// loads nothing is covered too.
+    #[test]
+    fn two_widest_tams_decide_an_abort_within_two_steps(
+        (table, widths) in arb_table_and_widths(0..=4),
+        next in any::<bool>(),
+        random in 0u64..=60,
+    ) {
+        let options = options(true, next);
+        let columns = TimeColumns::from_table(&table);
+        let tams = TamSet::new(widths.clone()).expect("positive widths");
+        let costs = CostMatrix::from_table(&table, &tams).expect("widths fit the table");
+        let mut sorted = widths.clone();
+        sorted.sort_unstable();
+        let widest = &sorted[sorted.len().saturating_sub(2)..];
+        let mut scratch = AssignScratch::new();
+        let gate = core_assign_first_steps(&columns, widest, 2, &options, &mut scratch);
+        let (achieved, _) = reference_run(&costs, None, &options);
+        let achieved = achieved.expect("unbounded runs complete");
+        let mut taus = bounds(achieved, random).to_vec();
+        taus.extend([gate.checked_sub(1), Some(gate), Some(gate + 1)]);
+        for tau in taus.into_iter().flatten() {
+            let early = reference_abort_step(&costs, Some(tau), &options).is_some_and(|n| n <= 2);
+            prop_assert_eq!(
+                gate >= tau,
+                early,
+                "widths {:?} gate {} tau {}",
+                &widths, gate, tau
+            );
         }
     }
 }

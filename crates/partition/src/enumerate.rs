@@ -10,8 +10,9 @@
 //! partitions at all.
 //!
 //! [`Compositions`] enumerates *ordered* splits — what the nested loops
-//! would visit with no bound — and exists for the pruning-level-1
-//! ablation benchmark.
+//! would visit with no bound — so that pruning level 1 can be checked:
+//! the `compositions_cover_partitions` proptest sorts every composition
+//! into exactly the partitions [`Partitions`] yields.
 
 /// Iterator over the unique partitions of `total` into exactly `parts`
 /// positive parts, each yielded as a non-decreasing `Vec<u32>`.

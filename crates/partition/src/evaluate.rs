@@ -17,11 +17,14 @@
 //! included). A [`SearchBudget`] bounds the whole scan; a truncated run
 //! still returns the best partition of the generations that finished.
 
+use std::sync::OnceLock;
+
 use tamopt_assign::{
-    core_assign_widths, AssignResult, AssignScratch, CoreAssignOptions, TamSet, TimeColumns,
+    core_assign_first_steps, core_assign_widths, AssignResult, AssignScratch, CoreAssignOptions,
+    TamSet, TimeColumns,
 };
 use tamopt_engine::{search_chunks_with, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
-use tamopt_wrapper::{pareto, TimeTable};
+use tamopt_wrapper::TimeTable;
 
 use crate::enumerate::Partitions;
 use crate::PartitionError;
@@ -82,7 +85,9 @@ pub struct EvaluateConfig {
     /// `Core_assign` tie-break switches.
     pub options: CoreAssignOptions,
     /// Whether to carry the `τ` bound into `Core_assign` (pruning
-    /// level 2). Disabled only by the ablation benches.
+    /// level 2). Turned off only by tests that check pruning changes no
+    /// answer, such as `pruning_does_not_change_the_result` and
+    /// `scan_matches_a_naive_unpruned_scan`.
     pub prune: bool,
     /// Wall-clock / node / cancellation budget for the whole scan.
     pub budget: SearchBudget,
@@ -134,8 +139,9 @@ pub struct EvalResult {
     pub result: AssignResult,
     /// Pruning statistics over the whole run.
     pub stats: PruneStats,
-    /// How many of `stats.aborted` the per-width bottleneck bound
-    /// skipped before they were scored (see
+    /// How many of `stats.aborted` the scan's [`AbortGate`] skipped
+    /// without running `Core_assign`, because the gate showed the run
+    /// would abort within its first one or two steps (see
     /// [`partition_evaluate_top_k`]). An observability counter, not a
     /// Table 1 quantity: always `<= stats.aborted`.
     pub bound_skipped: u64,
@@ -175,9 +181,9 @@ pub struct RankedEvalResult {
     /// Pruning statistics over the whole run (the bound is the running
     /// *k-th best* time, so completion counts grow with `k`).
     pub stats: PruneStats,
-    /// How many of `stats.aborted` the per-width bottleneck bound
-    /// skipped before they were scored. Observability only:
-    /// always `<= stats.aborted`.
+    /// How many of `stats.aborted` the scan's [`AbortGate`] skipped
+    /// without running `Core_assign`. Observability only: always
+    /// `<= stats.aborted`.
     pub bound_skipped: u64,
     /// Whether the whole partition space was scanned.
     pub complete: bool,
@@ -313,14 +319,14 @@ pub fn partition_evaluate(
 /// would wrongly abort the candidates of ranks `2..=k`, whose times are
 /// worse than the best by definition.
 ///
-/// With pruning on, a partition whose widest TAM `w_max` gives
-/// `LB(w_max) >= τ` ([`pareto::bottleneck_by_width`]) is counted as
-/// aborted without being scored: the bottleneck core lands
-/// on some TAM of width at most `w_max`, so that TAM's time reaches
-/// `LB(w_max) >= τ` and `Core_assign` would abort at that step or
-/// earlier. Skipping it therefore changes no winner, ranking or
-/// [`PruneStats`]; [`RankedEvalResult::bound_skipped`] counts the
-/// skips.
+/// With pruning on and the widest-TAM tie-break on, an [`AbortGate`]
+/// stands in front of `Core_assign`. A partition of four or more TAMs
+/// whose two widest TAMs `w_2nd <= w_max` load some TAM to `>= τ` within
+/// the kernel's first two steps, or a smaller partition whose widest TAM
+/// alone does so at step 1, is counted as aborted without being scored.
+/// The gate is exact: it skips a partition iff `Core_assign` would
+/// abort within those steps, so no winner, ranking or [`PruneStats`]
+/// count can move. [`RankedEvalResult::bound_skipped`] counts the skips.
 ///
 /// # Errors
 ///
@@ -381,8 +387,10 @@ pub fn partition_evaluate_top_k(
     // Every partition is scored straight from the table's width-major
     // columns, built once and shared read-only by all workers.
     let columns = TimeColumns::from_table(table);
-    // `lb[w]`: no partition whose widest TAM is `w` can finish below it.
-    let lb = pareto::bottleneck_by_width(table);
+    // Built when a bound first exists, by the worker that needs it, on
+    // that worker's own kernel buffers: the table is the gate's only
+    // allocation. `None` when the options rule the gate out.
+    let gate: OnceLock<Option<AbortGate>> = OnceLock::new();
 
     let items = (config.min_tams..=config.max_tams).flat_map(|b| Partitions::new(total_width, b));
     let status = search_chunks_with(
@@ -418,9 +426,17 @@ pub fn partition_evaluate_top_k(
                     None
                 };
                 if let Some(tau) = bound {
-                    // Parts are non-decreasing: the last is the widest.
-                    let widest = *widths.last().expect("partitions have parts");
-                    if lb[widest as usize] >= tau {
+                    let gate = gate.get_or_init(|| {
+                        AbortGate::new(
+                            &columns,
+                            total_width,
+                            config.min_tams,
+                            config.max_tams,
+                            &config.options,
+                            &mut scratch.assign,
+                        )
+                    });
+                    if gate.as_ref().is_some_and(|gate| gate.load(&widths) >= tau) {
                         // `Core_assign` would abort; skip it.
                         out_stats.aborted += 1;
                         skipped += 1;
@@ -524,6 +540,124 @@ pub fn partition_evaluate_top_k(
         bound_skipped,
         complete: status.is_complete(),
     })
+}
+
+/// The exact "`Core_assign` aborts within its first steps" table of one
+/// scan: the gate [`partition_evaluate_top_k`] puts in front of the
+/// kernel.
+///
+/// With the widest-TAM tie-break on, every TAM but the one just loaded
+/// still has load 0 after step 1, so `Core_assign` loads a partition's
+/// TAMs widest first. Step 1 puts the largest time at `w_max` on the
+/// widest TAM, breaking a tie on the next-narrower TAM, which is `w_2nd`
+/// unless `w_2nd = w_max`. Step 2 puts the largest remaining time at
+/// `w_2nd` on the second-widest TAM (or at `w_max` again, if step 1
+/// loaded nothing). Which core step 2 picks among tied ones depends on
+/// narrower TAMs, but its time does not. So the largest load after two
+/// steps is a function of the pair `(w_2nd, w_max)`: the kernel run for
+/// two steps on `[w_2nd, w_max]` ([`core_assign_first_steps`]). Loads
+/// only grow, so a partition whose entry is `>= τ` aborts within two
+/// steps under `τ`, and one whose entry is below `τ` does not.
+///
+/// Partitions of fewer than [`AbortGate::PAIR_MIN_TAMS`] TAMs are gated
+/// on step 1 alone, from one entry per widest width: for them the pair
+/// nearly fixes the partition, so a pair entry would be built for about
+/// one lookup. The pair table covers only the pairs that some partition
+/// of the gate's width and TAM range can have, and is not built at all
+/// when that range stays below `PAIR_MIN_TAMS`.
+///
+/// With the tie-break off, step 1 loads the lowest-index TAM and the
+/// order depends on every width, so there is no gate.
+#[derive(Debug, Clone)]
+pub struct AbortGate {
+    /// Row length: `total_width + 1`, indexed by `w_max`.
+    stride: usize,
+    /// Row 0: the load after step 1, by `w_max`. Row `w_2nd >= 1` (at
+    /// most `total_width / 2`, as `w_2nd + w_max <= total_width`): the
+    /// largest load after two steps, by `w_max`.
+    loads: Vec<u64>,
+}
+
+impl AbortGate {
+    /// The smallest TAM count gated on its two widest TAMs; smaller
+    /// partitions are gated on step 1 only.
+    pub const PAIR_MIN_TAMS: usize = 4;
+
+    /// The gate for partitions of `total_width` into `min_tams..=max_tams`
+    /// TAMs, filled by running the kernel on `scratch`. `None` when
+    /// `options` turn the widest-TAM tie-break off. The table is one
+    /// allocation; `scratch` grows no larger than two TAMs need.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_width` is `0` or beyond the columns' widths.
+    pub fn new(
+        columns: &TimeColumns,
+        total_width: u32,
+        min_tams: u32,
+        max_tams: u32,
+        options: &CoreAssignOptions,
+        scratch: &mut AssignScratch,
+    ) -> Option<AbortGate> {
+        if !options.widest_tam_tie_break {
+            return None;
+        }
+        let width = total_width as usize;
+        let stride = width + 1;
+        let pair_tams = (min_tams.max(Self::PAIR_MIN_TAMS as u32) as usize)..=max_tams as usize;
+        let rows = if pair_tams.is_empty() {
+            1
+        } else {
+            1 + width / 2
+        };
+        let mut loads = vec![0; rows * stride];
+        if (min_tams as usize) < Self::PAIR_MIN_TAMS {
+            for w_max in 1..=total_width {
+                loads[w_max as usize] =
+                    core_assign_first_steps(columns, &[w_max], 1, options, scratch);
+            }
+        }
+        for w_2nd in 1..rows as u32 {
+            for w_max in w_2nd..=total_width - w_2nd {
+                // The other `b - 2` parts, each in `1..=w_2nd`, sum to `rest`.
+                let rest = width - (w_2nd + w_max) as usize;
+                if pair_tams
+                    .clone()
+                    .any(|b| b - 2 <= rest && rest <= (b - 2) * w_2nd as usize)
+                {
+                    loads[w_2nd as usize * stride + w_max as usize] =
+                        core_assign_first_steps(columns, &[w_2nd, w_max], 2, options, scratch);
+                }
+            }
+        }
+        Some(AbortGate { stride, loads })
+    }
+
+    /// How many first steps of `Core_assign` the gate decides for a
+    /// partition of `tams` TAMs: two from [`Self::PAIR_MIN_TAMS`] on,
+    /// one below.
+    pub fn steps(tams: usize) -> usize {
+        if tams >= Self::PAIR_MIN_TAMS {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// The largest TAM load after the first [`Self::steps`] steps of
+    /// `Core_assign` on `widths`, a partition (parts non-decreasing) of
+    /// the gate's width into a TAM count of its range. Under a bound
+    /// `τ`, the kernel aborts within those steps iff this is `>= τ`.
+    pub fn load(&self, widths: &[u32]) -> u64 {
+        debug_assert_eq!(widths.iter().sum::<u32>() as usize + 1, self.stride);
+        let b = widths.len();
+        let row = if b >= Self::PAIR_MIN_TAMS {
+            widths[b - 2] as usize
+        } else {
+            0
+        };
+        self.loads[row * self.stride + widths[b - 1] as usize]
+    }
 }
 
 pub(crate) fn validate(
@@ -992,44 +1126,48 @@ mod tests {
 
     #[test]
     fn bound_gate_only_skips_partitions_core_assign_aborts() {
-        // For every partition of W = 64 into at most 4 TAMs and a sweep
-        // of τ around the achieved times: `LB(w_max) >= τ` must imply
-        // that `Core_assign` under τ aborts.
+        // For every partition of W = 64 into at most 5 TAMs (so both the
+        // step-1 row and the pair table are read) and a sweep of τ around
+        // the gate's load and the achieved time: the gate fires iff
+        // `Core_assign` aborts within the steps the gate decides, and a
+        // partition it fires on makes the bounded kernel abort.
         for soc in [benchmarks::d695(), benchmarks::p93791()] {
             let table = TimeTable::new(&soc, 64).unwrap();
-            let lb = pareto::bottleneck_by_width(&table);
             let columns = TimeColumns::from_table(&table);
             let options = CoreAssignOptions::default();
             let mut assign = AssignScratch::new();
-            let mut gated = 0u64;
-            for b in 1..=4u32 {
+            let gate = AbortGate::new(&columns, 64, 1, 5, &options, &mut assign).unwrap();
+            let mut fired = [0u64; 2];
+            for b in 1..=5u32 {
                 for widths in Partitions::new(64, b) {
-                    let bound = lb[*widths.last().unwrap() as usize];
+                    let load = gate.load(&widths);
+                    let steps = AbortGate::steps(widths.len());
+                    assert_eq!(
+                        load,
+                        core_assign_first_steps(&columns, &widths, steps, &options, &mut assign),
+                        "{}: {widths:?}",
+                        soc.name()
+                    );
                     let time =
                         core_assign_widths(&columns, &widths, None, &options, &mut assign).unwrap();
-                    for tau in [bound - 1, bound, bound + 1, time - 1, time, time + 1] {
-                        if bound >= tau {
-                            gated += 1;
-                            assert_eq!(
-                                core_assign_widths(
-                                    &columns,
-                                    &widths,
-                                    Some(tau),
-                                    &options,
-                                    &mut assign
-                                ),
-                                None,
-                                "{}: {:?} LB {bound} >= tau {tau}",
-                                soc.name(),
-                                widths
+                    for tau in [load - 1, load, load + 1, time - 1, time, time + 1] {
+                        let aborts =
+                            core_assign_widths(&columns, &widths, Some(tau), &options, &mut assign)
+                                .is_none();
+                        if load >= tau {
+                            fired[steps - 1] += 1;
+                            assert!(
+                                aborts,
+                                "{}: {widths:?} gate {load} >= tau {tau}",
+                                soc.name()
                             );
                         }
                     }
                 }
             }
             assert!(
-                gated > 0,
-                "{}: the sweep must exercise the gate",
+                fired.iter().all(|&n| n > 0),
+                "{}: the sweep must fire both gates: {fired:?}",
                 soc.name()
             );
         }
@@ -1053,6 +1191,57 @@ mod tests {
         .unwrap();
         assert_eq!(unpruned.bound_skipped, 0);
         assert_eq!(unpruned.result.soc_time(), eval.result.soc_time());
+        // Nor without the widest-TAM tie-break, whose first steps the
+        // gate models.
+        let ablated = partition_evaluate(
+            &table,
+            64,
+            &EvaluateConfig {
+                options: CoreAssignOptions {
+                    widest_tam_tie_break: false,
+                    ..CoreAssignOptions::default()
+                },
+                ..EvaluateConfig::up_to_tams(6)
+            },
+        )
+        .unwrap();
+        assert_eq!(ablated.bound_skipped, 0);
+    }
+
+    #[test]
+    fn bound_skipped_is_pinned_at_w64() {
+        // The gate moves no winner and no `PruneStats` count, so a weaker
+        // gate would show only here: `(soc, bound_skipped, [enumerated,
+        // completed, aborted])` at W = 64, B <= 10.
+        let pins = [
+            (benchmarks::d695(), 262_567, [296_320, 82, 296_238]),
+            (benchmarks::p93791(), 260_697, [296_320, 69, 296_251]),
+        ];
+        for (soc, skipped, stats) in pins {
+            let table = TimeTable::new(&soc, 64).unwrap();
+            for threads in [1, 4] {
+                let eval = partition_evaluate(
+                    &table,
+                    64,
+                    &EvaluateConfig {
+                        parallel: ParallelConfig::with_threads(threads),
+                        ..EvaluateConfig::up_to_tams(10)
+                    },
+                )
+                .unwrap();
+                let at = format!("{} threads={threads}", soc.name());
+                assert_eq!(eval.bound_skipped, skipped, "{at}");
+                assert_eq!(
+                    [
+                        eval.stats.enumerated,
+                        eval.stats.completed,
+                        eval.stats.aborted
+                    ],
+                    stats,
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

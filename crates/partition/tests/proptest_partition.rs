@@ -3,9 +3,12 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use tamopt_assign::{core_assign_widths, AssignScratch, CoreAssignOptions, TimeColumns};
+use tamopt_assign::{
+    core_assign_first_steps, core_assign_widths, AssignScratch, CoreAssignOptions, TimeColumns,
+};
 use tamopt_partition::count;
 use tamopt_partition::enumerate::{Compositions, Partitions};
+use tamopt_partition::evaluate::AbortGate;
 use tamopt_partition::pipeline::{
     co_optimize, co_optimize_frontier, co_optimize_top_k, FinalStep, PipelineConfig,
 };
@@ -38,33 +41,39 @@ fn arb_raw_table() -> impl Strategy<Value = TimeTable> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The scan's bound gate is sound on any table, monotone or not: a
-    /// partition whose widest TAM `w_max` has `LB(w_max) >= τ` makes
-    /// `Core_assign` abort against `τ`, so skipping it changes nothing.
-    /// `LB` itself never increases with the width.
+    /// The scan's abort gate is exact on any table, monotone or not: for
+    /// every partition it gives the kernel's own largest load after the
+    /// steps it decides (two from four TAMs on, one below), so it fires
+    /// under `τ` iff `Core_assign` aborts within those steps, and a
+    /// partition it fires on makes the bounded kernel abort. The
+    /// bottleneck bound `LB` never increases with the width.
     #[test]
-    fn bound_gate_implies_core_assign_aborts(table in arb_raw_table(), max_tams in 1u32..5) {
+    fn bound_gate_implies_core_assign_aborts(table in arb_raw_table(), max_tams in 1u32..6) {
         let lb = pareto::bottleneck_by_width(&table);
         prop_assert!(lb[1..].windows(2).all(|p| p[0] >= p[1]), "LB not non-increasing: {:?}", lb);
         let width = table.max_width();
         let columns = TimeColumns::from_table(&table);
         let options = CoreAssignOptions::default();
         let mut scratch = AssignScratch::new();
+        let gate = AbortGate::new(&columns, width, 1, max_tams, &options, &mut scratch)
+            .expect("the default options admit the gate");
         for b in 1..=max_tams {
             for widths in Partitions::new(width, b) {
-                let bound = lb[*widths.last().expect("non-empty") as usize];
+                let load = gate.load(&widths);
+                let steps = AbortGate::steps(widths.len());
+                let first = core_assign_first_steps(&columns, &widths, steps, &options, &mut scratch);
+                prop_assert_eq!(load, first, "{:?}: gate vs the kernel's first {} steps", &widths, steps);
                 let time = core_assign_widths(&columns, &widths, None, &options, &mut scratch)
                     .expect("unbounded runs complete");
-                prop_assert!(time >= bound, "{:?}: {} below LB {}", &widths, time, bound);
-                for tau in [1, bound.saturating_sub(1), bound, time, time + 1] {
-                    if bound >= tau {
-                        prop_assert_eq!(
-                            core_assign_widths(&columns, &widths, Some(tau), &options, &mut scratch),
-                            None,
-                            "{:?}: LB {} >= tau {} but Core_assign finished",
-                            &widths, bound, tau
-                        );
-                    }
+                prop_assert!(time >= load, "{:?}: {} below the gate's load {}", &widths, time, load);
+                for tau in [1, load.saturating_sub(1), load, load + 1, time, time + 1] {
+                    let aborts = core_assign_widths(&columns, &widths, Some(tau), &options, &mut scratch)
+                        .is_none();
+                    prop_assert!(
+                        load < tau || aborts,
+                        "{:?}: gate {} >= tau {} but Core_assign finished",
+                        &widths, load, tau
+                    );
                 }
             }
         }
