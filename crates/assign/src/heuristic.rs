@@ -216,7 +216,7 @@ impl AssignScratch {
 /// assignment is left in `scratch` and can be materialized with
 /// [`AssignScratch::result`] — or `None` when the run aborted against
 /// `bound` (lines 18–20 of Figure 1). The τ-pruned partition scan calls
-/// this once per partition that passes its bound gate; with a warmed
+/// this once per partition that passes its abort gate; with a warmed
 /// scratch neither outcome allocates.
 ///
 /// # Panics

@@ -568,7 +568,7 @@ pub fn partition_evaluate_top_k(
 ///
 /// With the tie-break off, step 1 loads the lowest-index TAM and the
 /// order depends on every width, so there is no gate.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AbortGate {
     /// Row length: `total_width + 1`, indexed by `w_max`.
     stride: usize,
