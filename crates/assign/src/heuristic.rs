@@ -252,6 +252,9 @@ pub fn core_assign_widths(
 /// two widest TAMs, so the value on `[w_2nd, w_max]` holds for every
 /// partition whose two widest TAMs are `w_2nd <= w_max`.
 ///
+/// The partial assignment it leaves in `scratch` is not a result:
+/// call [`AssignScratch::result`] only after a run that completed.
+///
 /// # Panics
 ///
 /// Panics if a width is `0` or beyond the table's maximum width.
