@@ -35,8 +35,9 @@ alloc-gate:
 	cargo test --release -p tamopt_alloctest
 
 # Pinned truncated rows: p93791 at W = 16/24/32/36, B <= 10, whose exact
-# final step stops at its node limit (2-3 s per row in release mode, so
-# the test is ignored in `make test`). Any change that moves their
+# final step stops at its node limit (about 3 s per row in release mode,
+# 13 s for the test on a 2-CPU host after its release build, so the test
+# is ignored in `make test`). Any change that moves their
 # winner, TAMs or work counts, or lets the final step prove them
 # optimal, fails here and must re-pin them.
 exact-gate:

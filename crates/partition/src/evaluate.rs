@@ -651,7 +651,7 @@ impl AbortGate {
     pub fn load(&self, widths: &[u32]) -> u64 {
         debug_assert_eq!(widths.iter().sum::<u32>() as usize + 1, self.stride);
         let b = widths.len();
-        let row = if b >= Self::PAIR_MIN_TAMS {
+        let row = if Self::steps(b) == 2 {
             widths[b - 2] as usize
         } else {
             0

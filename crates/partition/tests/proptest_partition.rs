@@ -46,7 +46,10 @@ proptest! {
     /// steps it decides (two from four TAMs on, one below), so it fires
     /// under `τ` iff `Core_assign` aborts within those steps, and a
     /// partition it fires on makes the bounded kernel abort. The
-    /// bottleneck bound `LB` never increases with the width.
+    /// bottleneck bound `LB` never increases with the width, and is
+    /// sound: `Core_assign`'s time on a partition whose widest TAM is
+    /// `w_max` is at least `LB(w_max)`, so `LB(w_max) >= τ` makes the
+    /// bounded kernel abort too.
     #[test]
     fn bound_gate_implies_core_assign_aborts(table in arb_raw_table(), max_tams in 1u32..6) {
         let lb = pareto::bottleneck_by_width(&table);
@@ -59,16 +62,32 @@ proptest! {
             .expect("the default options admit the gate");
         for b in 1..=max_tams {
             for widths in Partitions::new(width, b) {
+                let bound = lb[*widths.last().expect("non-empty") as usize];
                 let load = gate.load(&widths);
                 let steps = AbortGate::steps(widths.len());
                 let first = core_assign_first_steps(&columns, &widths, steps, &options, &mut scratch);
                 prop_assert_eq!(load, first, "{:?}: gate vs the kernel's first {} steps", &widths, steps);
                 let time = core_assign_widths(&columns, &widths, None, &options, &mut scratch)
                     .expect("unbounded runs complete");
+                prop_assert!(time >= bound, "{:?}: {} below LB {}", &widths, time, bound);
                 prop_assert!(time >= load, "{:?}: {} below the gate's load {}", &widths, time, load);
-                for tau in [1, load.saturating_sub(1), load, load + 1, time, time + 1] {
+                for tau in [
+                    1,
+                    bound.saturating_sub(1),
+                    bound,
+                    load.saturating_sub(1),
+                    load,
+                    load + 1,
+                    time,
+                    time + 1,
+                ] {
                     let aborts = core_assign_widths(&columns, &widths, Some(tau), &options, &mut scratch)
                         .is_none();
+                    prop_assert!(
+                        bound < tau || aborts,
+                        "{:?}: LB {} >= tau {} but Core_assign finished",
+                        &widths, bound, tau
+                    );
                     prop_assert!(
                         load < tau || aborts,
                         "{:?}: gate {} >= tau {} but Core_assign finished",

@@ -7,9 +7,9 @@
 //! geometry — that moves a winner or a prune count fails here. The rows
 //! mirror the `npaw` block of `perfbench/expected.txt`.
 //!
-//! Four more p93791 rows, whose exact final step stops at its node limit
-//! after 2–3 s each, are pinned by an ignored test that runs in release
-//! mode: `make exact-gate`.
+//! Four more p93791 rows, whose exact final step stops at its node limit,
+//! are pinned by an ignored test that runs in release mode: `make
+//! exact-gate` (about 3 s per row, 13 s for the four on a 2-CPU host).
 
 use tamopt_repro::partition::{co_optimize, PipelineConfig};
 use tamopt_repro::{benchmarks, ParallelConfig, Soc, TimeTable};
@@ -110,7 +110,7 @@ fn npaw_w64_rows_are_pinned_at_four_threads() {
 }
 
 #[test]
-#[ignore = "2-3 s per row in release mode; run by `make exact-gate`"]
+#[ignore = "about 3 s per row in release mode; run by `make exact-gate`"]
 fn p93791_truncated_rows_are_pinned() {
     for row in &TRUNCATED {
         assert!(
