@@ -441,6 +441,133 @@ fn serve_live_stats_reply_is_not_blocked_by_the_outcome_printer() {
     reader.join().expect("stdout reader");
 }
 
+/// A live `tamopt serve` on stdin, driven one line at a time: every
+/// stdout and stderr line is forwarded through a channel, so a reply
+/// can be awaited with a timeout instead of hanging the suite.
+struct Lockstep {
+    child: std::process::Child,
+    stdin: Option<std::process::ChildStdin>,
+    stdout: std::sync::mpsc::Receiver<String>,
+    stderr: std::sync::mpsc::Receiver<String>,
+}
+
+impl Lockstep {
+    fn spawn(args: &[&str]) -> Lockstep {
+        let mut child = tamopt()
+            .arg("serve")
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let forward = |stream: Box<dyn std::io::Read + Send>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                use std::io::BufRead as _;
+                for line in std::io::BufReader::new(stream).lines() {
+                    if tx.send(line.expect("utf-8 output")).is_err() {
+                        break;
+                    }
+                }
+            });
+            rx
+        };
+        let stdout = forward(Box::new(child.stdout.take().expect("stdout piped")));
+        let stderr = forward(Box::new(child.stderr.take().expect("stderr piped")));
+        let stdin = child.stdin.take();
+        Lockstep {
+            child,
+            stdin,
+            stdout,
+            stderr,
+        }
+    }
+
+    fn send(&mut self, line: &str) {
+        let stdin = self.stdin.as_mut().expect("stdin still open");
+        writeln!(stdin, "{line}").expect("writing a serve line");
+        stdin.flush().expect("flushing a serve line");
+    }
+
+    fn next(&mut self, stderr: bool, what: &str) -> String {
+        let lines = if stderr { &self.stderr } else { &self.stdout };
+        match lines.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(line) => line,
+            Err(_) => {
+                let _ = self.child.kill();
+                panic!("no {what} line within 60 s");
+            }
+        }
+    }
+
+    /// Closes stdin and returns the remaining stdout and stderr lines
+    /// with the exit status.
+    fn finish(mut self) -> (Vec<String>, Vec<String>, std::process::ExitStatus) {
+        drop(self.stdin.take());
+        let status = self.child.wait().expect("binary exits");
+        (
+            self.stdout.iter().collect(),
+            self.stderr.iter().collect(),
+            status,
+        )
+    }
+}
+
+#[test]
+fn serve_live_stdin_bytes_are_pinned_in_lockstep() {
+    // One line in, its reply out, for every kind of live line: accepted
+    // submissions stream an outcome, `stats` answers on stdout, and
+    // refused lines answer on stderr. The full stdout (minus
+    // `wall_clock*` lines) is pinned to tests/golden/.
+    let mut serve = Lockstep::spawn(&["--threads", "1"]);
+    let mut stdout = vec![serve.next(false, "banner")];
+    serve.send("d695 16 2");
+    stdout.push(serve.next(false, "first outcome"));
+    // The dispatcher reaches its next barrier just after the outcome
+    // streams; the pause lets the `stats` generation settle on it.
+    std::thread::sleep(std::time::Duration::from_millis(250));
+    serve.send("stats");
+    stdout.push(serve.next(false, "stats"));
+    let mut stderr = Vec::new();
+    for line in ["bogus!", "@0 d695 16 2", "cancel 7"] {
+        serve.send(line);
+        stderr.push(serve.next(true, line));
+    }
+    serve.send("d695 16 2");
+    stdout.push(serve.next(false, "second outcome"));
+    let (rest, stderr_rest, status) = serve.finish();
+    stdout.extend(rest);
+    stderr.extend(stderr_rest);
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let golden = std::fs::read_to_string(root.join("tests/golden/serve_live_lockstep.txt"))
+        .expect("golden exists");
+    let actual: Vec<&str> = stdout
+        .iter()
+        .map(String::as_str)
+        .filter(|line| !line.contains("wall_clock"))
+        .collect();
+    assert_eq!(actual, golden.lines().collect::<Vec<_>>());
+    assert_eq!(status.code(), Some(1), "three refused lines fail the run");
+    let prefixes: Vec<&str> = stderr
+        .iter()
+        .filter(|line| line.starts_with("serve: line "))
+        .map(|line| {
+            let end = line
+                .match_indices(':')
+                .nth(1)
+                .map_or(line.len(), |(i, _)| i + 1);
+            &line[..end]
+        })
+        .collect();
+    assert_eq!(
+        prefixes,
+        ["serve: line 3:", "serve: line 4:", "serve: line 5:"],
+        "stderr: {stderr:?}"
+    );
+}
+
 #[test]
 fn serve_rejects_listen_and_socket_together() {
     let out = tamopt()
