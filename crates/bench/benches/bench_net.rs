@@ -15,9 +15,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tamopt::benchmarks;
-use tamopt::service::{
-    Frame, LineFramer, LineParser, LiveConfig, NetDirective, NetListener, NetServer, Request,
-};
+use tamopt::cli::parse_session_line;
+use tamopt::service::{Frame, LineFramer, LineParser, LiveConfig, NetListener, NetServer};
 
 /// Each client's workload: small requests, so the bench measures the
 /// front-end and queue machinery rather than one long scan.
@@ -28,28 +27,14 @@ const SPECS: [(&str, u32, u32); 4] = [
     ("p31108", 16, 2),
 ];
 
+/// The `tamopt serve` session grammar over the workload's SOCs.
 fn parser() -> LineParser {
-    Arc::new(|line: &str| {
-        let mut parts = line.split_whitespace();
-        let soc = match parts.next() {
-            Some("d695") => benchmarks::d695(),
-            Some("p31108") => benchmarks::p31108(),
-            other => return Err(format!("unknown soc `{other:?}`")),
-        };
-        let width: u32 = parts
-            .next()
-            .and_then(|w| w.parse().ok())
-            .ok_or("bad width")?;
-        let max_tams: u32 = parts
-            .next()
-            .and_then(|m| m.parse().ok())
-            .ok_or("bad max-tams")?;
-        Ok(Some(NetDirective::Submit(
-            Request::new(soc, width)
-                .map_err(|e| e.to_string())?
-                .max_tams(max_tams),
-        )))
-    })
+    let resolve = |name: &str| match name {
+        "d695" => Ok(benchmarks::d695()),
+        "p31108" => Ok(benchmarks::p31108()),
+        other => Err(format!("unknown soc `{other}`")),
+    };
+    Arc::new(move |line: &str| parse_session_line(line, &resolve, None))
 }
 
 /// One full loopback session: `clients` concurrent connections each

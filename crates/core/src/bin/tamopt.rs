@@ -77,21 +77,25 @@
 //! priority sheds deterministically, either as a `shed` outcome (queued
 //! victim) or a typed `overloaded` error line refusing the newcomer
 //! (which never drops the connection). `--max-inflight <N>` caps one
-//! network client's outstanding requests; `--max-budget <nodes>`
-//! clamps every request's node budget server-side (graceful
-//! degradation rather than refusal).
+//! session's outstanding requests — a socket client's, or stdin's in
+//! live mode — refusing the excess with the same typed `overloaded`
+//! error line (a stderr note on stdin); `--max-budget <nodes>` clamps
+//! every request's node budget server-side (graceful degradation
+//! rather than refusal).
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use tamopt::analysis::UtilizationReport;
 use tamopt::cli::{
-    parse_manifest, parse_serve_line, parse_threads, parse_time_limit, ServeLine, ServeTag,
+    clamp_budget, parse_manifest, parse_serve_line, parse_session_line, parse_threads,
+    parse_time_limit,
 };
 use tamopt::service::{
-    BatchConfig, JournalBinding, LiveConfig, LiveQueue, NetDirective, NetListener, NetOptions,
-    NetServer, Request, RequestOutcome, RequestStatus, StoreBinding, SubmitError, Trace,
-    WIRE_VERSION,
+    json_string, BatchConfig, BatchReport, JournalBinding, LineParser, LiveConfig, LiveQueue,
+    NetDirective, NetListener, NetOptions, NetServer, RequestOutcome, RequestStatus, StoreBinding,
+    Trace, WIRE_VERSION,
 };
 use tamopt::soc::format::parse_soc;
 use tamopt::store::{Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
@@ -335,8 +339,8 @@ struct ServeArgs {
     /// `--max-pending`: accepted-backlog cap (0 = unbounded; per shard
     /// with `--shards`).
     max_pending: usize,
-    /// `--max-inflight`: per-client outstanding-request quota in
-    /// network mode (0 = unbounded).
+    /// `--max-inflight`: per-session outstanding-request quota, for
+    /// socket clients and the stdin session alike (0 = unbounded).
     max_inflight: usize,
     /// `--max-budget`: server-side clamp on every request's node
     /// budget.
@@ -529,8 +533,18 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
         },
     };
 
+    // Live lines, on stdin or a socket, go through one parser and one
+    // session layer: submit, cancel, quota, journal and budget clamp
+    // happen in `NetServer`.
+    let max_budget = args.max_budget;
+    let parser: LineParser =
+        Arc::new(move |line: &str| parse_session_line(line, &load_soc, max_budget));
+    let options = NetOptions {
+        max_inflight: args.max_inflight,
+        journal: journal.clone(),
+    };
     if args.listen.is_some() || args.socket.is_some() {
-        return serve_net(&args, config, journal);
+        return serve_net(&args, config, parser, options);
     }
 
     use std::io::BufRead as _;
@@ -538,42 +552,42 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     let mut lines = stdin.lock().lines().enumerate();
 
     // The first directive decides the mode: `@`-tagged → deterministic
-    // trace replay; untagged → live submission as lines arrive. The raw
-    // line text rides along — it is what the journal records.
-    let first = loop {
-        match lines.next() {
-            None => break None,
-            Some((number, line)) => {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("serve: cannot read stdin: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match parse_serve_line(&line, &load_soc) {
-                    Ok(None) => continue,
-                    Ok(Some(directive)) => break Some((number, line, directive)),
-                    Err(msg) => {
-                        eprintln!("serve: line {}: {msg}", number + 1);
-                        return ExitCode::FAILURE;
-                    }
-                }
+    // trace replay; untagged → live submission as lines arrive. Either
+    // mode reads its input from that first line on.
+    let mut first = None;
+    for (number, line) in lines.by_ref() {
+        let line = match line {
+            Ok(l) => l,
+            Err(e) => {
+                eprintln!("serve: cannot read stdin: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        match parse_serve_line(&line, &load_soc) {
+            Ok(None) => {}
+            Ok(Some((tag, _))) => {
+                first = Some((number, line, tag.is_some()));
+                break;
+            }
+            Err(msg) => {
+                eprintln!("serve: line {}: {msg}", number + 1);
+                return ExitCode::FAILURE;
             }
         }
-    };
+    }
 
-    let report = match first {
+    let (report, invalid_lines) = match first {
         // Empty input: an empty trace still owes a valid (empty) report.
-        None => LiveQueue::replay(Trace::new(), config).1,
-        Some((first_number, _, (tag @ Some(_), first_directive))) => {
+        None => (LiveQueue::replay(Trace::new(), config).1, 0),
+        Some((number, line, true)) => {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
             // journalled (recovery of a *previous* crash already ran).
             if journal.is_some() {
                 eprintln!("serve: trace replay is not journalled (the trace itself is the recovery script)");
             }
-            let trace = match collect_trace((first_number, tag, first_directive), lines, &args) {
+            let lines = std::iter::once((number, Ok(line))).chain(lines);
+            let trace = match collect_trace(lines, &args) {
                 Ok(trace) => trace,
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -584,132 +598,40 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             for outcome in &stream {
                 print!("{}", outcome.to_json_line());
             }
-            report
+            (report, 0)
         }
-        Some((first_number, first_line, (None, first_directive))) => {
-            // Live mode: submit each line as it is read; outcomes stream
-            // concurrently. Parse errors are reported and skipped — work
-            // already submitted keeps running — but fail the exit code.
-            let queue = LiveQueue::start(config);
-            let mut parse_errors = 0u32;
-            let report = std::thread::scope(|scope| {
-                let printer = scope.spawn(|| {
-                    use std::io::Write as _;
-                    while let Some(outcome) = queue.recv_outcome() {
-                        // Lock stdout per line, never across the blocking
-                        // recv: the input loop prints `stats` replies to
-                        // the same stdout.
-                        let mut out = std::io::stdout().lock();
-                        let _ = out.write_all(outcome.to_json_line().as_bytes());
-                        let _ = out.flush();
-                        drop(out);
-                        // Seal after the line reached the output: a
-                        // crash in between redoes the request rather
-                        // than losing it.
-                        if let Some(journal) = &journal {
-                            journal.sealed(outcome.index);
-                        }
-                    }
-                });
-                let apply = |number: usize, line: &str, directive: ServeLine, errors: &mut u32| {
-                    match directive {
-                        ServeLine::Submit(mut request) => {
-                            clamp_budget(&mut request, args.max_budget);
-                            match queue.submit(request) {
-                                Ok((id, _)) => {
-                                    if let Some(journal) = &journal {
-                                        journal.submit(id.index(), None, queue.shard_of(id), line);
-                                    }
-                                }
-                                Err(SubmitError::ShutDown) => {
-                                    eprintln!("serve: line {}: queue is shut down", number + 1);
-                                    *errors += 1;
-                                }
-                                // Load shedding is an operational state,
-                                // not an input error: report it without
-                                // failing the run.
-                                Err(SubmitError::Overloaded) => {
-                                    eprintln!(
-                                        "serve: line {}: overloaded — request shed (backlog at \
-                                     max-pending)",
-                                        number + 1
-                                    );
-                                }
-                            }
-                        }
-                        ServeLine::Cancel(id) => {
-                            if queue.cancel(id.into()) {
-                                if let Some(journal) = &journal {
-                                    journal.cancel(id);
-                                }
-                            } else {
-                                eprintln!("serve: line {}: unknown request id {id}", number + 1);
-                                *errors += 1;
-                            }
-                        }
-                        ServeLine::Stats => {
-                            println!("{}", queue.stats_json());
-                        }
-                    }
-                };
-                apply(
-                    first_number,
-                    &first_line,
-                    first_directive,
-                    &mut parse_errors,
-                );
-                for (number, line) in lines {
-                    let line = match line {
-                        Ok(l) => l,
-                        Err(e) => {
-                            eprintln!("serve: cannot read stdin: {e}");
-                            parse_errors += 1;
-                            break;
-                        }
-                    };
-                    match parse_serve_line(&line, &load_soc) {
-                        Ok(None) => {}
-                        Ok(Some((None, directive))) => {
-                            apply(number, &line, directive, &mut parse_errors);
-                        }
-                        Ok(Some((Some(_), _))) => {
-                            eprintln!(
-                                "serve: line {}: @<generation> tags are only valid when the \
-                                 whole input is a trace",
-                                number + 1
-                            );
-                            parse_errors += 1;
-                        }
-                        Err(msg) => {
-                            eprintln!("serve: line {}: {msg}", number + 1);
-                            parse_errors += 1;
-                        }
-                    }
-                }
-                let report = queue.shutdown().expect("first shutdown");
-                printer.join().expect("printer thread");
-                report
-            });
-            if parse_errors > 0 {
-                eprintln!("{parse_errors} invalid line(s)");
-                // Even a failed run drained its queue and sealed every
-                // outcome — a clean shutdown as far as the journal goes.
-                if let Some(journal) = &journal {
-                    journal.compact();
-                }
-                print!("{}", report.to_json());
-                return ExitCode::FAILURE;
-            }
-            report
+        Some((number, line, false)) => {
+            // Live mode: stdin is one session of the net layer. Refused
+            // lines are reported and skipped — work already submitted
+            // keeps running — and input errors fail the exit code.
+            let lines = std::iter::once((number, Ok(line))).chain(lines);
+            let (report, invalid) = NetServer::serve_stdin(config, parser, options, lines);
+            (report.expect("first shutdown"), invalid)
         }
     };
+    finish(&report, journal.as_ref(), invalid_lines)
+}
 
+/// Ends a serve run: compacts the journal, prints the final report and
+/// picks the exit code (invalid input lines or failed requests fail it).
+fn finish(
+    report: &BatchReport,
+    journal: Option<&JournalBinding>,
+    invalid_lines: usize,
+) -> ExitCode {
+    if invalid_lines > 0 {
+        eprintln!("{invalid_lines} invalid line(s)");
+    }
     // Clean shutdown: every accepted id is sealed, so the journal owes
-    // nothing — truncate it to an empty header.
-    if let Some(journal) = &journal {
+    // nothing — truncate it to an empty header. Even a run with invalid
+    // lines drained its queue and sealed every outcome.
+    if let Some(journal) = journal {
         journal.compact();
     }
     print!("{}", report.to_json());
+    if invalid_lines > 0 {
+        return ExitCode::FAILURE;
+    }
     let failed = report.count(RequestStatus::Failed);
     if failed > 0 {
         eprintln!("{failed} request(s) failed");
@@ -718,31 +640,25 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Collects a trace-mode input — its first tagged directive, then the
-/// remaining stdin lines — into one [`Trace`], replayed by
+/// Collects a trace-mode input into one [`Trace`], replayed by
 /// [`LiveQueue::replay`]. Fails on the first line that only
 /// live mode accepts (an untagged line, `stats`), on a shard pin
 /// without `--shards`, and on unreadable or malformed input.
 fn collect_trace(
-    first: (usize, Option<ServeTag>, ServeLine),
     lines: impl Iterator<Item = (usize, std::io::Result<String>)>,
     args: &ServeArgs,
 ) -> Result<Trace, String> {
-    type Event = Option<(usize, Option<ServeTag>, ServeLine)>;
-    let rest = lines.map(|(number, line)| -> Result<Event, String> {
+    let mut trace = Trace::new();
+    for (number, line) in lines {
         let line = line.map_err(|e| format!("serve: cannot read stdin: {e}"))?;
         let parsed = parse_serve_line(&line, &load_soc)
             .map_err(|msg| format!("serve: line {}: {msg}", number + 1))?;
-        Ok(parsed.map(|(tag, directive)| (number, tag, directive)))
-    });
-    let mut trace = Trace::new();
-    for event in std::iter::once(Ok(Some(first))).chain(rest) {
-        let Some((number, tag, directive)) = event? else {
+        let Some((tag, directive)) = parsed else {
             continue;
         };
         let line = number + 1;
         let tag = match (tag, &directive) {
-            (_, ServeLine::Stats) => {
+            (_, NetDirective::Stats) => {
                 return Err(format!(
                     "serve: line {line}: `stats` is only available in live mode"
                 ))
@@ -760,7 +676,7 @@ fn collect_trace(
             (Some(tag), _) => tag,
         };
         trace = match directive {
-            ServeLine::Submit(mut request) => {
+            NetDirective::Submit(mut request) => {
                 clamp_budget(&mut request, args.max_budget);
                 match tag.shard {
                     Some(shard) => trace.submit_pinned_at(tag.generation, shard, request),
@@ -769,20 +685,11 @@ fn collect_trace(
             }
             // A cancel routes to the owner of the id; any shard pin on
             // it is redundant.
-            ServeLine::Cancel(id) => trace.cancel_at(tag.generation, id),
-            ServeLine::Stats => unreachable!("rejected above"),
+            NetDirective::Cancel(id) => trace.cancel_at(tag.generation, id),
+            NetDirective::Stats => unreachable!("rejected above"),
         };
     }
     Ok(trace)
-}
-
-/// Applies the server-side `--max-budget` clamp to one request: the
-/// request keeps its own node budget if tighter, graceful degradation
-/// instead of refusal otherwise.
-fn clamp_budget(request: &mut Request, max_budget: Option<u64>) {
-    if let Some(nodes) = max_budget {
-        request.budget = request.budget.clone().and_node_budget(nodes);
-    }
 }
 
 /// Redoes a crashed daemon's accepted-but-unsealed requests, so a
@@ -814,15 +721,14 @@ fn recover_journal(
     let mut live = Vec::new();
     let mut outcomes = Vec::new();
     for r in &pending {
-        let parsed = parse_serve_line(&r.line, &load_soc)
+        let parsed = parse_session_line(&r.line, &load_soc, args.max_budget)
             .map_err(|e| format!("journal: request {}: {e}", r.id))?;
-        let Some((None, ServeLine::Submit(mut request))) = parsed else {
+        let Some(NetDirective::Submit(request)) = parsed else {
             return Err(format!(
                 "journal: request {}: journaled line is not a submission",
                 r.id
             ));
         };
-        clamp_budget(&mut request, args.max_budget);
         if r.cancelled {
             outcomes.push(RequestOutcome {
                 index: r.id as usize,
@@ -882,7 +788,12 @@ fn recover_journal(
 /// announce the endpoint on stdout, serve clients until **stdin**
 /// closes (the operator's shutdown signal), then print the
 /// client-stamped final report.
-fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBinding>) -> ExitCode {
+fn serve_net(
+    args: &ServeArgs,
+    config: LiveConfig,
+    parser: LineParser,
+    options: NetOptions,
+) -> ExitCode {
     let listener = match (&args.listen, &args.socket) {
         (Some(addr), None) => NetListener::tcp(addr),
         (None, Some(path)) => NetListener::unix(path.as_str()),
@@ -897,26 +808,9 @@ fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBindin
     };
     // Port 0 resolves at bind time; announce the real endpoint so
     // clients (and tests) can discover it.
-    println!("{{\"listening\": {}}}", json_escape(listener.addr()));
+    println!("{{\"listening\": {}}}", json_string(listener.addr()));
 
-    let max_budget = args.max_budget;
-    let parser: tamopt::service::LineParser =
-        std::sync::Arc::new(move |line: &str| match parse_serve_line(line, &load_soc)? {
-            None => Ok(None),
-            Some((Some(_tag), _)) => Err(
-                "@<generation> tags are only valid in trace mode, not over the network".to_owned(),
-            ),
-            Some((None, ServeLine::Submit(mut request))) => {
-                clamp_budget(&mut request, max_budget);
-                Ok(Some(NetDirective::Submit(request)))
-            }
-            Some((None, ServeLine::Cancel(id))) => Ok(Some(NetDirective::Cancel(id))),
-            Some((None, ServeLine::Stats)) => Ok(Some(NetDirective::Stats)),
-        });
-    let options = NetOptions {
-        max_inflight: args.max_inflight,
-        journal: journal.clone(),
-    };
+    let journal = options.journal.clone();
     let server = NetServer::start_with_options(config, listener, parser, options);
 
     // Stdin is not a request source in network mode — it is the
@@ -924,37 +818,7 @@ fn serve_net(args: &ServeArgs, config: LiveConfig, journal: Option<JournalBindin
     let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
 
     let report = server.shutdown().expect("first shutdown");
-    // Clean shutdown: every accepted id was sealed by the router, so
-    // the journal owes nothing — truncate it to an empty header.
-    if let Some(journal) = &journal {
-        journal.compact();
-    }
-    print!("{}", report.to_json());
-    let failed = report.count(RequestStatus::Failed);
-    if failed > 0 {
-        eprintln!("{failed} request(s) failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Escapes `value` as a JSON string literal (quotes included).
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    finish(&report, journal.as_ref(), 0)
 }
 
 fn load_soc(name: &str) -> Result<Soc, String> {
@@ -1271,13 +1135,6 @@ mod tests {
                 .unwrap_err()
                 .contains("at least 1")
         );
-    }
-
-    #[test]
-    fn json_escape_matches_the_wire_format() {
-        assert_eq!(json_escape("127.0.0.1:7171"), "\"127.0.0.1:7171\"");
-        assert_eq!(json_escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 
     // The request-line / manifest / serve-protocol grammars are parsed

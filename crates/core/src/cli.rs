@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use tamopt_engine::SearchBudget;
-use tamopt_service::{Request, RequestKind};
+use tamopt_service::{NetDirective, Request, RequestKind};
 use tamopt_soc::Soc;
 
 /// Maps a SOC name from a request line to a loaded [`Soc`]: the binary
@@ -160,18 +160,6 @@ pub fn parse_manifest(text: &str, resolve: SocResolver) -> Result<Vec<Request>, 
     Ok(requests)
 }
 
-/// One directive of the serve protocol.
-#[derive(Debug)]
-pub enum ServeLine {
-    /// Submit a request (a [`parse_request_line`] payload).
-    Submit(Request),
-    /// Cancel the request with this id.
-    Cancel(usize),
-    /// Dump a deterministic JSON snapshot of the backlog (live mode
-    /// only — a replayed trace has no interactive observer to serve).
-    Stats,
-}
-
 /// The `@<generation>[/<shard>]` prefix of a trace line: the generation
 /// barrier the event applies at, plus an optional explicit shard pin
 /// (valid only under `--shards`).
@@ -184,7 +172,8 @@ pub struct ServeTag {
 }
 
 /// Parses one serve stdin line into an optional [`ServeTag`] and a
-/// directive; comments and blank lines yield `Ok(None)`.
+/// directive; comments and blank lines yield `Ok(None)`. A tagged
+/// `Cancel` names a trace-global id, an untagged one a session-local id.
 ///
 /// # Errors
 ///
@@ -193,7 +182,7 @@ pub struct ServeTag {
 pub fn parse_serve_line(
     raw: &str,
     resolve: SocResolver,
-) -> Result<Option<(Option<ServeTag>, ServeLine)>, String> {
+) -> Result<Option<(Option<ServeTag>, NetDirective)>, String> {
     let line = raw.split('#').next().unwrap_or_default().trim();
     if line.is_empty() {
         return Ok(None);
@@ -220,7 +209,7 @@ pub fn parse_serve_line(
         None => (None, line),
     };
     if rest == "stats" {
-        return Ok(Some((tag, ServeLine::Stats)));
+        return Ok(Some((tag, NetDirective::Stats)));
     }
     let directive = match rest.strip_prefix("cancel") {
         Some(id) if id.starts_with(char::is_whitespace) => {
@@ -228,11 +217,47 @@ pub fn parse_serve_line(
                 .trim()
                 .parse()
                 .map_err(|_| format!("invalid cancel id `{}`", id.trim()))?;
-            ServeLine::Cancel(id)
+            NetDirective::Cancel(id)
         }
-        _ => ServeLine::Submit(parse_request_line(rest, resolve)?),
+        _ => NetDirective::Submit(parse_request_line(rest, resolve)?),
     };
     Ok(Some((tag, directive)))
+}
+
+/// Parses one line of a live session — `tamopt serve`'s stdin live mode
+/// or one of its socket connections — and clamps a submission's node
+/// budget to `max_budget` (`--max-budget`).
+///
+/// # Errors
+///
+/// As [`parse_serve_line`], and for an `@<generation>` tag: tags belong
+/// to trace replay only.
+pub fn parse_session_line(
+    raw: &str,
+    resolve: SocResolver,
+    max_budget: Option<u64>,
+) -> Result<Option<NetDirective>, String> {
+    match parse_serve_line(raw, resolve)? {
+        None => Ok(None),
+        Some((Some(_), _)) => Err(
+            "@<generation> tags are only valid in a trace, where every stdin line is tagged"
+                .to_owned(),
+        ),
+        Some((None, NetDirective::Submit(mut request))) => {
+            clamp_budget(&mut request, max_budget);
+            Ok(Some(NetDirective::Submit(request)))
+        }
+        Some((None, directive)) => Ok(Some(directive)),
+    }
+}
+
+/// Applies the server-side `--max-budget` clamp to one request: the
+/// request keeps its own node budget if tighter, graceful degradation
+/// instead of refusal otherwise.
+pub fn clamp_budget(request: &mut Request, max_budget: Option<u64>) {
+    if let Some(nodes) = max_budget {
+        request.budget = request.budget.clone().and_node_budget(nodes);
+    }
 }
 
 #[cfg(test)]
@@ -321,7 +346,7 @@ mod tests {
             .unwrap();
         assert!(tag.is_none());
         match line {
-            ServeLine::Submit(request) => {
+            NetDirective::Submit(request) => {
                 assert_eq!(request.width, 32);
                 assert_eq!(request.priority, 2);
             }
@@ -337,7 +362,7 @@ mod tests {
                 shard: None
             })
         );
-        assert!(matches!(line, ServeLine::Cancel(7)));
+        assert!(matches!(line, NetDirective::Cancel(7)));
         let (tag, _) = parse_serve_line("@0 d695 16 2", &resolve).unwrap().unwrap();
         assert_eq!(
             tag,
@@ -356,7 +381,7 @@ mod tests {
                 shard: Some(1)
             })
         );
-        assert!(matches!(line, ServeLine::Submit(_)));
+        assert!(matches!(line, NetDirective::Submit(_)));
     }
 
     #[test]
@@ -365,7 +390,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(tag.is_none());
-        assert!(matches!(line, ServeLine::Stats));
+        assert!(matches!(line, NetDirective::Stats));
         let (tag, line) = parse_serve_line("@2 stats", &resolve).unwrap().unwrap();
         assert_eq!(
             tag,
@@ -374,7 +399,7 @@ mod tests {
                 shard: None
             })
         );
-        assert!(matches!(line, ServeLine::Stats));
+        assert!(matches!(line, NetDirective::Stats));
     }
 
     #[test]
@@ -389,6 +414,26 @@ mod tests {
         // `cancel` with no id falls through to request parsing and
         // errors there (no SOC named `cancel`).
         assert!(parse_serve_line("cancel", &resolve).is_err());
+    }
+
+    #[test]
+    fn session_lines_reject_tags_and_clamp_budgets() {
+        let parse = |raw: &str| parse_session_line(raw, &resolve, Some(500));
+        assert!(parse("@0 d695 16 2").unwrap_err().contains("trace"));
+        assert!(matches!(
+            parse("cancel 3"),
+            Ok(Some(NetDirective::Cancel(3)))
+        ));
+        let budget = |raw: &str| match parse(raw) {
+            Ok(Some(NetDirective::Submit(request))) => request.budget.node_budget(),
+            other => panic!("expected a submit, got {other:?}"),
+        };
+        assert_eq!(budget("d695 16 2"), Some(500), "clamped to --max-budget");
+        assert_eq!(
+            budget("d695 16 2 node-budget=100"),
+            Some(100),
+            "own budget is tighter"
+        );
     }
 
     #[test]

@@ -569,6 +569,54 @@ fn serve_live_stdin_bytes_are_pinned_in_lockstep() {
 }
 
 #[test]
+fn serve_stdin_cancel_of_a_finished_request_is_a_silent_no_op() {
+    // Like a socket client, the stdin session may cancel any id it
+    // submitted; once the outcome has streamed there is nothing left to
+    // cancel, which is not an error.
+    let mut serve = Lockstep::spawn(&["--threads", "1"]);
+    serve.next(false, "banner");
+    serve.send("d695 16 2");
+    let outcome = serve.next(false, "outcome");
+    assert!(outcome.contains("\"status\": \"complete\""), "{outcome}");
+    serve.send("cancel 0");
+    let (_, stderr, status) = serve.finish();
+    assert!(status.success(), "stderr: {stderr:?}");
+    assert!(stderr.is_empty(), "stderr: {stderr:?}");
+}
+
+#[test]
+fn serve_stdin_in_flight_quota_accounts_for_every_submission() {
+    // `--max-inflight 1` holds the stdin session to the same quota as a
+    // socket client. The heavy first request is still running when the
+    // rest of the burst arrives, so some are refused: each refusal is a
+    // stderr note that consumes no id and does not fail the run.
+    let burst = [
+        "p31108 32 4",
+        "d695 16 2",
+        "d695 24 3",
+        "d695 16 2",
+        "d695 24 3",
+    ];
+    let out = serve(
+        &(burst.join("\n") + "\n"),
+        &["--threads", "1", "--max-inflight", "1"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let outcomes = stdout
+        .lines()
+        .filter(|line| line.starts_with("{\"v\": 1, \"id\": "))
+        .count();
+    let refused = stderr
+        .lines()
+        .filter(|line| line.contains("overloaded — request refused"))
+        .count();
+    assert_eq!(outcomes + refused, burst.len(), "{stdout}\n{stderr}");
+    assert!(refused >= 1, "the quota refused nothing: {stderr}");
+}
+
+#[test]
 fn serve_rejects_listen_and_socket_together() {
     let out = tamopt()
         .args([

@@ -34,7 +34,7 @@
 use std::collections::HashSet;
 
 use crate::live::{LiveConfig, LiveQueue, Trace};
-use crate::net::{error_line, LineFramer, NetDirective};
+use crate::net::{error_line, Frame, LineFramer, NetDirective, Refusal};
 use crate::report::{BatchReport, RequestOutcome};
 
 /// One scripted client: generation-tagged protocol lines and an
@@ -213,24 +213,17 @@ pub fn replay(
                 frames.extend(framer.finish());
                 for frame in frames {
                     let text = match frame {
-                        crate::net::Frame::Oversized => {
-                            states[client].responses.push(error_line(
-                                client,
-                                "oversized",
-                                &format!(
-                                    "line exceeds {} bytes; discarded up to the next newline",
-                                    crate::net::MAX_LINE_LEN
-                                ),
-                            ));
+                        Frame::Oversized => {
+                            let line = Refusal::Oversized.error_line(client);
+                            states[client].responses.push(line);
                             continue;
                         }
-                        crate::net::Frame::Line(text) => text,
+                        Frame::Line(text) => text,
                     };
                     match parser(&text) {
                         Err(detail) => {
-                            states[client]
-                                .responses
-                                .push(error_line(client, "parse", &detail));
+                            let line = Refusal::Parse(detail).error_line(client);
+                            states[client].responses.push(line);
                         }
                         Ok(None) => {}
                         Ok(Some(NetDirective::Submit(request))) => {
@@ -244,13 +237,11 @@ pub fn replay(
                         Ok(Some(NetDirective::Cancel(local))) => {
                             let state = &mut states[client];
                             if local >= state.globals.len() {
-                                let detail = format!(
-                                    "request {local} is outside this client's namespace ({} submitted)",
-                                    state.globals.len()
-                                );
-                                state
-                                    .responses
-                                    .push(error_line(client, "unknown-id", &detail));
+                                let refusal = Refusal::UnknownId {
+                                    id: local,
+                                    submitted: state.globals.len(),
+                                };
+                                state.responses.push(refusal.error_line(client));
                             } else {
                                 let global = state.globals[local];
                                 if state.cancelled.insert(global) {

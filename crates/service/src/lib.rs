@@ -103,8 +103,10 @@ pub use crate::live::{
 };
 pub use crate::net::{
     error_line, Frame, LineFramer, LineParser, NetDirective, NetListener, NetOptions, NetServer,
-    MAX_LINE_LEN,
+    Refusal, MAX_LINE_LEN,
 };
-pub use crate::report::{BatchReport, RequestOutcome, RequestStatus, ResultEntry, WIRE_VERSION};
+pub use crate::report::{
+    json_string, BatchReport, RequestOutcome, RequestStatus, ResultEntry, WIRE_VERSION,
+};
 pub use crate::request::{Request, RequestError, RequestKind};
 pub use crate::shard::{ShardStats, ShardedStats, STEAL_MARGIN};

@@ -35,6 +35,11 @@
 //! [`BatchReport`] returned by [`NetServer::shutdown`] keeps global
 //! submission ids and stamps each outcome with the submitting client.
 //!
+//! `tamopt serve`'s stdin live mode runs on the same session layer as
+//! one session with no listener ([`NetServer::serve_stdin`]): its lines
+//! go to stdout unstamped, its [`Refusal`]s to stderr, and the end of
+//! its input drains the queue instead of cancelling.
+//!
 //! The deterministic counterpart of this live front-end is the
 //! multi-client trace replay in [`crate::chaos`].
 
@@ -156,7 +161,8 @@ pub enum NetDirective {
     Submit(Request),
     /// Cancel the caller's submission with this **local** id.
     Cancel(usize),
-    /// Report per-client outstanding counts.
+    /// Report the backlog: per-client outstanding counts to a socket
+    /// client, the queue's own snapshot to the stdin session.
     Stats,
 }
 
@@ -183,6 +189,86 @@ pub fn error_line(client: usize, code: &str, detail: &str) -> String {
         json_string(code),
         json_string(detail),
     )
+}
+
+/// Why the session layer turned a line down. A socket connection is
+/// answered with the refusal's [`error_line`]; the stdin session prints
+/// a `serve: line N:` note on stderr instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Refusal {
+    /// The [`LineParser`] rejected the line; the message names why.
+    Parse(String),
+    /// A line grew past [`MAX_LINE_LEN`] before its newline.
+    Oversized,
+    /// A submission arrived after the server sealed its queue.
+    Shutdown,
+    /// Backlog shedding: the backlog is at max-pending and this request
+    /// has the lowest aged effective priority.
+    Overloaded,
+    /// The session already has this many submissions in flight, its
+    /// [`NetOptions::max_inflight`] quota.
+    Quota(usize),
+    /// A cancel named a local id the session never submitted.
+    UnknownId {
+        /// The id the cancel named.
+        id: usize,
+        /// How many submissions the session has made.
+        submitted: usize,
+    },
+}
+
+impl Refusal {
+    /// The refusal as the versioned [`error_line`] sent to `client`.
+    pub fn error_line(&self, client: usize) -> String {
+        let (code, detail) = match self {
+            Refusal::Parse(detail) => ("parse", detail.clone()),
+            Refusal::Oversized => (
+                "oversized",
+                format!("line exceeds {MAX_LINE_LEN} bytes; discarded up to the next newline"),
+            ),
+            Refusal::Shutdown => ("shutdown", "the server is shutting down".to_owned()),
+            Refusal::Overloaded => (
+                "overloaded",
+                "backlog at max-pending and this request has the lowest aged effective \
+                 priority; retry later"
+                    .to_owned(),
+            ),
+            Refusal::Quota(quota) => (
+                "overloaded",
+                format!(
+                    "client has {quota} request(s) in flight (quota {quota}); drain an outcome \
+                     and retry"
+                ),
+            ),
+            Refusal::UnknownId { id, submitted } => (
+                "unknown-id",
+                format!("request {id} is outside this client's namespace ({submitted} submitted)"),
+            ),
+        };
+        error_line(client, code, &detail)
+    }
+
+    /// The stdin session's note for the refusal, and whether it fails
+    /// the run. Load shedding and the quota are operational states, not
+    /// input errors, so they do not.
+    fn stdin_note(&self) -> (String, bool) {
+        match self {
+            Refusal::Parse(detail) => (detail.clone(), true),
+            Refusal::Oversized => (format!("line exceeds {MAX_LINE_LEN} bytes"), true),
+            Refusal::Shutdown => ("queue is shut down".to_owned(), true),
+            Refusal::Overloaded => (
+                "overloaded — request shed (backlog at max-pending)".to_owned(),
+                false,
+            ),
+            Refusal::Quota(quota) => (
+                format!(
+                    "overloaded — request refused ({quota} request(s) in flight, quota {quota})"
+                ),
+                false,
+            ),
+            Refusal::UnknownId { id, .. } => (format!("unknown request id {id}"), true),
+        }
+    }
 }
 
 /// Renders the per-connection greeting announcing the client id.
@@ -325,17 +411,48 @@ impl Conn {
 // ---------------------------------------------------------------------------
 // The multiplexer
 
-/// Per-client connection state inside the [`Mux`].
-struct ClientSlot {
-    /// Local id → global id, in this client's submission order.
-    globals: Vec<usize>,
-    /// Sender feeding the connection's writer thread; `None` once the
-    /// client disconnected or the server is closing its channels.
-    tx: Option<Sender<String>>,
-    disconnected: bool,
+/// Where a session's reply and outcome lines go.
+#[derive(Clone)]
+enum Sink {
+    /// A socket connection's writer thread. The unbounded channel is the
+    /// backpressure buffer: a slow reader accumulates lines here without
+    /// ever blocking the router or sibling clients.
+    Writer(Sender<String>),
+    /// The stdin session: stdout, written synchronously. Each line takes
+    /// the stdout lock, is flushed and lets the lock go.
+    Stdout,
 }
 
-/// Global id ↔ client bookkeeping shared by readers and the router.
+impl Sink {
+    fn send(&self, line: String) {
+        match self {
+            // A racing disconnect closes the channel; dropping the line
+            // then is exactly the disconnect semantics.
+            Sink::Writer(tx) => {
+                let _ = tx.send(line);
+            }
+            Sink::Stdout => {
+                let mut out = io::stdout().lock();
+                let _ = out.write_all(line.as_bytes());
+                let _ = out.flush();
+            }
+        }
+    }
+}
+
+/// Per-session state inside the [`Mux`].
+struct ClientSlot {
+    /// Local id → global id, in this session's submission order.
+    globals: Vec<usize>,
+    /// The `"client"` stamp of the session's outcome lines, journal
+    /// records and report entries: `Some(id)` for a socket client,
+    /// `None` for the stdin session, whose bytes carry no stamp.
+    stamp: Option<usize>,
+    /// `None` once the client disconnected or the server is closing.
+    sink: Option<Sink>,
+}
+
+/// Global id ↔ session bookkeeping shared by readers and the router.
 #[derive(Default)]
 struct Mux {
     clients: Vec<ClientSlot>,
@@ -343,19 +460,6 @@ struct Mux {
     /// not streamed yet. Entries are removed by the router as outcomes
     /// arrive — an empty map after drain proves nothing leaked.
     outstanding: HashMap<usize, (usize, usize)>,
-    /// Permanent global id → (client, local id) map stamping the final
-    /// report.
-    stamps: HashMap<usize, (usize, usize)>,
-}
-
-impl Mux {
-    fn respond(&self, client: usize, line: String) {
-        if let Some(tx) = self.clients[client].tx.as_ref() {
-            // A racing disconnect closes the channel; dropping the
-            // response then is exactly the disconnect semantics.
-            let _ = tx.send(line);
-        }
-    }
 }
 
 struct Shared {
@@ -363,7 +467,7 @@ struct Shared {
     mux: Mutex<Mux>,
     shutdown: AtomicBool,
     parser: LineParser,
-    /// Per-client in-flight quota ([`NetOptions::max_inflight`]).
+    /// Per-session in-flight quota ([`NetOptions::max_inflight`]).
     max_inflight: usize,
     /// Write-ahead request journal ([`NetOptions::journal`]): accepted
     /// submissions and cancellations append at accept time, outcomes
@@ -374,19 +478,38 @@ struct Shared {
 }
 
 impl Shared {
+    /// Registers a session and returns its client id; socket clients
+    /// are stamped with that id, the stdin session is not.
+    fn add_session(&self, sink: Sink, stamped: bool) -> usize {
+        let mut mux = lock(&self.mux);
+        let client = mux.clients.len();
+        mux.clients.push(ClientSlot {
+            globals: Vec::new(),
+            stamp: stamped.then_some(client),
+            sink: Some(sink),
+        });
+        client
+    }
+
+    /// Sends `line` to `client`'s sink, if it still has one. The mux
+    /// lock is released before the write: the stdout sink can block.
+    fn respond(&self, client: usize, line: String) {
+        let sink = lock(&self.mux).clients[client].sink.clone();
+        if let Some(sink) = sink {
+            sink.send(line);
+        }
+    }
+
     /// Idempotent disconnect: cancels every outstanding submission of
-    /// `client` and closes its writer channel. Queued requests surface
-    /// as `cancelled` outcomes, dispatched ones finish truncated at the
+    /// `client` and closes its sink. Queued requests surface as
+    /// `cancelled` outcomes, dispatched ones finish truncated at the
     /// next barrier; the router drops both on arrival (the client is
     /// gone) while the final report keeps them.
     fn disconnect(&self, client: usize) {
         let mut mux = lock(&self.mux);
-        let slot = &mut mux.clients[client];
-        if slot.disconnected {
+        if mux.clients[client].sink.take().is_none() {
             return;
         }
-        slot.disconnected = true;
-        slot.tx = None;
         let mine: Vec<usize> = mux
             .outstanding
             .iter()
@@ -400,111 +523,86 @@ impl Shared {
         }
     }
 
-    fn handle_frame(&self, client: usize, frame: Frame) {
-        match frame {
-            Frame::Oversized => {
-                let line = error_line(
-                    client,
-                    "oversized",
-                    &format!("line exceeds {MAX_LINE_LEN} bytes; discarded up to the next newline"),
-                );
-                lock(&self.mux).respond(client, line);
+    /// Applies one protocol line of `client`'s session: a submission or
+    /// a cancel reaches the queue, `stats` is answered on the sink.
+    fn apply_line(&self, client: usize, line: &str) -> Result<(), Refusal> {
+        match (self.parser)(line).map_err(Refusal::Parse)? {
+            None => Ok(()),
+            Some(NetDirective::Submit(request)) => self.submit(client, request, line),
+            Some(NetDirective::Cancel(local)) => self.cancel(client, local),
+            Some(NetDirective::Stats) => {
+                let reply = self.stats_line(client);
+                self.respond(client, reply);
+                Ok(())
             }
-            Frame::Line(text) => match (self.parser)(&text) {
-                Err(detail) => {
-                    lock(&self.mux).respond(client, error_line(client, "parse", &detail));
-                }
-                Ok(None) => {}
-                Ok(Some(NetDirective::Submit(request))) => self.submit(client, request, &text),
-                Ok(Some(NetDirective::Cancel(local))) => self.cancel(client, local),
-                Ok(Some(NetDirective::Stats)) => self.stats(client),
-            },
         }
     }
 
-    fn submit(&self, client: usize, request: Request, line: &str) {
+    fn submit(&self, client: usize, request: Request, line: &str) -> Result<(), Refusal> {
         // The mux lock is held across the queue submit (the queue's own
         // locks nest inside it; the router takes the mux lock alone) so
         // the router can never see a global id before its owner entry.
         let mut mux = lock(&self.mux);
-        if mux.clients[client].disconnected {
-            return;
+        if mux.clients[client].sink.is_none() {
+            return Ok(());
         }
-        // Per-client quota: one greedy client cannot crowd out its
+        // Per-session quota: one greedy client cannot crowd out its
         // siblings. Refused submissions consume no id (local or
         // global) — the client retries after draining an outcome.
         if self.max_inflight > 0 {
             let outstanding = mux.outstanding.values().filter(|o| o.0 == client).count();
             if outstanding >= self.max_inflight {
-                let detail = format!(
-                    "client has {outstanding} request(s) in flight (quota {}); drain an outcome and retry",
-                    self.max_inflight
-                );
-                mux.respond(client, error_line(client, "overloaded", &detail));
-                return;
+                return Err(Refusal::Quota(self.max_inflight));
             }
         }
-        match self.queue.submit(request) {
-            Ok((id, _)) => {
-                let global = id.index();
-                let slot = &mut mux.clients[client];
-                let local = slot.globals.len();
-                slot.globals.push(global);
-                mux.outstanding.insert(global, (client, local));
-                mux.stamps.insert(global, (client, local));
-                // Journal at accept, inside the mux lock: the append
-                // lands before any later accept (or this request's own
-                // seal) can, so journal order matches accept order. The
-                // shard stamp records where routing placed it, so
-                // recovery re-runs it on the same shard.
-                if let Some(journal) = &self.journal {
-                    journal.submit(global, Some(client), self.queue.shard_of(id), line);
-                }
-            }
-            Err(SubmitError::ShutDown) => {
-                mux.respond(
-                    client,
-                    error_line(client, "shutdown", "the server is shutting down"),
-                );
-            }
-            // Queue-level load shedding decided this incoming request
-            // is the weakest thing in a full backlog. The connection
-            // survives; nothing was enqueued.
-            Err(SubmitError::Overloaded) => {
-                mux.respond(
-                    client,
-                    error_line(
-                        client,
-                        "overloaded",
-                        "backlog at max-pending and this request has the lowest aged effective priority; retry later",
-                    ),
-                );
-            }
+        let (id, _) = self.queue.submit(request).map_err(|e| match e {
+            SubmitError::ShutDown => Refusal::Shutdown,
+            SubmitError::Overloaded => Refusal::Overloaded,
+        })?;
+        let global = id.index();
+        let slot = &mut mux.clients[client];
+        let local = slot.globals.len();
+        slot.globals.push(global);
+        let stamp = slot.stamp;
+        mux.outstanding.insert(global, (client, local));
+        // Journal at accept, inside the mux lock: the append lands
+        // before any later accept (or this request's own seal) can, so
+        // journal order matches accept order. The shard stamp records
+        // where routing placed it, so recovery re-runs it on the same
+        // shard.
+        if let Some(journal) = &self.journal {
+            journal.submit(global, stamp, self.queue.shard_of(id), line);
         }
+        Ok(())
     }
 
-    fn cancel(&self, client: usize, local: usize) {
+    fn cancel(&self, client: usize, local: usize) -> Result<(), Refusal> {
         let mux = lock(&self.mux);
-        let submitted = mux.clients[client].globals.len();
-        if local >= submitted {
-            let detail = format!(
-                "request {local} is outside this client's namespace ({submitted} submitted)"
-            );
-            mux.respond(client, error_line(client, "unknown-id", &detail));
-            return;
-        }
+        let globals = &mux.clients[client].globals;
+        let Some(&global) = globals.get(local) else {
+            return Err(Refusal::UnknownId {
+                id: local,
+                submitted: globals.len(),
+            });
+        };
         // In-namespace cancels of already-finished requests are silent
         // no-ops, matching LiveQueue::cancel semantics.
-        let global = mux.clients[client].globals[local];
         if self.queue.cancel(RequestId::from(global)) {
             if let Some(journal) = &self.journal {
                 journal.cancel(global);
             }
         }
+        Ok(())
     }
 
-    fn stats(&self, client: usize) {
+    /// The `stats` reply: the queue's backlog snapshot for the stdin
+    /// session, per-client outstanding counts for a socket client.
+    fn stats_line(&self, client: usize) -> String {
         let mux = lock(&self.mux);
+        if mux.clients[client].stamp.is_none() {
+            drop(mux);
+            return format!("{}\n", self.queue.stats_json());
+        }
         let mut counts = vec![0usize; mux.clients.len()];
         let mut mine: Vec<usize> = Vec::new();
         for (&_global, &(owner, local)) in &mux.outstanding {
@@ -530,7 +628,7 @@ impl Shared {
             let _ = write!(line, "{local}");
         }
         line.push_str("]}}\n");
-        mux.respond(client, line);
+        line
     }
 }
 
@@ -540,11 +638,11 @@ impl Shared {
 /// Front-end tunables beyond the queue's own [`LiveConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct NetOptions {
-    /// Per-client in-flight quota (`0` = unbounded, the default): a
-    /// client with this many submissions outstanding gets an
-    /// `overloaded` [`error_line`] instead of an accepted id, so one
-    /// greedy client cannot monopolize the backlog. The connection is
-    /// unaffected; draining one outcome frees one slot.
+    /// Per-session in-flight quota (`0` = unbounded, the default): a
+    /// session with this many submissions outstanding is refused with
+    /// [`Refusal::Quota`] instead of getting an id, so one greedy client
+    /// cannot monopolize the backlog. The session is unaffected;
+    /// draining one outcome frees one slot.
     pub max_inflight: usize,
     /// Optional write-ahead request journal (`--journal`): accepted
     /// submissions append before the accept returns, cancellations at
@@ -554,15 +652,15 @@ pub struct NetOptions {
     pub journal: Option<JournalBinding>,
 }
 
-/// A running multi-client front-end. See the [module docs](self) for
-/// the protocol and disconnect semantics.
+/// A running session layer: a multi-client socket front-end, or the
+/// stdin session of [`NetServer::serve_stdin`]. See the
+/// [module docs](self) for the protocol and disconnect semantics.
 pub struct NetServer {
     shared: Arc<Shared>,
     addr: String,
     unix_path: Option<PathBuf>,
     accept: Option<JoinHandle<()>>,
     router: Option<JoinHandle<()>>,
-    report: Option<BatchReport>,
 }
 
 impl NetServer {
@@ -581,9 +679,58 @@ impl NetServer {
         parser: LineParser,
         options: NetOptions,
     ) -> Self {
+        Self::launch(config, Some(listener), parser, options)
+    }
+
+    /// Runs `tamopt serve`'s stdin live mode: the session layer with no
+    /// listener and one unstamped session. Each of `lines` (numbered
+    /// from 0) is applied as it arrives; outcome and `stats` lines go to
+    /// stdout, refusals to stderr as `serve: line N: …` notes. The end
+    /// of `lines` (or a read error) shuts the server down and drains the
+    /// queue — it is not a disconnect, so nothing is cancelled.
+    ///
+    /// Returns the final report and the number of lines that fail the
+    /// run: parse errors, unknown cancel ids, submissions after shutdown
+    /// and a read error.
+    pub fn serve_stdin(
+        config: LiveConfig,
+        parser: LineParser,
+        options: NetOptions,
+        lines: impl IntoIterator<Item = (usize, io::Result<String>)>,
+    ) -> (Option<BatchReport>, usize) {
+        let server = Self::launch(config, None, parser, options);
+        let client = server.shared.add_session(Sink::Stdout, false);
+        let mut failed = 0;
+        for (number, line) in lines {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    eprintln!("serve: cannot read stdin: {e}");
+                    failed += 1;
+                    break;
+                }
+            };
+            if let Err(refusal) = server.shared.apply_line(client, &line) {
+                let (note, fails) = refusal.stdin_note();
+                eprintln!("serve: line {}: {note}", number + 1);
+                failed += usize::from(fails);
+            }
+        }
+        (server.shutdown(), failed)
+    }
+
+    fn launch(
+        config: LiveConfig,
+        listener: Option<NetListener>,
+        parser: LineParser,
+        options: NetOptions,
+    ) -> Self {
         let queue = LiveQueue::start(config);
-        let addr = listener.addr().to_owned();
-        let unix_path = listener.unix_path.clone();
+        let addr = listener
+            .as_ref()
+            .map(|l| l.addr().to_owned())
+            .unwrap_or_default();
+        let unix_path = listener.as_ref().and_then(|l| l.unix_path.clone());
         let shared = Arc::new(Shared {
             queue,
             mux: Mutex::new(Mux::default()),
@@ -594,13 +741,13 @@ impl NetServer {
             workers: Mutex::new(Vec::new()),
         });
 
-        let accept = {
+        let accept = listener.map(|listener| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("tamopt-net-accept".to_owned())
                 .spawn(move || accept_loop(&shared, &listener))
                 .expect("spawning the accept thread")
-        };
+        });
         let router = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -613,9 +760,8 @@ impl NetServer {
             shared,
             addr,
             unix_path,
-            accept: Some(accept),
+            accept,
             router: Some(router),
-            report: None,
         }
     }
 
@@ -631,14 +777,11 @@ impl NetServer {
     /// outcomes in **global** submission order, each stamped with the
     /// client that submitted it.
     pub fn shutdown(mut self) -> Option<BatchReport> {
-        self.shutdown_inner();
-        self.report.take()
+        self.shutdown_inner()
     }
 
-    fn shutdown_inner(&mut self) {
-        if self.accept.is_none() {
-            return;
-        }
+    fn shutdown_inner(&mut self) -> Option<BatchReport> {
+        let router = self.router.take()?;
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
@@ -647,13 +790,11 @@ impl NetServer {
         // queued; the router streams them to connected clients, then
         // exits once the drained channel closes.
         let report = self.shared.queue.shutdown();
-        if let Some(handle) = self.router.take() {
-            let _ = handle.join();
-        }
-        // Close every writer channel (readers already exited on the
-        // shutdown flag), then join the connection threads.
+        let _ = router.join();
+        // Close every sink (readers already exited on the shutdown
+        // flag), then join the connection threads.
         for slot in &mut lock(&self.shared.mux).clients {
-            slot.tx = None;
+            slot.sink = None;
         }
         for handle in lock(&self.shared.workers).drain(..) {
             let _ = handle.join();
@@ -661,22 +802,25 @@ impl NetServer {
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
-        self.report = report.map(|mut report| {
+        report.map(|mut report| {
             let mux = lock(&self.shared.mux);
             debug_assert!(mux.outstanding.is_empty(), "an outcome leaked the router");
-            for outcome in &mut report.outcomes {
-                if let Some(&(client, _)) = mux.stamps.get(&outcome.index) {
-                    outcome.client = Some(client);
+            // The report lists one outcome per accepted id, in id order.
+            for slot in &mux.clients {
+                for &global in &slot.globals {
+                    if let Some(outcome) = report.outcomes.get_mut(global) {
+                        outcome.client = slot.stamp;
+                    }
                 }
             }
             report
-        });
+        })
     }
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        let _ = self.shutdown_inner();
     }
 }
 
@@ -702,15 +846,7 @@ fn register(shared: &Arc<Shared>, conn: Conn) {
         return;
     };
     let (tx, rx) = channel::<String>();
-    let client = {
-        let mut mux = lock(&shared.mux);
-        mux.clients.push(ClientSlot {
-            globals: Vec::new(),
-            tx: Some(tx),
-            disconnected: false,
-        });
-        mux.clients.len() - 1
-    };
+    let client = shared.add_session(Sink::Writer(tx), true);
 
     let writer = {
         let shared = Arc::clone(shared);
@@ -721,9 +857,6 @@ fn register(shared: &Arc<Shared>, conn: Conn) {
                     shared.disconnect(client);
                     return;
                 }
-                // The unbounded channel is the backpressure buffer: a
-                // slow reader accumulates lines here without ever
-                // blocking the router or sibling clients.
                 while let Ok(line) = rx.recv() {
                     if write_half.write_line(&line).is_err() {
                         shared.disconnect(client);
@@ -741,6 +874,15 @@ fn register(shared: &Arc<Shared>, conn: Conn) {
             .spawn(move || {
                 let mut framer = LineFramer::new();
                 let mut buf = [0u8; 4096];
+                let handle_frame = |frame: Frame| {
+                    let applied = match frame {
+                        Frame::Oversized => Err(Refusal::Oversized),
+                        Frame::Line(text) => shared.apply_line(client, &text),
+                    };
+                    if let Err(refusal) = applied {
+                        shared.respond(client, refusal.error_line(client));
+                    }
+                };
                 loop {
                     if shared.shutdown.load(Ordering::SeqCst) {
                         // Server-side close: not a client disconnect —
@@ -751,14 +893,14 @@ fn register(shared: &Arc<Shared>, conn: Conn) {
                     match conn.read_some(&mut buf) {
                         Ok(0) => {
                             if let Some(frame) = framer.finish() {
-                                shared.handle_frame(client, frame);
+                                handle_frame(frame);
                             }
                             shared.disconnect(client);
                             return;
                         }
                         Ok(n) => {
                             for frame in framer.push(&buf[..n]) {
-                                shared.handle_frame(client, frame);
+                                handle_frame(frame);
                             }
                         }
                         Err(err)
@@ -778,30 +920,32 @@ fn register(shared: &Arc<Shared>, conn: Conn) {
 }
 
 /// Drains the queue's merged outcome stream, rewriting each outcome to
-/// the owning client's namespace (`index` = local id, `"client"`
-/// stamped) and forwarding it to that client's writer. Outcomes of
-/// disconnected clients are dropped here — their owner entries are
-/// still removed, so a disconnect never leaks bookkeeping.
+/// the owning session's namespace (`index` = local id, `"client"` =
+/// the session's stamp) and handing it to that session's sink.
+/// Outcomes of disconnected clients are dropped here — their owner
+/// entries are still removed, so a disconnect never leaks bookkeeping.
 fn router_loop(shared: &Arc<Shared>) {
-    while let Some(outcome) = shared.queue.recv_outcome() {
-        // Seal before routing, and regardless of whether the owner is
-        // still connected: the outcome has merged, so a crash from here
-        // on must not redo the request.
-        if let Some(journal) = &shared.journal {
-            journal.sealed(outcome.index);
-        }
-        let mut mux = lock(&shared.mux);
-        let Some((client, local)) = mux.outstanding.remove(&outcome.index) else {
-            continue;
+    while let Some(mut outcome) = shared.queue.recv_outcome() {
+        let global = outcome.index;
+        let route = {
+            let mut mux = lock(&shared.mux);
+            mux.outstanding.remove(&global).and_then(|(client, local)| {
+                let slot = &mux.clients[client];
+                Some((slot.sink.clone()?, slot.stamp, local))
+            })
         };
-        if mux.clients[client].tx.is_none() {
-            continue;
+        if let Some((sink, stamp, local)) = route {
+            outcome.client = stamp;
+            outcome.index = local;
+            sink.send(outcome.to_json_line());
         }
-        let mut outcome = outcome;
-        outcome.client = Some(client);
-        outcome.index = local;
-        let line = outcome.to_json_line();
-        mux.respond(client, line);
+        // Seal only after the line reached its sink (or was dropped with
+        // its gone owner): a crash before this redoes the request rather
+        // than losing its outcome, and the merged outcome is never redone
+        // after it.
+        if let Some(journal) = &shared.journal {
+            journal.sealed(global);
+        }
     }
 }
 

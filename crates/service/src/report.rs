@@ -370,7 +370,7 @@ fn write_outcome(out: &mut String, outcome: &RequestOutcome, comma: &str) {
 }
 
 /// Escapes `value` as a JSON string literal (quotes included).
-pub(crate) fn json_string(value: &str) -> String {
+pub fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('"');
     for c in value.chars() {

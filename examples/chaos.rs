@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use tamopt::cli::{parse_serve_line, ServeLine};
+use tamopt::cli::parse_session_line;
 use tamopt::service::chaos::replay;
 use tamopt::service::{
     ChaosScenario, ClientScript, LineParser, LiveConfig, NetDirective, NetListener, NetServer,
@@ -68,18 +68,9 @@ fn resolve(name: &str) -> Result<Soc, String> {
     }
 }
 
-/// The serve grammar adapted for the network path, exactly as the
-/// `tamopt serve --listen` binary does it: `@` tags are trace-only.
+/// The session grammar of the `tamopt serve` binary (no `--max-budget`).
 fn net_parse(line: &str) -> Result<Option<NetDirective>, String> {
-    match parse_serve_line(line, &resolve)? {
-        None => Ok(None),
-        Some((Some(_tag), _)) => {
-            Err("@<generation> tags are only valid in trace mode, not over the network".to_owned())
-        }
-        Some((None, ServeLine::Submit(request))) => Ok(Some(NetDirective::Submit(request))),
-        Some((None, ServeLine::Cancel(id))) => Ok(Some(NetDirective::Cancel(id))),
-        Some((None, ServeLine::Stats)) => Ok(Some(NetDirective::Stats)),
-    }
+    parse_session_line(line, &resolve, None)
 }
 
 fn usage() -> String {
@@ -291,6 +282,26 @@ struct Expected {
     stats: usize,
 }
 
+impl Expected {
+    /// Tallies the reply the server owes for one line the client sent.
+    fn sent(&mut self, line: &str) {
+        match net_parse(line) {
+            Err(_) => self.parse_errors += 1,
+            Ok(None) => {}
+            Ok(Some(NetDirective::Submit(_))) => self.submits += 1,
+            Ok(Some(NetDirective::Stats)) => self.stats += 1,
+            Ok(Some(NetDirective::Cancel(local))) => {
+                // In-range cancels are silent; out-of-range ones are
+                // typed errors. "In range" is judged against what this
+                // client has submitted so far.
+                if local >= self.submits {
+                    self.unknown_ids += 1;
+                }
+            }
+        }
+    }
+}
+
 /// What one client actually received, tallied by line envelope.
 #[derive(Default)]
 struct Tally {
@@ -453,34 +464,11 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
                 std::thread::sleep(Duration::from_millis(2));
                 stream.write_all(tail).expect("completing a partial frame");
                 writeln!(stream).expect("terminating a partial frame");
-                match net_parse(line) {
-                    Err(_) => expected[client].parse_errors += 1,
-                    Ok(None) => {}
-                    Ok(Some(NetDirective::Submit(_))) => expected[client].submits += 1,
-                    Ok(Some(NetDirective::Stats)) => expected[client].stats += 1,
-                    Ok(Some(NetDirective::Cancel(local))) => {
-                        if local >= expected[client].submits {
-                            expected[client].unknown_ids += 1;
-                        }
-                    }
-                }
+                expected[client].sent(line);
             }
             Event::Line(line) => {
                 writeln!(stream, "{line}").expect("writing a scenario line");
-                match net_parse(line) {
-                    Err(_) => expected[client].parse_errors += 1,
-                    Ok(None) => {}
-                    Ok(Some(NetDirective::Submit(_))) => expected[client].submits += 1,
-                    Ok(Some(NetDirective::Stats)) => expected[client].stats += 1,
-                    Ok(Some(NetDirective::Cancel(local))) => {
-                        // In-range cancels are silent; out-of-range ones
-                        // are typed errors. "In range" is judged against
-                        // what this client has submitted so far.
-                        if local >= expected[client].submits {
-                            expected[client].unknown_ids += 1;
-                        }
-                    }
-                }
+                expected[client].sent(line);
             }
         }
     }

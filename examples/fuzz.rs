@@ -40,9 +40,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use tamopt::cli::{parse_manifest, parse_serve_line};
+use tamopt::cli::{parse_manifest, parse_serve_line, parse_session_line};
 use tamopt::service::{
-    error_line, Frame, LineFramer, LiveConfig, LiveQueue, Request, RequestOutcome, RequestStatus,
+    Frame, LineFramer, LiveConfig, LiveQueue, Refusal, Request, RequestOutcome, RequestStatus,
     StoreBinding, Trace, MAX_LINE_LEN,
 };
 use tamopt::soc::itc02::{parse_itc02, write_itc02};
@@ -471,14 +471,14 @@ fn fuzz_net(s: &mut Session, iters: u64) {
         // versioned error lines — never a panic.
         s.must_not_panic("net", case, &stream, || {
             for frame in &reference {
-                let detail = match frame {
-                    Frame::Oversized => "line exceeds the frame limit".to_owned(),
-                    Frame::Line(text) => match parse_serve_line(text, &resolve) {
-                        Err(message) => message,
+                let refusal = match frame {
+                    Frame::Oversized => Refusal::Oversized,
+                    Frame::Line(text) => match parse_session_line(text, &resolve, None) {
+                        Err(message) => Refusal::Parse(message),
                         Ok(_) => continue,
                     },
                 };
-                let line = error_line(0, "parse", &detail);
+                let line = refusal.error_line(0);
                 assert!(
                     line.ends_with('\n') && !line[..line.len() - 1].contains('\n'),
                     "error line spans lines: {line:?}"
