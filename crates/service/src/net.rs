@@ -478,8 +478,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Registers a session and returns its client id; socket clients
-    /// are stamped with that id, the stdin session is not.
     fn add_session(&self, sink: Sink, stamped: bool) -> usize {
         let mut mux = lock(&self.mux);
         let client = mux.clients.len();
@@ -523,8 +521,6 @@ impl Shared {
         }
     }
 
-    /// Applies one protocol line of `client`'s session: a submission or
-    /// a cancel reaches the queue, `stats` is answered on the sink.
     fn apply_line(&self, client: usize, line: &str) -> Result<(), Refusal> {
         match (self.parser)(line).map_err(Refusal::Parse)? {
             None => Ok(()),
@@ -682,16 +678,12 @@ impl NetServer {
         Self::launch(config, Some(listener), parser, options)
     }
 
-    /// Runs `tamopt serve`'s stdin live mode: the session layer with no
-    /// listener and one unstamped session. Each of `lines` (numbered
-    /// from 0) is applied as it arrives; outcome and `stats` lines go to
-    /// stdout, refusals to stderr as `serve: line N: …` notes. The end
-    /// of `lines` (or a read error) shuts the server down and drains the
-    /// queue — it is not a disconnect, so nothing is cancelled.
-    ///
-    /// Returns the final report and the number of lines that fail the
-    /// run: parse errors, unknown cancel ids, submissions after shutdown
-    /// and a read error.
+    /// Runs `tamopt serve`'s stdin live mode: one unstamped session with
+    /// no listener, fed `lines` (numbered from 0). Outcome and `stats`
+    /// lines go to stdout, refusals to stderr as `serve: line N: …`
+    /// notes. The end of `lines` shuts the server down and drains the
+    /// queue; it is not a disconnect, so nothing is cancelled. Returns
+    /// the final report and the number of lines that fail the run.
     pub fn serve_stdin(
         config: LiveConfig,
         parser: LineParser,
