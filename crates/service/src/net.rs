@@ -976,6 +976,29 @@ mod tests {
     }
 
     #[test]
+    fn framing_does_not_depend_on_chunking() {
+        // A realistic line mix (a `\r\n` ending, a `stats` line, a bad
+        // line), repeated past a few MTUs and cut mid-line at the end.
+        let mix = b"d695 16 2\np31108 24 3\ncancel 0\nstats\r\nnot a request\n";
+        let stream: Vec<u8> = mix.iter().copied().cycle().take(5000).collect();
+        let frame_all = |step: usize| {
+            let mut framer = LineFramer::new();
+            let mut frames: Vec<Frame> = stream
+                .chunks(step)
+                .flat_map(|piece| framer.push(piece))
+                .collect();
+            frames.extend(framer.finish());
+            frames
+        };
+        let whole = frame_all(stream.len());
+        assert!(whole.contains(&Frame::Line("stats".into())));
+        assert!(whole.contains(&Frame::Line("not a request".into())));
+        for step in [1400, 7, 1] {
+            assert_eq!(frame_all(step), whole, "{step}-byte chunks");
+        }
+    }
+
+    #[test]
     fn error_lines_are_versioned_and_escaped() {
         let line = error_line(3, "parse", "bad \"soc\"");
         assert_eq!(

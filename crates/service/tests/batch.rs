@@ -24,6 +24,26 @@ fn three_soc_requests() -> Vec<Request> {
     ]
 }
 
+/// The acceptance manifest (`examples/batch.manifest`) padded to eight
+/// requests. The executor dispatches one request per chunk under an
+/// exponential generation ramp (1, 2, 4, …), so a queue needs at least
+/// seven requests before any generation is four wide.
+fn eight_requests() -> Vec<Request> {
+    vec![
+        Request::new(benchmarks::d695(), 32).unwrap().max_tams(6),
+        Request::new(benchmarks::p31108(), 32)
+            .unwrap()
+            .max_tams(4)
+            .priority(1),
+        Request::new(benchmarks::p93791(), 64).unwrap().max_tams(10),
+        Request::new(benchmarks::d695(), 48).unwrap().max_tams(6),
+        Request::new(benchmarks::p31108(), 24).unwrap().max_tams(3),
+        Request::new(benchmarks::d695(), 24).unwrap().max_tams(4),
+        Request::new(benchmarks::p31108(), 16).unwrap().max_tams(2),
+        Request::new(benchmarks::d695(), 16).unwrap().max_tams(2),
+    ]
+}
+
 /// Strips the wall-clock lines a JSON report is allowed to vary on.
 fn stable_lines(report_json: &str) -> String {
     report_json
@@ -35,17 +55,20 @@ fn stable_lines(report_json: &str) -> String {
 
 #[test]
 fn batch_reports_are_thread_count_invariant() {
-    let reference = run_batch(three_soc_requests(), &BatchConfig::with_threads(1));
-    assert!(reference.complete);
-    assert_eq!(reference.count(RequestStatus::Complete), 3);
-    let reference_json = stable_lines(&reference.to_json());
-    for threads in [2, 4, 8] {
-        let report = run_batch(three_soc_requests(), &BatchConfig::with_threads(threads));
-        assert_eq!(
-            stable_lines(&report.to_json()),
-            reference_json,
-            "threads {threads}"
-        );
+    for queue in [three_soc_requests as fn() -> Vec<Request>, eight_requests] {
+        let reference = run_batch(queue(), &BatchConfig::with_threads(1));
+        assert!(reference.complete);
+        assert_eq!(reference.count(RequestStatus::Complete), queue().len());
+        let reference_json = stable_lines(&reference.to_json());
+        for threads in [2, 4, 8] {
+            let report = run_batch(queue(), &BatchConfig::with_threads(threads));
+            assert_eq!(
+                stable_lines(&report.to_json()),
+                reference_json,
+                "{} requests, threads {threads}",
+                queue().len()
+            );
+        }
     }
 }
 

@@ -45,20 +45,56 @@ fn mixed_trace() -> Trace {
     trace.cancel_at(1, id1)
 }
 
+/// Eight submissions over two SOC families, so the generation ramp
+/// (1, 2, 4, …) reaches a four-wide schedule, plus a mid-run
+/// priority-9 submission and a warm-start duplicate of submission 0.
+fn eight_submission_trace() -> Trace {
+    Trace::new()
+        .submit_at(0, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
+        .submit_at(
+            0,
+            Request::new(benchmarks::p31108(), 32).unwrap().max_tams(4),
+        )
+        .submit_at(0, Request::new(benchmarks::d695(), 48).unwrap().max_tams(6))
+        .submit_at(
+            0,
+            Request::new(benchmarks::p31108(), 24).unwrap().max_tams(3),
+        )
+        .submit_at(0, Request::new(benchmarks::d695(), 24).unwrap().max_tams(4))
+        .submit_at(
+            0,
+            Request::new(benchmarks::p31108(), 16).unwrap().max_tams(2),
+        )
+        .submit_at(
+            1,
+            Request::new(benchmarks::d695(), 16)
+                .unwrap()
+                .max_tams(2)
+                .priority(9),
+        )
+        .submit_at(2, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
+}
+
 #[test]
 fn replayed_traces_are_thread_count_invariant() {
-    let (ref_stream, ref_report) = LiveQueue::replay(mixed_trace(), LiveConfig::with_threads(1));
-    assert_eq!(ref_report.outcomes.len(), 4, "one outcome per submission");
-    let ref_stream_text = stream_text(&ref_stream);
-    let ref_report_text = stable_lines(&ref_report.to_json());
-    for threads in [2, 8] {
-        let (stream, report) = LiveQueue::replay(mixed_trace(), LiveConfig::with_threads(threads));
-        assert_eq!(stream_text(&stream), ref_stream_text, "threads {threads}");
+    for (trace, submissions) in [
+        (mixed_trace as fn() -> Trace, 4),
+        (eight_submission_trace, 8),
+    ] {
+        let (ref_stream, ref_report) = LiveQueue::replay(trace(), LiveConfig::with_threads(1));
         assert_eq!(
-            stable_lines(&report.to_json()),
-            ref_report_text,
-            "threads {threads}"
+            ref_report.outcomes.len(),
+            submissions,
+            "one outcome per submission"
         );
+        let ref_stream_text = stream_text(&ref_stream);
+        let ref_report_text = stable_lines(&ref_report.to_json());
+        for threads in [2, 4, 8] {
+            let (stream, report) = LiveQueue::replay(trace(), LiveConfig::with_threads(threads));
+            let at = format!("{submissions} submissions, threads {threads}");
+            assert_eq!(stream_text(&stream), ref_stream_text, "{at}");
+            assert_eq!(stable_lines(&report.to_json()), ref_report_text, "{at}");
+        }
     }
 }
 
