@@ -83,14 +83,15 @@
 //! every request's node budget server-side (graceful degradation
 //! rather than refusal).
 
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use tamopt::analysis::UtilizationReport;
 use tamopt::cli::{
-    clamp_budget, parse_manifest, parse_serve_line, parse_session_line, parse_threads,
-    parse_time_limit,
+    clamp_budget, directive_text, parse_manifest, parse_serve_line, parse_session_line,
+    parse_threads, parse_time_limit,
 };
 use tamopt::service::{
     json_string, BatchConfig, BatchReport, JournalBinding, LineParser, LiveConfig, LiveQueue,
@@ -263,26 +264,26 @@ fn open_store(path: &str, config: StoreConfig) -> Result<StoreBinding, String> {
     Ok(StoreBinding::new(store))
 }
 
-fn batch_main(argv: impl Iterator<Item = String>) -> ExitCode {
+fn batch_main(argv: impl Iterator<Item = String>) -> io::Result<ExitCode> {
     let args = match parse_batch_args(argv) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let text = match std::fs::read_to_string(&args.manifest) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read `{}`: {e}", args.manifest);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let requests = match parse_manifest(&text, &load_soc) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut config = BatchConfig::with_threads(args.threads);
@@ -294,7 +295,7 @@ fn batch_main(argv: impl Iterator<Item = String>) -> ExitCode {
             Ok(binding) => Some(binding),
             Err(msg) => {
                 eprintln!("{msg}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
     }
@@ -303,18 +304,18 @@ fn batch_main(argv: impl Iterator<Item = String>) -> ExitCode {
     if let Some(path) = &args.out {
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!("batch report written to {path}");
+        write_stdout(&format!("batch report written to {path}\n"))?;
     } else {
-        print!("{json}");
+        write_stdout(&json)?;
     }
     let failed = report.count(RequestStatus::Failed);
     if failed > 0 {
         eprintln!("{failed} request(s) failed");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 #[derive(Debug)]
@@ -456,12 +457,12 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
     })
 }
 
-fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
+fn serve_main(argv: impl Iterator<Item = String>) -> io::Result<ExitCode> {
     let args = match parse_serve_args(argv) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut config = LiveConfig::with_threads(args.threads);
@@ -500,14 +501,16 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
             Ok(binding) => Some(binding),
             Err(msg) => {
                 eprintln!("{msg}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
     }
 
     // Announce the wire protocol before any outcome streams: consumers
     // (and the replay comparator) key their parsing off this version.
-    println!("{{\"protocol\": \"tamopt-serve\", \"v\": {WIRE_VERSION}}}");
+    write_stdout(&format!(
+        "{{\"protocol\": \"tamopt-serve\", \"v\": {WIRE_VERSION}}}\n"
+    ))?;
 
     // Crash safety: open the write-ahead journal and — before reading
     // any input — redo whatever a previous process accepted but never
@@ -517,16 +520,23 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
         Some(path) => match Journal::open(path, args.sync) {
             Err(e) => {
                 eprintln!("cannot open journal `{path}`: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             Ok(opened) => {
                 for warning in &opened.warnings {
                     eprintln!("tamopt: journal `{path}`: {warning}");
                 }
                 let binding = JournalBinding::new(opened.journal);
-                if let Err(msg) = recover_journal(&opened.records, &binding, &config, &args) {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
+                let recovered = match recover_journal(&opened.records, &config, &args) {
+                    Ok(outcomes) => outcomes,
+                    Err(msg) => {
+                        eprintln!("{msg}");
+                        return Ok(ExitCode::FAILURE);
+                    }
+                };
+                for outcome in &recovered {
+                    write_stdout(&outcome.to_json_line())?;
+                    binding.sealed(outcome.index);
                 }
                 Some(binding)
             }
@@ -552,34 +562,29 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
     let mut lines = stdin.lock().lines().enumerate();
 
     // The first directive decides the mode: `@`-tagged → deterministic
-    // trace replay; untagged → live submission as lines arrive. Either
-    // mode reads its input from that first line on.
+    // trace replay; untagged → live submission as lines arrive. Only the
+    // tag is read here: either mode parses its input, and reports a
+    // malformed line its own way, from that first line on.
     let mut first = None;
     for (number, line) in lines.by_ref() {
         let line = match line {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("serve: cannot read stdin: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
-        match parse_serve_line(&line, &load_soc) {
-            Ok(None) => {}
-            Ok(Some((tag, _))) => {
-                first = Some((number, line, tag.is_some()));
-                break;
-            }
-            Err(msg) => {
-                eprintln!("serve: line {}: {msg}", number + 1);
-                return ExitCode::FAILURE;
-            }
+        let directive = directive_text(&line);
+        if !directive.is_empty() {
+            first = Some((number, directive.starts_with('@'), line));
+            break;
         }
     }
 
     let (report, invalid_lines) = match first {
         // Empty input: an empty trace still owes a valid (empty) report.
         None => (LiveQueue::replay(Trace::new(), config).1, 0),
-        Some((number, line, true)) => {
+        Some((number, true, line)) => {
             // Trace mode: collect the whole input, then replay. A trace
             // is its own deterministic recovery script, so it is not
             // journalled (recovery of a *previous* crash already ran).
@@ -591,16 +596,15 @@ fn serve_main(argv: impl Iterator<Item = String>) -> ExitCode {
                 Ok(trace) => trace,
                 Err(msg) => {
                     eprintln!("{msg}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let (stream, report) = LiveQueue::replay(trace, config);
-            for outcome in &stream {
-                print!("{}", outcome.to_json_line());
-            }
+            let text: String = stream.iter().map(RequestOutcome::to_json_line).collect();
+            write_stdout(&text)?;
             (report, 0)
         }
-        Some((number, line, false)) => {
+        Some((number, false, line)) => {
             // Live mode: stdin is one session of the net layer. Refused
             // lines are reported and skipped — work already submitted
             // keeps running — and input errors fail the exit code.
@@ -618,7 +622,7 @@ fn finish(
     report: &BatchReport,
     journal: Option<&JournalBinding>,
     invalid_lines: usize,
-) -> ExitCode {
+) -> io::Result<ExitCode> {
     if invalid_lines > 0 {
         eprintln!("{invalid_lines} invalid line(s)");
     }
@@ -628,16 +632,16 @@ fn finish(
     if let Some(journal) = journal {
         journal.compact();
     }
-    print!("{}", report.to_json());
+    write_stdout(&report.to_json())?;
     if invalid_lines > 0 {
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let failed = report.count(RequestStatus::Failed);
     if failed > 0 {
         eprintln!("{failed} request(s) failed");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Collects a trace-mode input into one [`Trace`], replayed by
@@ -695,21 +699,20 @@ fn collect_trace(
 /// Redoes a crashed daemon's accepted-but-unsealed requests, so a
 /// `kill -9` mid-workload loses nothing: parses each journaled line,
 /// resubmits the live ones in original-id order through a fresh queue
-/// of the same shape, prints every outcome with its original id and
-/// client stamp, and seals it. Requests that were cancelled before the
-/// crash are not re-run — their `cancelled` outcome is synthesized
-/// directly — so the output still closes every accepted id exactly
-/// once. With `--store`, the redo finds identical winners with strictly
-/// fewer completed evaluations.
+/// of the same shape and returns every outcome, in id order, with its
+/// original id and client stamp; the caller prints and seals each.
+/// Requests that were cancelled before the crash are not re-run — their
+/// `cancelled` outcome is synthesized directly — so the output still
+/// closes every accepted id exactly once. With `--store`, the redo
+/// finds identical winners with strictly fewer completed evaluations.
 fn recover_journal(
     records: &[JournalRecord],
-    journal: &JournalBinding,
     config: &LiveConfig,
     args: &ServeArgs,
-) -> Result<(), String> {
+) -> Result<Vec<RequestOutcome>, String> {
     let pending = tamopt::store::journal::unsealed(records);
     if pending.is_empty() {
-        return Ok(());
+        return Ok(Vec::new());
     }
     eprintln!(
         "tamopt: journal: recovering {} accepted-but-unsealed request(s)",
@@ -777,11 +780,7 @@ fn recover_journal(
         let _ = queue.shutdown();
     }
     outcomes.sort_by_key(|o| o.index);
-    for outcome in &outcomes {
-        print!("{}", outcome.to_json_line());
-        journal.sealed(outcome.index);
-    }
-    Ok(())
+    Ok(outcomes)
 }
 
 /// The network front-end behind `serve --listen` / `--socket`: bind,
@@ -793,7 +792,7 @@ fn serve_net(
     config: LiveConfig,
     parser: LineParser,
     options: NetOptions,
-) -> ExitCode {
+) -> io::Result<ExitCode> {
     let listener = match (&args.listen, &args.socket) {
         (Some(addr), None) => NetListener::tcp(addr),
         (None, Some(path)) => NetListener::unix(path.as_str()),
@@ -803,12 +802,15 @@ fn serve_net(
         Ok(listener) => listener,
         Err(err) => {
             eprintln!("serve: cannot bind: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // Port 0 resolves at bind time; announce the real endpoint so
     // clients (and tests) can discover it.
-    println!("{{\"listening\": {}}}", json_string(listener.addr()));
+    write_stdout(&format!(
+        "{{\"listening\": {}}}\n",
+        json_string(listener.addr())
+    ))?;
 
     let journal = options.journal.clone();
     let server = NetServer::start_with_options(config, listener, parser, options);
@@ -835,28 +837,48 @@ fn load_soc(name: &str) -> Result<Soc, String> {
     }
 }
 
+/// Writes `text` to stdout and flushes it. Every stdout write of the
+/// binary goes through here: unlike `print!`, which panics once the
+/// reader of stdout has gone, it hands the error back to [`main`].
+fn write_stdout(text: &str) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    out.write_all(text.as_bytes())?;
+    out.flush()
+}
+
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1).peekable();
-    if argv.peek().map(String::as_str) == Some("batch") {
-        argv.next();
-        return batch_main(argv);
-    }
-    if argv.peek().map(String::as_str) == Some("serve") {
-        argv.next();
-        return serve_main(argv);
-    }
+    let run = match argv.peek().map(String::as_str) {
+        Some("batch") => {
+            argv.next();
+            batch_main(argv)
+        }
+        Some("serve") => {
+            argv.next();
+            serve_main(argv)
+        }
+        _ => optimize_main(argv),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("tamopt: cannot write stdout: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// The one-shot optimization: one SOC, one width, one report.
+fn optimize_main(argv: impl Iterator<Item = String>) -> io::Result<ExitCode> {
     let args = match parse_args(argv) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let soc = match load_soc(&args.soc) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut optimizer = CoOptimizer::new(soc, args.width)
@@ -875,15 +897,15 @@ fn main() -> ExitCode {
         Ok(arch) => arch,
         Err(e) => {
             eprintln!("optimization failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    print!("{}", arch.report());
+    let mut text = arch.report();
     if args.analyze {
-        println!();
-        print!("{}", UtilizationReport::new(&arch));
+        text = format!("{text}\n{}", UtilizationReport::new(&arch));
     }
-    ExitCode::SUCCESS
+    write_stdout(&text)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]

@@ -171,6 +171,12 @@ pub struct ServeTag {
     pub shard: Option<usize>,
 }
 
+/// The directive part of one serve line: the text before any `#`
+/// comment, trimmed. Empty for blank and comment-only lines.
+pub fn directive_text(raw: &str) -> &str {
+    raw.split('#').next().unwrap_or_default().trim()
+}
+
 /// Parses one serve stdin line into an optional [`ServeTag`] and a
 /// directive; comments and blank lines yield `Ok(None)`. A tagged
 /// `Cancel` names a trace-global id, an untagged one a session-local id.
@@ -183,7 +189,7 @@ pub fn parse_serve_line(
     raw: &str,
     resolve: SocResolver,
 ) -> Result<Option<(Option<ServeTag>, NetDirective)>, String> {
-    let line = raw.split('#').next().unwrap_or_default().trim();
+    let line = directive_text(raw);
     if line.is_empty() {
         return Ok(None);
     }

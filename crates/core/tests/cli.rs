@@ -265,11 +265,44 @@ fn serve_rejects_mixed_and_malformed_input() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
     // Malformed line in live mode: reported, skipped, exit code fails,
     // but the valid submission still ran.
-    let out = serve("d695 16 2\nbogus!\n", &[]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"status\": \"complete\""));
+    // The first line picks the mode but is not parsed to do it, so a
+    // malformed first line is reported the same way.
+    for (input, bad) in [("d695 16 2\nbogus!\n", 2), ("bogus!\nd695 16 2\n", 1)] {
+        let out = serve(input, &[]);
+        assert!(!out.status.success(), "{input:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("line {bad}")),
+            "{input:?}: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("\"status\": \"complete\""), "{input:?}");
+    }
+}
+
+#[test]
+fn serve_with_a_closed_stdout_fails_without_panicking() {
+    let mut child = tamopt()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // The reader of stdout goes away before any request is sent. The
+    // child may already have exited on its banner, so a refused stdin
+    // write is expected.
+    drop(child.stdout.take());
+    let _ = child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(b"d695 16 2\n");
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("tamopt: cannot write stdout"), "{stderr}");
 }
 
 #[test]
