@@ -8,7 +8,7 @@ SHELL := /bin/bash
 
 .PHONY: all build test verify doc-gate determinism serve-determinism \
         shard-determinism store-determinism recovery-determinism fuzz-smoke \
-        chaos-soak alloc-gate exact-gate bench-smoke msrv-check \
+        chaos-soak alloc-gate exact-gate msrv-check \
         lint fmt clean
 
 all: build test lint
@@ -163,11 +163,6 @@ recovery-determinism:
 	cargo build --release -p tamopt
 	cargo test --release -p tamopt --test recovery
 	cargo run --release --example chaos -- --mode crash --seed 1 --scenarios 3
-
-# --- CI job: bench-smoke ----------------------------------------------------
-
-bench-smoke:
-	cargo bench -p tamopt_bench --benches -- --test
 
 # --- CI job: lint -----------------------------------------------------------
 

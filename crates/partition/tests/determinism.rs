@@ -98,6 +98,7 @@ fn top_k_is_thread_count_invariant_and_top_1_equals_point() {
     for (soc, width, max_tams, k) in [
         (benchmarks::d695(), 32, 6, 3),
         (benchmarks::p93791(), 32, 6, 4),
+        (benchmarks::p93791(), 64, 10, 4),
     ] {
         let table = TimeTable::new(&soc, width).expect("width is valid");
         let run = |threads: usize, k: usize| {
@@ -179,18 +180,23 @@ fn frontier_is_sweep_thread_count_invariant_on_benchmarks() {
 
 #[test]
 fn exhaustive_solve_is_thread_count_invariant() {
-    let table = TimeTable::new(&benchmarks::d695(), 24).expect("width is valid");
-    let solve = |threads: usize| {
-        let config = ExhaustiveConfig {
-            parallel: ParallelConfig::with_threads(threads),
-            ..ExhaustiveConfig::up_to_tams(3)
+    for (width, tams) in [
+        (24, ExhaustiveConfig::up_to_tams(3)),
+        (32, ExhaustiveConfig::exact_tams(3)),
+    ] {
+        let table = TimeTable::new(&benchmarks::d695(), width).expect("width is valid");
+        let solve = |threads: usize| {
+            let config = ExhaustiveConfig {
+                parallel: ParallelConfig::with_threads(threads),
+                ..tams.clone()
+            };
+            exhaustive::solve(&table, width, &config).expect("valid configuration")
         };
-        exhaustive::solve(&table, 24, &config).expect("valid configuration")
-    };
-    let reference = solve(1);
-    assert!(reference.proven_optimal);
-    for threads in THREAD_COUNTS {
-        assert_eq!(solve(threads), reference, "threads {threads}");
+        let reference = solve(1);
+        assert!(reference.proven_optimal, "W={width}");
+        for threads in THREAD_COUNTS {
+            assert_eq!(solve(threads), reference, "W={width}, threads {threads}");
+        }
     }
 }
 

@@ -380,27 +380,35 @@ fn stalled_reader_does_not_stall_siblings() {
 
 #[test]
 fn outcome_lines_are_run_invariant_per_client_with_warm_start_off() {
-    // Live-mode determinism oracle (also the bench_net bit-identity
-    // gate): with the warm cache off, each request's result is
-    // independent of execution order, so a client's outcome lines are
-    // byte-identical across runs and thread counts.
-    let session = |threads: usize| -> Vec<String> {
+    // Live-mode determinism oracle: with the warm cache off, each
+    // request's result is independent of execution order, so a
+    // client's outcome lines are byte-identical across runs and thread
+    // counts. The clients take turns, one request in flight each, so
+    // each stream's order is fixed too.
+    let session = |threads: usize, clients: usize| -> Vec<Vec<String>> {
         let mut config = LiveConfig::with_threads(threads);
         config.warm_start = false;
         let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
         let server = NetServer::start(config, listener, parser());
-        let mut client = Client::connect(server.addr());
-        let mut lines = Vec::new();
+        let mut clients: Vec<Client> = (0..clients)
+            .map(|_| Client::connect(server.addr()))
+            .collect();
+        let mut lines = vec![Vec::new(); clients.len()];
         for spec in ["d695 16 2", "p31108 24 3", "d695 24 3"] {
-            client.send(spec);
-            lines.push(client.read_line());
+            for (client, lines) in clients.iter_mut().zip(&mut lines) {
+                client.send(spec);
+                lines.push(client.read_line());
+            }
         }
         server.shutdown();
         lines
     };
-    let reference = session(1);
-    assert_eq!(session(1), reference, "same-config rerun drifted");
-    assert_eq!(session(2), reference, "thread count leaked into the stream");
+    for clients in [1, 3] {
+        let reference = session(1, clients);
+        let at = format!("{clients} client(s)");
+        assert_eq!(session(1, clients), reference, "{at}: rerun drifted");
+        assert_eq!(session(2, clients), reference, "{at}: thread count leaked");
+    }
 }
 
 #[cfg(unix)]
