@@ -29,7 +29,8 @@ doc-gate:
 	cargo test --doc -p tamopt
 
 # Counting-allocator proof (also part of `make test`): the scan hot path
-# must be allocation-free after warm-up and strictly cheaper than the
+# must be allocation-free after warm-up, and a whole scan allocates only
+# per scan and per chunk (no term per partition), strictly less than the
 # allocate-per-partition seed path.
 alloc-gate:
 	cargo test --release -p tamopt_alloctest

@@ -607,9 +607,11 @@ fn serve_main(argv: impl Iterator<Item = String>) -> io::Result<ExitCode> {
         Some((number, false, line)) => {
             // Live mode: stdin is one session of the net layer. Refused
             // lines are reported and skipped — work already submitted
-            // keeps running — and input errors fail the exit code.
+            // keeps running — and input errors fail the exit code. A
+            // closed stdout ends the session, as a hang-up ends a socket
+            // client's, and fails the run.
             let lines = std::iter::once((number, Ok(line))).chain(lines);
-            let (report, invalid) = NetServer::serve_stdin(config, parser, options, lines);
+            let (report, invalid) = NetServer::serve_stdin(config, parser, options, lines)?;
             (report.expect("first shutdown"), invalid)
         }
     };

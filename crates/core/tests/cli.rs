@@ -306,6 +306,43 @@ fn serve_with_a_closed_stdout_fails_without_panicking() {
 }
 
 #[test]
+fn serve_stdin_session_ends_at_the_first_failed_stdout_write() {
+    use std::io::BufRead as _;
+    let mut child = tamopt()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut greeting = String::new();
+    stdout.read_line(&mut greeting).expect("greeting");
+    assert!(greeting.contains("tamopt-serve"), "{greeting}");
+    // Now the reader of stdout goes away. A stdin `stats` is answered on
+    // the session's own thread before the next line is read, so its
+    // failed write must end the session: the malformed line 2 is never
+    // read, noted or counted.
+    drop(stdout);
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(b"stats\nbogus\n")
+        .expect("the session reads its first line");
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("serve: line 2"), "{stderr}");
+    assert!(!stderr.contains("invalid line"), "{stderr}");
+    assert_eq!(
+        stderr.matches("tamopt: cannot write stdout: ").count(),
+        1,
+        "{stderr}"
+    );
+}
+
+#[test]
 fn missing_required_flags_fail_with_usage() {
     let out = tamopt()
         .args(["--width", "16"])

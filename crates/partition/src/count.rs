@@ -9,10 +9,14 @@
 //! actually evaluates to completion.
 //!
 //! This module provides the exact count by dynamic programming
-//! ([`unique_partitions`]) and the paper's estimate ([`estimate`]).
+//! ([`unique_partitions`]) and the paper's estimate ([`estimate`]). The
+//! same table addresses partitions by rank: `RankTable` unranks the
+//! first partition of each chunk of the scan in
+//! [`crate::evaluate::partition_evaluate_top_k`].
 
 /// Exact number of partitions of `total` into exactly `parts` positive
-/// parts, by the recurrence `p(n, k) = p(n-1, k-1) + p(n-k, k)`.
+/// parts, by the recurrence `p(n, k) = p(n-1, k-1) + p(n-k, k)` (the
+/// one [`RankTable`] holds), saturated at `u64::MAX`.
 ///
 /// `p(0, 0) = 1`; `p(n, 0) = 0` for `n > 0`; `p(n, k) = 0` for `n < k`.
 ///
@@ -26,28 +30,120 @@
 /// assert_eq!(unique_partitions(64, 3), 341);
 /// ```
 pub fn unique_partitions(total: u32, parts: u32) -> u64 {
-    let (n, k) = (total as usize, parts as usize);
-    if k == 0 {
-        return u64::from(n == 0);
+    if parts == 0 {
+        return u64::from(total == 0);
     }
-    if n < k {
-        return 0;
-    }
-    // dp[i][j] = p(i, j), built bottom-up.
-    let mut dp = vec![vec![0u64; k + 1]; n + 1];
-    dp[0][0] = 1;
-    for i in 1..=n {
-        for j in 1..=k.min(i) {
-            dp[i][j] = dp[i - 1][j - 1] + if i >= j { dp[i - j][j] } else { 0 };
-        }
-    }
-    dp[n][k]
+    RankTable::new(total, parts, parts).len()
 }
 
 /// Number of partitions of `total` into at most `parts` positive parts
-/// (the architecture space of *P_NPAW* with `B ≤ parts`).
+/// (the architecture space of *P_NPAW* with `B ≤ parts`), saturated at
+/// `u64::MAX`.
 pub fn partitions_up_to(total: u32, parts: u32) -> u64 {
-    (1..=parts).map(|b| unique_partitions(total, b)).sum()
+    RankTable::new(total, 1, parts).len()
+}
+
+/// The rank space of the partitions of `total` into `min_parts..=max_parts`
+/// parts, in the scan's order: part counts ascending, and the partitions
+/// of one count in lexicographic order of their non-decreasing parts
+/// (the order [`crate::enumerate::Partitions`] yields them in).
+///
+/// It holds `p(n, k)` for `n ≤ total` and `k ≤ min(max_parts, total)`,
+/// saturated at `u64::MAX`. A saturated entry is the true count clamped,
+/// so every rank below `u64::MAX` still unranks exactly; ranks at or
+/// beyond 2^64 could never be reached by a scan anyway.
+#[derive(Debug, Clone)]
+pub(crate) struct RankTable {
+    total: u32,
+    min_parts: u32,
+    /// Row length: `min(max_parts, total) + 1`, indexed by `k`.
+    stride: usize,
+    /// `p(n, k)` at `n * stride + k`.
+    counts: Vec<u64>,
+    /// Partitions in the whole space, saturated.
+    len: u64,
+}
+
+impl RankTable {
+    /// The space of `total` into `min_parts..=max_parts` parts
+    /// (`min_parts ≥ 1`); empty when `min_parts > min(max_parts, total)`.
+    pub(crate) fn new(total: u32, min_parts: u32, max_parts: u32) -> RankTable {
+        debug_assert!(min_parts >= 1, "a partition has at least one part");
+        let max_parts = max_parts.min(total) as usize;
+        let stride = max_parts + 1;
+        let mut counts = vec![0u64; (total as usize + 1) * stride];
+        counts[0] = 1;
+        for n in 1..=total as usize {
+            for k in 1..=max_parts.min(n) {
+                counts[n * stride + k] =
+                    counts[(n - 1) * stride + k - 1].saturating_add(counts[(n - k) * stride + k]);
+            }
+        }
+        let mut table = RankTable {
+            total,
+            min_parts,
+            stride,
+            counts,
+            len: 0,
+        };
+        table.len = (min_parts..=max_parts as u32)
+            .map(|k| table.count(total, k))
+            .fold(0, u64::saturating_add);
+        table
+    }
+
+    /// `p(n, k)`, saturated.
+    fn count(&self, n: u32, k: u32) -> u64 {
+        self.counts[n as usize * self.stride + k as usize]
+    }
+
+    /// Partitions in the space (saturated at `u64::MAX`).
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Overwrites `widths` with the partition of rank `rank` in the
+    /// space, parts non-decreasing. Part `i` is the smallest
+    /// `a ≥ part[i-1]` for which the rank falls below the cumulative
+    /// count of the partitions that go on from the parts placed so far
+    /// with a part `i` of at most `a`. Those with part `i` equal to `a`
+    /// number `p(n − a − (k−1)(a−1), k−1)`, where `n` is what is left of
+    /// the sum and `k` the number of parts left, part `i` included: the
+    /// `k − 1` later parts are each at least `a`, so lowering each by
+    /// `a − 1` leaves a partition of the rest into `k − 1` parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank >= self.len()`.
+    pub(crate) fn unrank(&self, mut rank: u64, widths: &mut Vec<u32>) {
+        assert!(
+            rank < self.len,
+            "rank {rank} beyond the space of {}",
+            self.len
+        );
+        let mut parts = self.min_parts;
+        while rank >= self.count(self.total, parts) {
+            rank -= self.count(self.total, parts);
+            parts += 1;
+        }
+        widths.clear();
+        let (mut rest, mut part) = (self.total, 1);
+        for later in (1..parts).rev() {
+            loop {
+                let with_part = (rest - part)
+                    .checked_sub(later * (part - 1))
+                    .map_or(0, |n| self.count(n, later));
+                if rank < with_part {
+                    break;
+                }
+                rank -= with_part;
+                part += 1;
+            }
+            widths.push(part);
+            rest -= part;
+        }
+        widths.push(rest);
+    }
 }
 
 /// The paper's asymptotic estimate `V(W, B) = W^(B-1) / (B!·(B-1)!)`,
@@ -103,6 +199,98 @@ fn binomial(n: u64, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::{advance_or_restart, Partitions};
+    use proptest::prelude::*;
+
+    /// The partitions of `total` into `min..=max` parts, as the scan
+    /// once chained the iterators.
+    fn chained(total: u32, min: u32, max: u32) -> impl Iterator<Item = Vec<u32>> {
+        (min..=max).flat_map(move |b| Partitions::new(total, b))
+    }
+
+    #[test]
+    fn unrank_matches_the_chained_iterators() {
+        let mut widths = Vec::new();
+        for total in 1..=40u32 {
+            // Every space of `total` is a run of these, one per part count.
+            let all: Vec<Vec<u32>> = chained(total, 1, total).collect();
+            let mut starts = vec![0usize; total as usize + 2];
+            for b in 1..=total {
+                starts[b as usize + 1] = starts[b as usize] + Partitions::new(total, b).count();
+            }
+            for min in 1..=total {
+                for max in min..=total {
+                    let table = RankTable::new(total, min, max);
+                    let space = &all[starts[min as usize]..starts[max as usize + 1]];
+                    assert_eq!(table.len(), space.len() as u64, "W={total} B={min}..={max}");
+                    for (rank, expected) in space.iter().enumerate() {
+                        table.unrank(rank as u64, &mut widths);
+                        assert_eq!(&widths, expected, "W={total} B={min}..={max} rank {rank}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The scan's walk: unrank a chunk's first rank, then advance or
+        /// restart in place. Half the cases start just before the first
+        /// partition of a part count, so the walk crosses into it.
+        #[test]
+        fn walking_from_a_rank_matches_the_iterators(
+            (total, a, b, pick, near_boundary, count) in (1u32..=80).prop_flat_map(|total| {
+                (Just(total), 1..=total, 1..=total, any::<u64>(), any::<bool>(), 1u64..=64)
+            })
+        ) {
+            let (min, max) = (a.min(b), a.max(b));
+            let table = RankTable::new(total, min, max);
+            let len = table.len();
+            let start = if near_boundary && max > min {
+                let parts = min + 1 + (pick % u64::from(max - min)) as u32;
+                let boundary: u64 = (min..parts).map(|b| unique_partitions(total, b)).sum();
+                boundary.saturating_sub(1 + pick % count)
+            } else {
+                pick % len
+            };
+            let expected: Vec<Vec<u32>> = chained(total, min, max)
+                .skip(start as usize)
+                .take(count as usize)
+                .collect();
+            let mut widths = Vec::new();
+            let mut walked = Vec::new();
+            for rank in start..(start + count).min(len) {
+                if rank == start {
+                    table.unrank(rank, &mut widths);
+                } else {
+                    advance_or_restart(&mut widths, total);
+                }
+                walked.push(widths.clone());
+            }
+            prop_assert_eq!(walked, expected, "W={} B={}..={} from rank {}", total, min, max, start);
+        }
+    }
+
+    #[test]
+    fn a_saturated_table_still_unranks_its_first_ranks() {
+        // p(2000, 60) is far beyond 2^64: the counts clamp, no overflow.
+        assert_eq!(unique_partitions(2000, 60), u64::MAX);
+        let mut widths = Vec::new();
+        for min in [1u32, 30, 58] {
+            let table = RankTable::new(2000, min, 60);
+            assert_eq!(table.len(), u64::MAX);
+            for (rank, expected) in chained(2000, min, 60).take(300).enumerate() {
+                table.unrank(rank as u64, &mut widths);
+                assert_eq!(widths, expected, "B={min}..=60 rank {rank}");
+            }
+            // The last reachable rank still unranks to a partition.
+            table.unrank(u64::MAX - 1, &mut widths);
+            assert!((min as usize..=60).contains(&widths.len()));
+            assert_eq!(widths.iter().sum::<u32>(), 2000);
+            assert!(widths[0] >= 1 && widths.windows(2).all(|p| p[0] <= p[1]));
+        }
+    }
 
     #[test]
     fn small_cases_by_hand() {

@@ -72,7 +72,7 @@ impl Iterator for Partitions {
 /// the whole suffix sit at `≥ a[i] + 1` (`s ≥ (a[i] + 1)·(B - i)`) is
 /// raised; positions `i..B-1` take the new value and the last part
 /// absorbs the rest.
-fn advance_partition(a: &mut [u32]) -> bool {
+pub(crate) fn advance_partition(a: &mut [u32]) -> bool {
     let b = a.len();
     if b <= 1 {
         return false;
@@ -90,6 +90,20 @@ fn advance_partition(a: &mut [u32]) -> bool {
         }
     }
     false
+}
+
+/// The scan's step through a rank space ([`crate::count::RankTable`]):
+/// the successor of `widths` among the partitions of `total` into as
+/// many parts, or after the last of them the first partition of one
+/// part more, `[1, …, 1, total − B]`. The caller stops at the space's
+/// length, so the step never runs past its last partition; in a vector
+/// with room for the space's largest part count it does not allocate.
+pub(crate) fn advance_or_restart(widths: &mut Vec<u32>, total: u32) {
+    if !advance_partition(widths) {
+        let parts = widths.len() as u32;
+        widths.fill(1);
+        widths.push(total - parts);
+    }
 }
 
 /// Iterator over all ordered compositions of `total` into exactly

@@ -16,6 +16,13 @@
 //! so `threads = N` is bit-identical to `threads = 1` (statistics
 //! included). A [`SearchBudget`] bounds the whole scan; a truncated run
 //! still returns the best partition of the generations that finished.
+//!
+//! The executor's items are partition *ranks*, not partitions. A worker
+//! unranks the first partition of its chunk from the `p(n, k)` table
+//! of [`crate::count`] and steps to the rest in place, so enumeration
+//! runs on the workers and allocates nothing per partition: a scan's
+//! allocations are per scan and per chunk, plus the TAM sets and results
+//! of candidates that enter a ranking.
 
 use std::sync::OnceLock;
 
@@ -26,7 +33,8 @@ use tamopt_assign::{
 use tamopt_engine::{search_chunks_with, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
 use tamopt_wrapper::TimeTable;
 
-use crate::enumerate::Partitions;
+use crate::count::RankTable;
+use crate::enumerate::advance_or_restart;
 use crate::PartitionError;
 
 /// Pruning statistics of one `Partition_evaluate` run — the quantities
@@ -231,9 +239,13 @@ impl Ord for Candidate {
 }
 
 /// Per-worker reusable state of the scan hot path: after warm-up, one
-/// partition evaluation performs **zero heap allocations** unless its
-/// result enters the chunk's ranking (materializing a result).
+/// partition's enumeration and evaluation perform **zero heap
+/// allocations** unless its result enters the chunk's ranking
+/// (materializing a result).
 struct ScanScratch {
+    /// The partition being scored: unranked at a chunk's start, then
+    /// advanced in place. Sized for the largest TAM count up front.
+    widths: Vec<u32>,
     /// The `Core_assign` kernel's grow-once buffers.
     assign: AssignScratch,
     /// Chunk-local bounded best-K heap, drained at the end of every
@@ -392,26 +404,34 @@ pub fn partition_evaluate_top_k(
     // allocation. `None` when the options rule the gate out.
     let gate: OnceLock<Option<AbortGate>> = OnceLock::new();
 
-    let items = (config.min_tams..=config.max_tams).flat_map(|b| Partitions::new(total_width, b));
+    // One item per partition, so the node budget and the chunk geometry
+    // count partitions: item `r` is the partition of rank `r` (TAM counts
+    // ascending, each in `Increment` order), also its global index.
+    let ranks = RankTable::new(total_width, config.min_tams, config.max_tams);
     let status = search_chunks_with(
-        items,
+        0..ranks.len(),
         &config.parallel,
         &config.budget,
         || ScanScratch {
+            widths: Vec::with_capacity(config.max_tams.min(total_width) as usize),
             assign: AssignScratch::new(),
             ranking: Ranking::new(k),
         },
-        |scratch: &mut ScanScratch,
-         base,
-         chunk: Vec<Vec<u32>>|
-         -> Result<ChunkEval, PartitionError> {
+        |scratch: &mut ScanScratch, base, chunk: Vec<u64>| -> Result<ChunkEval, PartitionError> {
+            debug_assert_eq!(chunk.first(), Some(&base));
             // The shared k-th-best bound as of this chunk's generation,
             // tightened locally by the chunk's own heap as it fills.
             let snapshot = incumbent.get();
             scratch.ranking.clear();
             let mut out_stats = PruneStats::default();
             let mut skipped = 0u64;
-            for (offset, widths) in chunk.into_iter().enumerate() {
+            let widths = &mut scratch.widths;
+            for index in chunk {
+                if index == base {
+                    ranks.unrank(base, widths);
+                } else {
+                    advance_or_restart(widths, total_width);
+                }
                 out_stats.enumerated += 1;
                 // A candidate worse than the chunk's own k-th best can
                 // never enter the global top-k either, so the local
@@ -436,7 +456,7 @@ pub fn partition_evaluate_top_k(
                             &mut scratch.assign,
                         )
                     });
-                    if gate.as_ref().is_some_and(|gate| gate.load(&widths) >= tau) {
+                    if gate.as_ref().is_some_and(|gate| gate.load(widths) >= tau) {
                         // `Core_assign` would abort; skip it.
                         out_stats.aborted += 1;
                         skipped += 1;
@@ -445,14 +465,13 @@ pub fn partition_evaluate_top_k(
                 }
                 match core_assign_widths(
                     &columns,
-                    &widths,
+                    widths,
                     bound,
                     &config.options,
                     &mut scratch.assign,
                 ) {
                     Some(time) => {
                         out_stats.completed += 1;
-                        let index = base + offset as u64;
                         let retain = match scratch.ranking.worst() {
                             Some(worst) if scratch.ranking.is_full() => (time, index) < worst.key(),
                             _ => true,
@@ -464,7 +483,8 @@ pub fn partition_evaluate_top_k(
                             scratch.ranking.offer(Candidate {
                                 time,
                                 index,
-                                tams: TamSet::new(widths).expect("partition parts are positive"),
+                                tams: TamSet::new(widths.iter().copied())
+                                    .expect("partition parts are positive"),
                                 result: scratch.assign.result(),
                             });
                         }
@@ -688,6 +708,7 @@ pub(crate) fn validate(
 mod tests {
     use super::*;
     use crate::count;
+    use crate::enumerate::Partitions;
     use std::time::Duration;
     use tamopt_soc::benchmarks;
 

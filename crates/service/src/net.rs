@@ -38,7 +38,8 @@
 //! `tamopt serve`'s stdin live mode runs on the same session layer as
 //! one session with no listener ([`NetServer::serve_stdin`]): its lines
 //! go to stdout unstamped, its [`Refusal`]s to stderr, and the end of
-//! its input drains the queue instead of cancelling.
+//! its input drains the queue instead of cancelling. A failed stdout
+//! write ends it the way a hang-up ends a socket session.
 //!
 //! The deterministic counterpart of this live front-end is the
 //! multi-client trace replay in [`crate::chaos`].
@@ -424,17 +425,19 @@ enum Sink {
 }
 
 impl Sink {
-    fn send(&self, line: String) {
+    /// Writes `line`; only stdout can fail.
+    fn send(&self, line: String) -> io::Result<()> {
         match self {
             // A racing disconnect closes the channel; dropping the line
             // then is exactly the disconnect semantics.
             Sink::Writer(tx) => {
                 let _ = tx.send(line);
+                Ok(())
             }
             Sink::Stdout => {
                 let mut out = io::stdout().lock();
-                let _ = out.write_all(line.as_bytes());
-                let _ = out.flush();
+                out.write_all(line.as_bytes())?;
+                out.flush()
             }
         }
     }
@@ -475,6 +478,9 @@ struct Shared {
     journal: Option<JournalBinding>,
     /// Reader and writer thread handles, joined at shutdown.
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The first failed stdout write, returned by
+    /// [`NetServer::serve_stdin`].
+    stdout_error: Mutex<Option<io::Error>>,
 }
 
 impl Shared {
@@ -494,8 +500,22 @@ impl Shared {
     fn respond(&self, client: usize, line: String) {
         let sink = lock(&self.mux).clients[client].sink.clone();
         if let Some(sink) = sink {
-            sink.send(line);
+            self.deliver(client, &sink, line);
         }
+    }
+
+    /// Writes `line` to `sink`, `client`'s. A failed stdout write ends
+    /// the session the way a socket client's disconnect does, and the
+    /// first such error is kept.
+    fn deliver(&self, client: usize, sink: &Sink, line: String) {
+        if let Err(e) = sink.send(line) {
+            lock(&self.stdout_error).get_or_insert(e);
+            self.disconnect(client);
+        }
+    }
+
+    fn is_connected(&self, client: usize) -> bool {
+        lock(&self.mux).clients[client].sink.is_some()
     }
 
     /// Idempotent disconnect: cancels every outstanding submission of
@@ -684,16 +704,28 @@ impl NetServer {
     /// notes. The end of `lines` shuts the server down and drains the
     /// queue; it is not a disconnect, so nothing is cancelled. Returns
     /// the final report and the number of lines that fail the run.
+    ///
+    /// # Errors
+    ///
+    /// The first failed stdout write. It disconnects the session, as a
+    /// socket client's hang-up does: the session's outstanding
+    /// submissions are cancelled, and no line is read after the failure
+    /// is seen (a reply to a line is written before the next is read).
     pub fn serve_stdin(
         config: LiveConfig,
         parser: LineParser,
         options: NetOptions,
         lines: impl IntoIterator<Item = (usize, io::Result<String>)>,
-    ) -> (Option<BatchReport>, usize) {
+    ) -> io::Result<(Option<BatchReport>, usize)> {
         let server = Self::launch(config, None, parser, options);
-        let client = server.shared.add_session(Sink::Stdout, false);
+        let shared = Arc::clone(&server.shared);
+        let client = shared.add_session(Sink::Stdout, false);
+        let mut lines = lines.into_iter();
         let mut failed = 0;
-        for (number, line) in lines {
+        while shared.is_connected(client) {
+            let Some((number, line)) = lines.next() else {
+                break;
+            };
             let line = match line {
                 Ok(line) => line,
                 Err(e) => {
@@ -702,13 +734,15 @@ impl NetServer {
                     break;
                 }
             };
-            if let Err(refusal) = server.shared.apply_line(client, &line) {
+            if let Err(refusal) = shared.apply_line(client, &line) {
                 let (note, fails) = refusal.stdin_note();
                 eprintln!("serve: line {}: {note}", number + 1);
                 failed += usize::from(fails);
             }
         }
-        (server.shutdown(), failed)
+        let report = server.shutdown();
+        let stdout_error = lock(&shared.stdout_error).take();
+        stdout_error.map_or(Ok((report, failed)), Err)
     }
 
     fn launch(
@@ -731,6 +765,7 @@ impl NetServer {
             max_inflight: options.max_inflight,
             journal: options.journal,
             workers: Mutex::new(Vec::new()),
+            stdout_error: Mutex::new(None),
         });
 
         let accept = listener.map(|listener| {
@@ -923,13 +958,13 @@ fn router_loop(shared: &Arc<Shared>) {
             let mut mux = lock(&shared.mux);
             mux.outstanding.remove(&global).and_then(|(client, local)| {
                 let slot = &mux.clients[client];
-                Some((slot.sink.clone()?, slot.stamp, local))
+                Some((client, slot.sink.clone()?, slot.stamp, local))
             })
         };
-        if let Some((sink, stamp, local)) = route {
+        if let Some((client, sink, stamp, local)) = route {
             outcome.client = stamp;
             outcome.index = local;
-            sink.send(outcome.to_json_line());
+            shared.deliver(client, &sink, outcome.to_json_line());
         }
         // Seal only after the line reached its sink (or was dropped with
         // its gone owner): a crash before this redoes the request rather

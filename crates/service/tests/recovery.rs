@@ -449,13 +449,13 @@ fn inflight_quota_answers_with_a_typed_error_and_keeps_the_connection() {
     );
     let mut client = Client::connect(server.addr());
 
-    // A long request holds the single in-flight slot: this shape takes
-    // seconds of search in release, against millisecond protocol round
-    // trips, so it is still running for every exchange below until the
-    // cancel. The reader thread handles a connection's lines in order,
-    // so by the time the stats reply arrives the submission is
-    // registered.
-    client.send("p93791 64 16");
+    // A long request holds the single in-flight slot: this shape scans
+    // 36 M partitions, about 3 s in release, against protocol round
+    // trips of at most tens of milliseconds, so it is still running for
+    // every exchange below until the cancel. The reader thread handles a
+    // connection's lines in order, so by the time the stats reply
+    // arrives the submission is registered.
+    client.send("p93791 96 16");
     client.send("stats");
     let stats = client.read_line();
     assert!(
