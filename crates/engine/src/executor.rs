@@ -1,29 +1,21 @@
-//! Deterministic chunked parallel execution of indexed search spaces,
-//! with pipelined generation production.
+//! Deterministic chunked parallel execution of indexed search spaces.
 //!
 //! The executor splits a lazily produced item stream into fixed-size,
 //! globally indexed *chunks*, groups chunks into *generations*, and
-//! evaluates the chunks of one generation concurrently on a pool of
-//! `std::thread` workers. Workers do not get a fixed pre-assignment:
-//! they **pull** chunks from a shared index-ordered queue, so a slow
-//! chunk never idles the rest of the pool (work stealing within a
-//! generation). Between generations the caller's `merge` closure folds
-//! chunk results **in chunk-index order** on the calling thread — this
-//! is where a [`crate::SharedIncumbent`] is tightened, so every worker
-//! of generation `g` prunes against exactly the bound established by
-//! generations `0..g`, regardless of thread count or timing.
+//! evaluates the chunks of one generation concurrently. The calling
+//! thread is worker 0: it spawns `threads − 1` more `std::thread`
+//! workers (none at `threads = 1`) and claims chunks alongside them.
+//! Workers do not get a fixed pre-assignment: they **pull** chunks from
+//! a shared index-ordered queue, so a slow chunk never idles the rest of
+//! the pool (work stealing within a generation).
 //!
-//! # Pipelining
-//!
-//! For iterator-driven searches ([`search_chunks`] /
-//! [`search_chunks_with`]) the driver **produces generation `g + 1`
-//! while the workers evaluate generation `g`**: item production never
-//! depends on the incumbent — only `merge` does — so prefetching is
-//! determinism-safe and removes the production stall from the
-//! generation barrier. The barrier-hook variant
-//! ([`search_generations`]) deliberately keeps the stall: its hook may
-//! read and mutate state that `merge` also touches (that is its whole
-//! point), so it only ever runs while all workers are parked.
+//! Between generations, while every other worker is parked, the calling
+//! thread folds the chunk results through the caller's `merge` closure
+//! **in chunk-index order**, polls the budget and produces the next
+//! generation. `merge` is where a [`crate::SharedIncumbent`] is
+//! tightened, so every worker of generation `g` prunes against exactly
+//! the bound established by generations `0..g`, regardless of thread
+//! count or timing.
 //!
 //! # Determinism
 //!
@@ -36,9 +28,7 @@
 //! cancellation) necessarily depends on timing, but it only takes effect
 //! at generation boundaries: a truncated run is always equivalent to a
 //! complete run over its first `k` generations. Node-budget truncation
-//! counts dispatched items and is therefore fully deterministic — the
-//! prefetch of generation `g + 1` is gated on exactly the same
-//! dispatched-item count the non-pipelined executor polled.
+//! counts dispatched items and is therefore fully deterministic.
 //!
 //! Per-worker scratch ([`search_chunks_with`]) is invisible to the
 //! contract: a scratch value may cache and reuse buffers across the
@@ -64,8 +54,9 @@ use crate::SearchBudget;
 /// policy and never changes results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads; `0` means one per available CPU, `1` (the
-    /// default) runs inline on the calling thread.
+    /// Worker threads, the calling thread included: `N` means the
+    /// calling thread plus `N − 1` spawned workers, so `1` (the default)
+    /// runs inline; `0` means one per available CPU.
     pub threads: usize,
     /// Items per chunk (the unit of work stealing).
     pub chunk_size: usize,
@@ -150,12 +141,9 @@ struct Slot<T, C, E> {
 /// * `merge(result)` runs on the calling thread, in ascending chunk
 ///   order, only between generations; it may mutate shared state.
 ///
-/// Production is **pipelined**: the items of generation `g + 1` are
-/// pulled from the iterator while generation `g` evaluates, so the
-/// iterator must not observe state mutated by `merge` (an iterator over
-/// a precomputed search space — the intended pattern — trivially
-/// satisfies this; use [`search_generations`] when production must see
-/// merged state).
+/// The items of a generation are pulled from the iterator on the calling
+/// thread, between generations, after the previous generation merged.
+/// This is [`search_generations`] with the iterator as its hook.
 ///
 /// Errors from `eval` and `merge` abort the search; when several chunks
 /// of one generation fail, the error of the lowest-indexed chunk wins
@@ -192,12 +180,12 @@ where
 
 /// [`search_chunks`] with a reusable **per-worker scratch value**.
 ///
-/// `scratch()` runs once per worker thread (once total when `threads ==
-/// 1`); the worker hands the same `&mut W` to every `eval` call it
-/// executes, across all generations. This is the hook for allocation-free
-/// hot paths: a scratch can hold grow-once buffers, memo tables and
-/// reusable result objects, so the steady-state evaluation of one chunk
-/// allocates nothing.
+/// `scratch()` runs once per worker, the calling thread included (once
+/// total when `threads == 1`); the worker hands the same `&mut W` to
+/// every `eval` call it executes, across all generations. This is the
+/// hook for allocation-free hot paths: a scratch can hold grow-once
+/// buffers, memo tables and reusable result objects, so the steady-state
+/// evaluation of one chunk allocates nothing.
 ///
 /// Determinism: which chunks share a scratch depends on thread count and
 /// timing, so `eval`'s result must be independent of the scratch's
@@ -222,7 +210,6 @@ where
     let mut items = items.fuse();
     search_impl(
         |_generation, capacity| items.by_ref().take(capacity).collect(),
-        true,
         config,
         budget,
         &scratch,
@@ -238,14 +225,13 @@ where
 ///
 /// This is the engine-level primitive behind dynamic schedulers (e.g. a
 /// live request queue that re-reads its priority queue between
-/// generations): because the hook runs under the barrier, it may consult
-/// and mutate caller state that `merge` also touches, admit work that
-/// arrived after the search started, and reorder what it hands out —
-/// all without breaking the determinism contract, which now reads: for a
-/// fixed *sequence of produced generations*, the merged outcome at
-/// `threads = N` is bit-identical to `threads = 1`. (Because the hook
-/// may observe merged state, this variant is **not** pipelined — the
-/// production stall is the price of the richer contract.)
+/// generations): because the hook runs under the barrier, after the
+/// previous generation merged, it may consult and mutate caller state
+/// that `merge` also touches, admit work that arrived after the search
+/// started, and reorder what it hands out — all without breaking the
+/// determinism contract, which now reads: for a fixed *sequence of
+/// produced generations*, the merged outcome at `threads = N` is
+/// bit-identical to `threads = 1`.
 ///
 /// `capacity` is the generation's chunk budget in items
 /// (`generation_width(g) × chunk_size` under the exponential ramp);
@@ -273,7 +259,6 @@ where
 {
     search_impl(
         produce,
-        false,
         config,
         budget,
         &|| (),
@@ -282,14 +267,10 @@ where
     )
 }
 
-/// The shared implementation behind both front-ends. `pipelined`
-/// selects the production schedule: `true` overlaps `produce` with the
-/// evaluation of the current generation (iterator-driven searches),
-/// `false` runs `produce` strictly under the barrier (hook-driven
-/// searches).
+/// The shared implementation behind every front end: one generation loop
+/// on the calling thread, which is also worker 0 of the pool.
 fn search_impl<T, C, E, W, P, S, F, M>(
     mut produce: P,
-    pipelined: bool,
     config: &ParallelConfig,
     budget: &SearchBudget,
     scratch: &S,
@@ -305,252 +286,122 @@ where
     F: Fn(&mut W, u64, Vec<T>) -> Result<C, E> + Sync,
     M: FnMut(C) -> Result<(), E>,
 {
-    let threads = config.effective_threads().max(1);
+    let threads = config.effective_threads();
     let chunk_size = config.chunk_size.max(1);
-    // Global index of the next item — doubles as the dispatched-item
-    // count the node budget is polled against. Passed into the closure
-    // by reference so the budget poll can read it between calls.
-    let mut next_base = 0u64;
-    let mut produce_generation = |generation: u32, next_base: &mut u64| -> Vec<Slot<T, C, E>> {
-        let width = config.generation_width(generation);
-        let mut produced = produce(generation, width * chunk_size).into_iter();
-        let mut slots = Vec::with_capacity(width);
-        loop {
-            let chunk: Vec<T> = produced.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break slots;
-            }
-            let base = *next_base;
-            *next_base += chunk.len() as u64;
-            slots.push(Slot {
-                base,
-                items: chunk,
-                out: None,
-            });
-        }
-    };
-    let mut generation = 0u32;
-
-    if threads == 1 {
-        // Inline execution on the exact same generation schedule: chunks
-        // of one generation are all evaluated before any is merged, so
-        // they observe the same shared state as parallel workers would,
-        // and the produce/merge interleaving matches the threaded
-        // driver of the same `pipelined` mode.
-        let mut workspace = scratch();
-        if pipelined {
-            let mut current = produce_generation(0, &mut next_base);
-            let mut truncated = false;
-            loop {
-                if current.is_empty() {
-                    return Ok(if truncated {
-                        SearchStatus::Truncated
-                    } else {
-                        SearchStatus::Complete
-                    });
-                }
-                // The deadline/cancellation re-poll before dispatching a
-                // prefetched generation (see the threaded driver).
-                if generation > 0 && (budget.out_of_time() || budget.cancelled()) {
-                    return Ok(SearchStatus::Truncated);
-                }
-                for slot in &mut current {
-                    let chunk = std::mem::take(&mut slot.items);
-                    slot.out = Some(Ok(eval(&mut workspace, slot.base, chunk)));
-                }
-                // Prefetch under the same dispatched-item count the
-                // threaded driver polls (everything through this
-                // generation), before any of it merges.
-                let next = if budget.is_exhausted(next_base) {
-                    truncated = true;
-                    Vec::new()
-                } else {
-                    produce_generation(generation + 1, &mut next_base)
-                };
-                for slot in current {
-                    match slot.out.expect("chunk evaluated") {
-                        Ok(Ok(c)) => merge(c)?,
-                        Ok(Err(e)) => return Err(e),
-                        Err(_) => unreachable!("inline evaluation does not catch panics"),
-                    }
-                }
-                current = next;
-                generation += 1;
-            }
-        }
-        loop {
-            if generation > 0 && budget.is_exhausted(next_base) {
-                return Ok(SearchStatus::Truncated);
-            }
-            let mut gen = produce_generation(generation, &mut next_base);
-            if gen.is_empty() {
-                return Ok(SearchStatus::Complete);
-            }
-            for slot in &mut gen {
-                let chunk = std::mem::take(&mut slot.items);
-                slot.out = Some(Ok(eval(&mut workspace, slot.base, chunk)));
-            }
-            for slot in gen {
-                match slot.out.expect("chunk evaluated") {
-                    Ok(Ok(c)) => merge(c)?,
-                    Ok(Err(e)) => return Err(e),
-                    Err(_) => unreachable!("inline evaluation does not catch panics"),
-                }
-            }
-            generation += 1;
-        }
-    }
-
     let slots: Mutex<Vec<Slot<T, C, E>>> = Mutex::new(Vec::new());
     let next_slot = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
     // Two barriers per generation: `start` publishes the generation to
-    // the workers, `finish` hands the filled slots back to the driver.
-    let start = Barrier::new(threads + 1);
-    let finish = Barrier::new(threads + 1);
+    // the workers, `finish` hands the filled slots back to the caller.
+    // Alone, the caller skips them: a wait wakes a futex even when no
+    // thread sleeps on it (about 0.2 µs).
+    let start = Barrier::new(threads);
+    let finish = Barrier::new(threads);
+
+    // Shared index-ordered chunk queue: each worker claims the next
+    // unclaimed chunk, so load imbalance inside a generation self-levels.
+    let claim = |workspace: &mut W| loop {
+        let index = next_slot.fetch_add(1, Ordering::Relaxed);
+        let work = {
+            let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+            guard
+                .get_mut(index)
+                .map(|slot| (slot.base, std::mem::take(&mut slot.items)))
+        };
+        let Some((base, chunk)) = work else { break };
+        let out = catch_unwind(AssertUnwindSafe(|| eval(workspace, base, chunk)));
+        slots.lock().unwrap_or_else(PoisonError::into_inner)[index].out = Some(out);
+    };
 
     let mut status = SearchStatus::Complete;
     let mut first_error: Option<E> = None;
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut workspace = scratch();
-                loop {
-                    start.wait();
-                    if done.load(Ordering::Acquire) {
-                        return;
-                    }
-                    loop {
-                        // Shared index-ordered chunk queue: each worker
-                        // claims the next unclaimed chunk, so load
-                        // imbalance inside a generation self-levels.
-                        let index = next_slot.fetch_add(1, Ordering::Relaxed);
-                        let work = {
-                            let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                            guard
-                                .get_mut(index)
-                                .map(|slot| (slot.base, std::mem::take(&mut slot.items)))
-                        };
-                        let Some((base, chunk)) = work else { break };
-                        let out =
-                            catch_unwind(AssertUnwindSafe(|| eval(&mut workspace, base, chunk)));
-                        slots.lock().unwrap_or_else(PoisonError::into_inner)[index].out = Some(out);
-                    }
-                    finish.wait();
+    let mut drive = || {
+        let mut workspace = scratch();
+        // Global index of the next item — doubles as the dispatched-item
+        // count the node budget is polled against.
+        let mut next_base = 0u64;
+        let mut generation = 0u32;
+        loop {
+            if generation > 0 && budget.is_exhausted(next_base) {
+                status = SearchStatus::Truncated;
+                break;
+            }
+            let width = config.generation_width(generation);
+            let mut produced = produce(generation, width * chunk_size).into_iter();
+            let mut gen = Vec::with_capacity(width);
+            loop {
+                let items: Vec<T> = produced.by_ref().take(chunk_size).collect();
+                if items.is_empty() {
+                    break;
                 }
-            });
+                let base = next_base;
+                next_base += items.len() as u64;
+                gen.push(Slot {
+                    base,
+                    items,
+                    out: None,
+                });
+            }
+            if gen.is_empty() {
+                break;
+            }
+            *slots.lock().unwrap_or_else(PoisonError::into_inner) = gen;
+            next_slot.store(0, Ordering::Relaxed);
+            if threads > 1 {
+                start.wait();
+            }
+            claim(&mut workspace);
+            if threads > 1 {
+                finish.wait();
+            }
+            let gen = std::mem::take(&mut *slots.lock().unwrap_or_else(PoisonError::into_inner));
+            for slot in gen {
+                collect(
+                    slot.out.expect("generation fully evaluated"),
+                    &mut merge,
+                    &mut first_error,
+                    &mut panic_payload,
+                );
+            }
+            if first_error.is_some() || panic_payload.is_some() {
+                break;
+            }
+            generation += 1;
         }
+    };
 
-        // The driver loop itself runs under catch_unwind: a panic in the
-        // caller's `merge` or in the items iterator must still reach the
-        // shutdown protocol below, or the workers would stay parked on
-        // the start barrier forever and scope-join would deadlock.
-        let driver = catch_unwind(AssertUnwindSafe(|| {
-            if pipelined {
-                let mut current = produce_generation(0, &mut next_base);
-                let mut truncated = false;
-                loop {
-                    if current.is_empty() {
-                        if truncated {
-                            status = SearchStatus::Truncated;
+    if threads == 1 {
+        // No thread scope: opening one costs a heap allocation per search.
+        drive();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(|| {
+                    let mut workspace = scratch();
+                    loop {
+                        start.wait();
+                        if done.load(Ordering::Acquire) {
+                            return;
                         }
-                        break;
+                        claim(&mut workspace);
+                        finish.wait();
                     }
-                    // A prefetched generation must not be dispatched once
-                    // the deadline has passed or a cancellation landed —
-                    // re-poll the *timing-dependent* budget parts here.
-                    // The node budget is deliberately NOT re-polled: its
-                    // dispatch decision was already taken (determin-
-                    // istically) when this generation was produced, and
-                    // re-counting it here would shift the truncation
-                    // point relative to a non-pipelined run.
-                    if generation > 0 && (budget.out_of_time() || budget.cancelled()) {
-                        status = SearchStatus::Truncated;
-                        break;
-                    }
-                    *slots.lock().unwrap_or_else(PoisonError::into_inner) = current;
-                    next_slot.store(0, Ordering::Relaxed);
-                    start.wait();
-                    // Workers are evaluating this generation: produce
-                    // the next one now. The production itself must not
-                    // skip the finish barrier on panic, or the pool
-                    // would deadlock — catch and re-raise after it.
-                    let prefetch = if budget.is_exhausted(next_base) {
-                        truncated = true;
-                        Ok(Vec::new())
-                    } else {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            produce_generation(generation + 1, &mut next_base)
-                        }))
-                    };
-                    finish.wait();
-                    let gen =
-                        std::mem::take(&mut *slots.lock().unwrap_or_else(PoisonError::into_inner));
-                    for slot in gen {
-                        collect(
-                            slot.out.expect("generation fully evaluated"),
-                            &mut merge,
-                            &mut first_error,
-                            &mut panic_payload,
-                        );
-                    }
-                    match prefetch {
-                        Ok(next) => current = next,
-                        Err(payload) => {
-                            if panic_payload.is_none() {
-                                panic_payload = Some(payload);
-                            }
-                            break;
-                        }
-                    }
-                    if first_error.is_some() || panic_payload.is_some() {
-                        break;
-                    }
-                    generation += 1;
-                }
-            } else {
-                loop {
-                    if generation > 0 && budget.is_exhausted(next_base) {
-                        status = SearchStatus::Truncated;
-                        break;
-                    }
-                    let gen = produce_generation(generation, &mut next_base);
-                    if gen.is_empty() {
-                        break;
-                    }
-                    *slots.lock().unwrap_or_else(PoisonError::into_inner) = gen;
-                    next_slot.store(0, Ordering::Relaxed);
-                    start.wait();
-                    finish.wait();
-                    let gen =
-                        std::mem::take(&mut *slots.lock().unwrap_or_else(PoisonError::into_inner));
-                    for slot in gen {
-                        collect(
-                            slot.out.expect("generation fully evaluated"),
-                            &mut merge,
-                            &mut first_error,
-                            &mut panic_payload,
-                        );
-                    }
-                    if first_error.is_some() || panic_payload.is_some() {
-                        break;
-                    }
-                    generation += 1;
-                }
+                });
             }
-        }));
-        // Single shutdown point: every driver exit path — normal,
-        // erroring or panicking — releases the workers exactly once.
-        done.store(true, Ordering::Release);
-        start.wait();
-        if let Err(payload) = driver {
-            if panic_payload.is_none() {
-                panic_payload = Some(payload);
+            // A panic in `produce` or `merge` must still reach the
+            // shutdown below, or the workers would stay parked on the
+            // start barrier forever and scope-join would deadlock. Every
+            // exit of the driver releases the workers exactly once.
+            let driver = catch_unwind(AssertUnwindSafe(drive));
+            done.store(true, Ordering::Release);
+            start.wait();
+            if let Err(payload) = driver {
+                resume_unwind(payload);
             }
-        }
-    });
+        });
+    }
 
     if let Some(payload) = panic_payload {
         resume_unwind(payload);
@@ -745,8 +596,7 @@ mod tests {
         };
         let reference = count(1);
         // Whole generations: 32 (gen 0) + 64 (gen 1) + 128 (gen 2) — the
-        // budget trips after the generation crossing 100 items, exactly
-        // as on the non-pipelined executor.
+        // budget trips after the generation crossing 100 items.
         assert_eq!(reference, 224);
         for threads in [2, 8] {
             assert_eq!(count(threads), reference, "threads {threads}");
@@ -754,10 +604,10 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_stops_the_prefetched_generation_from_dispatching() {
-        // The prefetch of generation g+1 happens while g evaluates, but
-        // a cancellation landing before g+1 is published must win: the
-        // produced items are dropped, not evaluated.
+    fn cancellation_stops_the_next_generation_from_dispatching() {
+        // A cancellation landing while generation g merges must win: the
+        // budget poll before generation g+1 ends the search, and no item
+        // of g+1 is evaluated.
         use std::sync::atomic::AtomicU64;
         for threads in [1usize, 4] {
             let (budget, handle) = SearchBudget::unlimited().cancellable();
@@ -777,8 +627,7 @@ mod tests {
                 },
                 |n| {
                     merged += n;
-                    // Trips during the merge of generation 0 — after
-                    // generation 1 was already prefetched.
+                    // Trips during the merge of generation 0.
                     handle.cancel();
                     Ok(())
                 },
@@ -789,7 +638,7 @@ mod tests {
             assert_eq!(
                 evaluated.load(Ordering::Relaxed),
                 8,
-                "threads {threads}: the prefetched generation must not run"
+                "threads {threads}: the next generation must not run"
             );
         }
     }
@@ -991,37 +840,41 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_production_overlaps_evaluation() {
-        // The iterator records how far production has advanced when each
-        // chunk is evaluated. With pipelining, the items of generation
-        // g + 1 are produced before generation g merges — visible here
-        // as production having advanced past the evaluated chunk's own
-        // generation by merge time at threads = 1 (deterministic order).
-        use std::sync::atomic::AtomicU64;
-        let produced = AtomicU64::new(0);
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        let status = search_chunks(
-            (0..48u64).inspect(|_| {
-                produced.fetch_add(1, Ordering::Relaxed);
-            }),
+    fn the_calling_thread_is_worker_zero() {
+        // One generation of two chunks at threads 2: each `eval` waits
+        // on a 2-party barrier, so both chunks run at once on two
+        // distinct threads — and with one worker spawned, one of them
+        // must be the caller.
+        let rendezvous = std::sync::Barrier::new(2);
+        let ids = Mutex::new(Vec::new());
+        let mut rounds = 0u32;
+        let status = search_generations(
+            |_generation, _capacity| {
+                rounds += 1;
+                if rounds == 1 {
+                    vec![0u32, 1]
+                } else {
+                    Vec::new()
+                }
+            },
             &ParallelConfig {
-                threads: 1,
-                chunk_size: 4,
+                threads: 2,
+                chunk_size: 1,
                 chunks_per_generation: 2,
             },
             &SearchBudget::unlimited(),
-            |base, chunk: Vec<u64>| Ok::<_, ()>((base, chunk.len() as u64)),
-            |(base, len)| {
-                merged.push((base, produced.load(Ordering::Relaxed)));
-                let _ = len;
-                Ok(())
+            |_base, _chunk: Vec<u32>| {
+                ids.lock().unwrap().push(std::thread::current().id());
+                rendezvous.wait();
+                Ok::<_, ()>(())
             },
+            |()| Ok(()),
         )
         .unwrap();
         assert!(status.is_complete());
-        // When chunk at base 0 (generation 0) merges, generation 1's
-        // items (8 more) must already be produced: 4 + 8 = 12.
-        assert_eq!(merged.first(), Some(&(0, 12)));
+        let ids: std::collections::HashSet<_> = ids.into_inner().unwrap().into_iter().collect();
+        assert_eq!(ids.len(), 2, "two chunks on two distinct threads");
+        assert!(ids.contains(&std::thread::current().id()));
     }
 
     #[test]
@@ -1103,8 +956,7 @@ mod tests {
     #[test]
     fn hook_sees_merged_state_of_the_previous_generation() {
         // The hook contract: production at generation g observes every
-        // merge of generations 0..g. A pipelined producer could not make
-        // this promise — this test pins the hook variant to it.
+        // merge of generations 0..g.
         for threads in [1usize, 4] {
             let merged_total = std::cell::Cell::new(0u64);
             let mut observed: Vec<u64> = Vec::new();

@@ -16,9 +16,9 @@ pub struct BatchConfig {
     /// number of requests *dispatched* (it does not leak into the
     /// requests' own partition counters).
     pub budget: SearchBudget,
-    /// Worker threads of the shared pool (`0` = one per available CPU,
-    /// `1` = inline). Pure execution policy: results are bit-identical
-    /// for every value.
+    /// Worker threads of the shared pool, the calling thread included
+    /// (`0` = one per available CPU, `1` = inline). Pure execution
+    /// policy: results are bit-identical for every value.
     pub threads: usize,
     /// Upper bound on requests dispatched per executor generation. The
     /// executor ramps generations exponentially — 1, 2, 4, … requests,

@@ -85,9 +85,11 @@ pub struct LiveConfig {
     /// flags are intersected into every request and a node budget caps
     /// the number of requests *dispatched*.
     pub budget: SearchBudget,
-    /// Worker threads of each shard's pool (`0` = one per available
-    /// CPU, `1` = inline on the dispatcher). Pure execution policy:
-    /// replayed traces are bit-identical for every value.
+    /// Worker threads of each shard's pool, the dispatcher included:
+    /// `N` means the shard's dispatcher thread plus `N − 1` spawned
+    /// workers, so `1` runs inline on the dispatcher; `0` means one per
+    /// available CPU. Pure execution policy: replayed traces are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Shard count: `None` (the default) runs one shard and stamps
     /// nothing; `Some(n)` runs `n.max(1)` fingerprint-routed shards and

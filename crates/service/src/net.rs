@@ -364,10 +364,13 @@ impl Conn {
     fn configure(&self) -> io::Result<()> {
         // Accepted sockets may inherit the listener's non-blocking mode
         // on some platforms; the reader loop wants blocking reads with
-        // a timeout so it can poll the shutdown flag.
+        // a timeout so it can poll the shutdown flag. Each reply line is
+        // one write, so TCP sends it at once instead of holding it for
+        // Nagle's algorithm until the client acknowledges the last one.
         match self {
             Conn::Tcp(s) => {
                 s.set_nonblocking(false)?;
+                s.set_nodelay(true)?;
                 s.set_read_timeout(Some(POLL_INTERVAL))
             }
             #[cfg(unix)]
@@ -979,6 +982,26 @@ fn router_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn accepted_tcp_sockets_disable_nagle() {
+        let listener = NetListener::tcp("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.addr()).unwrap();
+        let conn = loop {
+            match listener.accept() {
+                Ok(conn) => break conn,
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(err) => panic!("accept failed: {err}"),
+            }
+        };
+        conn.configure().unwrap();
+        let Conn::Tcp(stream) = &conn else {
+            panic!("a TCP listener accepts TCP connections")
+        };
+        assert!(stream.nodelay().unwrap());
+    }
 
     #[test]
     fn framer_splits_and_merges() {
