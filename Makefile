@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 
 .PHONY: all build test verify doc-gate determinism serve-determinism \
-        shard-determinism store-determinism recovery-determinism fuzz-smoke \
+        store-determinism recovery-determinism fuzz-smoke \
         chaos-soak alloc-gate exact-gate msrv-check \
         lint fmt clean
 
@@ -67,7 +67,7 @@ fuzz-smoke:
 
 # A deterministic slice of the multi-client chaos harness
 # (examples/chaos.rs): seeded scenarios checked both as deterministic
-# replays (byte-identical across threads {1,2,8} × shards {flat,1,2,4})
+# replays (byte-identical across threads {1,2,8})
 # and over live loopback TCP sessions. Failing scenario scripts land in
 # chaos-failures/. The nightly chaos workflow
 # (.github/workflows/chaos.yml) runs the same harness at scale with
@@ -77,8 +77,7 @@ chaos-soak:
 
 # --- CI job: determinism ----------------------------------------------------
 
-determinism: serve-determinism shard-determinism store-determinism \
-             recovery-determinism
+determinism: serve-determinism store-determinism recovery-determinism
 	cargo test --release -p tamopt_engine
 	cargo test --release -p tamopt_partition --test determinism
 	cargo test --release -p tamopt_service --test batch
@@ -114,25 +113,17 @@ define serve_diff
 	diff /tmp/$(1)_t1.txt /tmp/$(1)_t4.txt
 endef
 
-# Live-daemon gate: the trace-replay suite plus the serve stream diff
-# over the example traces — serve.trace for the classic point workload,
-# kinds.trace for the mixed point/topk/frontier one.
+# Live-daemon gate: the trace-replay suite, the proportional pool-split
+# property, and the serve stream diff over the example traces —
+# serve.trace for the classic point workload, kinds.trace for the mixed
+# point/topk/frontier one.
 serve-determinism:
 	cargo test --release -p tamopt_service --test live
 	cargo test --release -p tamopt_service --test kinds
+	cargo test --release -p tamopt_service --test proptest_split
 	cargo build --release -p tamopt
 	$(call serve_diff,serve,,serve)
 	$(call serve_diff,kinds,,kinds)
-
-# Sharded-daemon gate: the shard suite (threads {1,2,8} × shards
-# {1,2,4} grid plus the proportional-split property) and the serve
-# stream diff of `tamopt serve --shards 4` (shard-stamped outcome lines)
-# over the mixed-kind shard.trace.
-shard-determinism:
-	cargo test --release -p tamopt_service --test shard
-	cargo test --release -p tamopt_service --test proptest_split
-	cargo build --release -p tamopt
-	$(call serve_diff,shard,--shards 4,shard)
 
 # Warm-store gate: the store crate suite (format, crash safety, the
 # committed v1 upgrade fixture), the service-level store suite
@@ -152,7 +143,7 @@ store-determinism:
 	$(call serve_diff,serve_warm,--store /tmp/warm_t$$t.tamstore,serve)
 
 # Crash-safety gate: the service-level recovery suite (journal redo
-# over threads {1,2,8} × shards {flat,1,2,4}, torn-tail recovery,
+# over threads {1,2,8}, torn-tail recovery,
 # deterministic overload shedding, the network in-flight quota), the
 # end-to-end suite that SIGKILLs a real `--journal --store` daemon
 # mid-workload and restarts it with `--break-locks` (accepted ⊆

@@ -12,7 +12,7 @@
 //!                [--out <report.json>] [--store <file.tamstore>]
 //!
 //!   tamopt serve [--threads <N>] [--time-limit <seconds>]
-//!                [--no-warm-start] [--aging <rate>] [--shards <N>]
+//!                [--no-warm-start] [--aging <rate>]
 //!                [--store <file.tamstore>] [--journal <file.tamjrnl>]
 //!                [--sync always|interval[:N]|never] [--break-locks]
 //!                [--max-pending <N>] [--max-inflight <N>] [--max-budget <nodes>]
@@ -73,7 +73,7 @@
 //! locks block reopening; `--break-locks` removes them first.
 //!
 //! Overload protection: `--max-pending <N>` bounds the accepted backlog
-//! (per shard with `--shards`) — at the cap, the lowest aged effective
+//! — at the cap, the lowest aged effective
 //! priority sheds deterministically, either as a `shed` outcome (queued
 //! victim) or a typed `overloaded` error line refusing the newcomer
 //! (which never drops the connection). `--max-inflight <N>` caps one
@@ -324,10 +324,6 @@ struct ServeArgs {
     time_limit: Option<Duration>,
     warm_start: bool,
     aging: u32,
-    /// [`LiveConfig::shards`]: `Some(n)` runs `n` fingerprint-routed
-    /// shards and stamps outcomes with them (even for `n = 1`); `None`
-    /// runs one unstamped shard with its byte-identical legacy output.
-    shards: Option<usize>,
     store: Option<String>,
     /// `--journal <path>`: write-ahead request journal for crash-safe
     /// serving (see [`tamopt::store::Journal`]).
@@ -337,8 +333,7 @@ struct ServeArgs {
     /// `--break-locks`: remove stale store/journal lock sidecars left
     /// by a killed process before opening.
     break_locks: bool,
-    /// `--max-pending`: accepted-backlog cap (0 = unbounded; per shard
-    /// with `--shards`).
+    /// `--max-pending`: accepted-backlog cap (0 = unbounded).
     max_pending: usize,
     /// `--max-inflight`: per-session outstanding-request quota, for
     /// socket clients and the stdin session alike (0 = unbounded).
@@ -354,8 +349,8 @@ struct ServeArgs {
 }
 
 fn serve_usage() -> &'static str {
-    "usage: tamopt serve [--threads <N per shard, 0 = all CPUs>] [--time-limit <seconds>] \
-     [--no-warm-start] [--aging <rate, 0 = strict priorities>] [--shards <N>] \
+    "usage: tamopt serve [--threads <N, 0 = all CPUs>] [--time-limit <seconds>] \
+     [--no-warm-start] [--aging <rate, 0 = strict priorities>] \
      [--store <file.tamstore>] [--journal <file.tamjrnl>] \
      [--sync always|interval[:N]|never] [--break-locks] \
      [--max-pending <N, 0 = unbounded>] [--max-inflight <N, 0 = unbounded>] \
@@ -363,8 +358,7 @@ fn serve_usage() -> &'static str {
      stdin lines: <soc> <width> <max-tams> [min-tams=N] [priority=P] \
      [time-limit=S] [node-budget=N] [kind=point|topk:K|frontier:LO..HI:STEP]  \
      |  cancel <id>  |  stats (live mode only)\n\
-     prefix every line with @<generation> to replay a deterministic trace; \
-     with --shards, @<generation>/<shard> pins a submission to a shard\n\
+     prefix every line with @<generation> to replay a deterministic trace\n\
      with --listen/--socket the same lines arrive per connection (no @ tags), \
      ids are per-client, and closing stdin shuts the server down"
 }
@@ -374,7 +368,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
     let mut time_limit = None;
     let mut warm_start = true;
     let mut aging = 0u32;
-    let mut shards = None;
     let mut store = None;
     let mut journal = None;
     let mut sync = SyncPolicy::default();
@@ -397,15 +390,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
                 aging = value("--aging")?
                     .parse()
                     .map_err(|_| "invalid --aging value".to_owned())?
-            }
-            "--shards" => {
-                let n: usize = value("--shards")?
-                    .parse()
-                    .map_err(|_| "invalid --shards value".to_owned())?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_owned());
-                }
-                shards = Some(n);
             }
             "--store" => store = Some(value("--store")?),
             "--journal" => journal = Some(value("--journal")?),
@@ -444,7 +428,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
         time_limit,
         warm_start,
         aging,
-        shards,
         store,
         journal,
         sync,
@@ -469,7 +452,6 @@ fn serve_main(argv: impl Iterator<Item = String>) -> io::Result<ExitCode> {
     config.warm_start = args.warm_start;
     config.aging = args.aging;
     config.max_pending = args.max_pending;
-    config.shards = args.shards;
     if let Some(limit) = args.time_limit {
         config = config.time_limit(limit);
     }
@@ -648,8 +630,8 @@ fn finish(
 
 /// Collects a trace-mode input into one [`Trace`], replayed by
 /// [`LiveQueue::replay`]. Fails on the first line that only
-/// live mode accepts (an untagged line, `stats`), on a shard pin
-/// without `--shards`, and on unreadable or malformed input.
+/// live mode accepts (an untagged line, `stats`), and on unreadable or
+/// malformed input.
 fn collect_trace(
     lines: impl Iterator<Item = (usize, std::io::Result<String>)>,
     args: &ServeArgs,
@@ -663,7 +645,7 @@ fn collect_trace(
             continue;
         };
         let line = number + 1;
-        let tag = match (tag, &directive) {
+        let generation = match (tag, &directive) {
             (_, NetDirective::Stats) => {
                 return Err(format!(
                     "serve: line {line}: `stats` is only available in live mode"
@@ -674,24 +656,14 @@ fn collect_trace(
                     "serve: line {line}: missing @<generation> tag (trace mode)"
                 ))
             }
-            (Some(tag), _) if tag.shard.is_some() && args.shards.is_none() => {
-                return Err(format!(
-                    "serve: line {line}: @<generation>/<shard> tags require --shards"
-                ))
-            }
-            (Some(tag), _) => tag,
+            (Some(generation), _) => generation,
         };
         trace = match directive {
             NetDirective::Submit(mut request) => {
                 clamp_budget(&mut request, args.max_budget);
-                match tag.shard {
-                    Some(shard) => trace.submit_pinned_at(tag.generation, shard, request),
-                    None => trace.submit_at(tag.generation, request),
-                }
+                trace.submit_at(generation, request)
             }
-            // A cancel routes to the owner of the id; any shard pin on
-            // it is redundant.
-            NetDirective::Cancel(id) => trace.cancel_at(tag.generation, id),
+            NetDirective::Cancel(id) => trace.cancel_at(generation, id),
             NetDirective::Stats => unreachable!("rejected above"),
         };
     }
@@ -701,7 +673,7 @@ fn collect_trace(
 /// Redoes a crashed daemon's accepted-but-unsealed requests, so a
 /// `kill -9` mid-workload loses nothing: parses each journaled line,
 /// resubmits the live ones in original-id order through a fresh queue
-/// of the same shape and returns every outcome, in id order, with its
+/// and returns every outcome, in id order, with its
 /// original id and client stamp; the caller prints and seals each.
 /// Requests that were cancelled before the crash are not re-run — their
 /// `cancelled` outcome is synthesized directly — so the output still
@@ -738,7 +710,6 @@ fn recover_journal(
             outcomes.push(RequestOutcome {
                 index: r.id as usize,
                 client: r.client.map(|c| c as usize),
-                shard: r.shard.map(|s| s as usize),
                 soc: request.soc.name().to_owned(),
                 width: request.width,
                 min_tams: request.min_tams,
@@ -755,18 +726,15 @@ fn recover_journal(
         }
     }
     if !live.is_empty() {
-        // Same queue shape (shard count) and the same warm store,
-        // but no backlog cap: everything here was accepted once
+        // The same warm store, but no backlog cap: everything here was accepted once
         // already, so recovery must never shed it.
         let mut recovery_config = config.clone();
         recovery_config.max_pending = 0;
         let queue = LiveQueue::start(recovery_config);
         let mut owner = std::collections::HashMap::new();
         for (r, request) in &live {
-            // Pin to the accept-time shard stamp, so the redo runs
-            // where the original did.
             let (id, _) = queue
-                .submit_pinned(r.shard.map(|s| s as usize), request.clone())
+                .submit(request.clone())
                 .map_err(|e| format!("journal: request {}: resubmission failed: {e}", r.id))?;
             owner.insert(id.index(), *r);
         }
@@ -1075,15 +1043,6 @@ mod tests {
         assert!(parse_serve_args(["--aging", "-1"].iter().map(|s| s.to_string())).is_err());
         assert!(parse_serve_args(["--frobnicate".to_string()].into_iter()).is_err());
         assert!(parse_serve_args(["positional".to_string()].into_iter()).is_err());
-        assert!(a.shards.is_none(), "sharding is opt-in");
-        let c = parse_serve_args(["--shards", "4"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(c.shards, Some(4));
-        assert!(
-            parse_serve_args(["--shards", "0"].iter().map(|s| s.to_string()))
-                .unwrap_err()
-                .contains("at least 1")
-        );
-        assert!(parse_serve_args(["--shards", "x"].iter().map(|s| s.to_string())).is_err());
         let d =
             parse_serve_args(["--store", "warm.tamstore"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(d.store.as_deref(), Some("warm.tamstore"));
@@ -1098,13 +1057,12 @@ mod tests {
         assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
         assert!(a.socket.is_none());
         let b = parse_serve_args(
-            ["--socket", "/tmp/tamopt.sock", "--shards", "2"]
+            ["--socket", "/tmp/tamopt.sock"]
                 .iter()
                 .map(|s| s.to_string()),
         )
         .unwrap();
         assert_eq!(b.socket.as_deref(), Some("/tmp/tamopt.sock"));
-        assert_eq!(b.shards, Some(2));
         assert!(parse_serve_args(
             ["--listen", "127.0.0.1:0", "--socket", "/tmp/x.sock"]
                 .iter()

@@ -160,25 +160,15 @@ pub fn parse_manifest(text: &str, resolve: SocResolver) -> Result<Vec<Request>, 
     Ok(requests)
 }
 
-/// The `@<generation>[/<shard>]` prefix of a trace line: the generation
-/// barrier the event applies at, plus an optional explicit shard pin
-/// (valid only under `--shards`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeTag {
-    /// The generation barrier the event applies at (a lower bound).
-    pub generation: u32,
-    /// An explicit shard pin, from the `/<shard>` suffix.
-    pub shard: Option<usize>,
-}
-
 /// The directive part of one serve line: the text before any `#`
 /// comment, trimmed. Empty for blank and comment-only lines.
 pub fn directive_text(raw: &str) -> &str {
     raw.split('#').next().unwrap_or_default().trim()
 }
 
-/// Parses one serve stdin line into an optional [`ServeTag`] and a
-/// directive; comments and blank lines yield `Ok(None)`. A tagged
+/// Parses one serve stdin line into an optional `@<generation>` tag —
+/// the generation barrier a trace event applies at, a lower bound — and
+/// a directive; comments and blank lines yield `Ok(None)`. A tagged
 /// `Cancel` names a trace-global id, an untagged one a session-local id.
 ///
 /// # Errors
@@ -188,7 +178,7 @@ pub fn directive_text(raw: &str) -> &str {
 pub fn parse_serve_line(
     raw: &str,
     resolve: SocResolver,
-) -> Result<Option<(Option<ServeTag>, NetDirective)>, String> {
+) -> Result<Option<(Option<u32>, NetDirective)>, String> {
     let line = directive_text(raw);
     if line.is_empty() {
         return Ok(None);
@@ -198,19 +188,10 @@ pub fn parse_serve_line(
             let (tag, rest) = tagged
                 .split_once(char::is_whitespace)
                 .ok_or_else(|| "missing directive after @<generation>".to_owned())?;
-            let (generation, shard) = match tag.split_once('/') {
-                Some((generation, shard)) => {
-                    let shard: usize = shard
-                        .parse()
-                        .map_err(|_| format!("invalid shard tag `@{tag}`"))?;
-                    (generation, Some(shard))
-                }
-                None => (tag, None),
-            };
-            let generation: u32 = generation
+            let generation: u32 = tag
                 .parse()
                 .map_err(|_| format!("invalid generation tag `@{tag}`"))?;
-            (Some(ServeTag { generation, shard }), rest.trim())
+            (Some(generation), rest.trim())
         }
         None => (None, line),
     };
@@ -361,32 +342,10 @@ mod tests {
         let (tag, line) = parse_serve_line("@3 cancel 7 # trailing", &resolve)
             .unwrap()
             .unwrap();
-        assert_eq!(
-            tag,
-            Some(ServeTag {
-                generation: 3,
-                shard: None
-            })
-        );
+        assert_eq!(tag, Some(3));
         assert!(matches!(line, NetDirective::Cancel(7)));
-        let (tag, _) = parse_serve_line("@0 d695 16 2", &resolve).unwrap().unwrap();
-        assert_eq!(
-            tag,
-            Some(ServeTag {
-                generation: 0,
-                shard: None
-            })
-        );
-        let (tag, line) = parse_serve_line("@2/1 d695 16 2", &resolve)
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            tag,
-            Some(ServeTag {
-                generation: 2,
-                shard: Some(1)
-            })
-        );
+        let (tag, line) = parse_serve_line("@0 d695 16 2", &resolve).unwrap().unwrap();
+        assert_eq!(tag, Some(0));
         assert!(matches!(line, NetDirective::Submit(_)));
     }
 
@@ -398,13 +357,7 @@ mod tests {
         assert!(tag.is_none());
         assert!(matches!(line, NetDirective::Stats));
         let (tag, line) = parse_serve_line("@2 stats", &resolve).unwrap().unwrap();
-        assert_eq!(
-            tag,
-            Some(ServeTag {
-                generation: 2,
-                shard: None
-            })
-        );
+        assert_eq!(tag, Some(2));
         assert!(matches!(line, NetDirective::Stats));
     }
 
@@ -412,7 +365,7 @@ mod tests {
     fn serve_line_errors_are_precise() {
         let fail = |raw: &str| parse_serve_line(raw, &resolve).unwrap_err();
         assert!(fail("@x d695 16 2").contains("generation tag"));
-        assert!(fail("@1/x d695 16 2").contains("shard tag"));
+        assert!(fail("@1/x d695 16 2").contains("invalid generation tag `@1/x`"));
         assert!(fail("@x/0 d695 16 2").contains("generation tag"));
         assert!(fail("@5").contains("missing directive"));
         assert!(fail("cancel seven").contains("invalid cancel id"));

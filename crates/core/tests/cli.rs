@@ -701,3 +701,30 @@ fn serve_rejects_listen_and_socket_together() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 }
+
+#[test]
+fn serve_rejects_the_shards_flag_with_usage() {
+    let out = tamopt()
+        .args(["serve", "--shards", "2"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown argument `--shards`"), "{stderr}");
+    assert!(stderr.contains("usage: tamopt serve"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no work ran");
+}
+
+#[test]
+fn serve_trace_rejects_a_generation_shard_tag() {
+    let out = serve("@0 d695 16 2\n@0/1 d695 16 2\n", &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("serve: line 2: invalid generation tag `@0/1`"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -4,7 +4,7 @@
 //!
 //! `make determinism` diffs thread counts against each other within one
 //! binary; these files pin the stream itself, so a change to how the
-//! daemon dispatches, routes, stamps or serializes anything fails here
+//! daemon dispatches, stamps or serializes anything fails here
 //! even when every thread count agrees. Each expected file is the
 //! command's stdout piped through `grep -v wall_clock`.
 
@@ -63,23 +63,5 @@ fn flat_kinds_trace_stream_is_pinned_at_four_threads() {
         &["--threads", "4"],
         "kinds.trace",
         "kinds_stream_threads4.txt",
-    );
-}
-
-#[test]
-fn one_shard_serve_trace_stream_is_pinned() {
-    check(
-        &["--shards", "1"],
-        "serve.trace",
-        "serve_stream_shards1.txt",
-    );
-}
-
-#[test]
-fn four_shard_trace_stream_is_pinned_at_four_threads() {
-    check(
-        &["--shards", "4", "--threads", "4"],
-        "shard.trace",
-        "shard_stream_shards4.txt",
     );
 }

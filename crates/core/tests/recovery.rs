@@ -9,7 +9,10 @@
 //!
 //! The deterministic per-scenario chaos twin lives in
 //! `examples/chaos.rs --mode crash`; these tests pin the fixed-workload
-//! cases into the tier-1 suite.
+//! cases into the tier-1 suite. One more case builds its crash image
+//! with the journal API instead of a kill: a journal written by an
+//! older daemon that stamped each submission with a shard must still
+//! recover.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
@@ -18,7 +21,7 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use tamopt::store::journal::decode;
-use tamopt::store::JournalRecord;
+use tamopt::store::{Journal, JournalRecord, SyncPolicy};
 
 /// A fixed mid-size workload: heavy enough that a 60 ms kill lands
 /// mid-flight, varied enough that a mixed-up id mapping changes a
@@ -40,19 +43,16 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn spawn_serve(dir: &Path, shards: Option<usize>, extra: &[&str]) -> std::process::Child {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_tamopt"));
-    command
+fn spawn_serve(dir: &Path, extra: &[&str]) -> std::process::Child {
+    Command::new(env!("CARGO_BIN_EXE_tamopt"))
         .current_dir(dir)
         .args(["serve", "--threads", "2"])
+        .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    if let Some(shards) = shards {
-        command.args(["--shards", &shards.to_string()]);
-    }
-    command.args(extra);
-    command.spawn().expect("spawning the serve daemon")
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the serve daemon")
 }
 
 /// `{"v": 1, "id": N, ...}` outcome lines only; the report tail is
@@ -71,16 +71,14 @@ fn outcome_lines(stdout: &[u8]) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// The winner fields of an outcome line: the prune-statistics tail and
-/// the shard stamp are stripped — a warm-started redo prunes more, and
-/// live shard routing steals by instantaneous load — but the winner
-/// itself must be byte-identical.
+/// The winner fields of an outcome line: the prune-statistics tail is
+/// stripped — a warm-started redo prunes more — but the winner itself
+/// must be byte-identical.
 fn winner(line: &str) -> String {
-    let head = line.split(", \"stats\": ").next().unwrap_or(line);
-    match (head.find(", \"shard\": "), head.find(", \"soc\": ")) {
-        (Some(start), Some(end)) if start < end => format!("{}{}", &head[..start], &head[end..]),
-        _ => head.to_owned(),
-    }
+    line.split(", \"stats\": ")
+        .next()
+        .unwrap_or(line)
+        .to_owned()
 }
 
 fn feed(child: &mut std::process::Child, script: &str) -> std::process::ChildStdin {
@@ -92,13 +90,11 @@ fn feed(child: &mut std::process::Child, script: &str) -> std::process::ChildStd
     stdin
 }
 
-fn crash_restart_cycle(shards: Option<usize>, name: &str) {
-    let dir = temp_dir(name);
-    let script = WORKLOAD.join("\n") + "\n";
-
-    // Uninterrupted reference: same shard shape, no persistence.
-    let mut reference = spawn_serve(&dir, shards, &[]);
-    drop(feed(&mut reference, &script));
+/// The winners of an uninterrupted, unjournaled run of [`WORKLOAD`],
+/// by id.
+fn reference_winners(dir: &Path) -> BTreeMap<usize, String> {
+    let mut reference = spawn_serve(dir, &[]);
+    drop(feed(&mut reference, &(WORKLOAD.join("\n") + "\n")));
     let output = reference
         .wait_with_output()
         .expect("reference daemon exits");
@@ -116,11 +112,19 @@ fn crash_restart_cycle(shards: Option<usize>, name: &str) {
         WORKLOAD.len(),
         "reference answered everything"
     );
+    expected
+}
+
+#[test]
+fn sigkill_mid_workload_recovers_every_accepted_request_flat() {
+    let dir = temp_dir("flat");
+    let script = WORKLOAD.join("\n") + "\n";
+    let expected = reference_winners(&dir);
 
     // Journal-backed victim, SIGKILLed mid-workload. Stdin stays open
     // so the daemon keeps serving right up to the kill.
     let flags = ["--journal", "j.tamjrnl", "--store", "w.tamstore"];
-    let mut victim = spawn_serve(&dir, shards, &flags);
+    let mut victim = spawn_serve(&dir, &flags);
     let stdin = feed(&mut victim, &script);
     std::thread::sleep(Duration::from_millis(60));
     victim.kill().expect("killing the victim");
@@ -150,7 +154,7 @@ fn crash_restart_cycle(shards: Option<usize>, name: &str) {
         "w.tamstore",
         "--break-locks",
     ];
-    let mut recovery = spawn_serve(&dir, shards, &flags);
+    let mut recovery = spawn_serve(&dir, &flags);
     drop(recovery.stdin.take());
     let output = recovery.wait_with_output().expect("recovery daemon exits");
     assert!(
@@ -198,13 +202,78 @@ fn crash_restart_cycle(shards: Option<usize>, name: &str) {
 }
 
 #[test]
-fn sigkill_mid_workload_recovers_every_accepted_request_flat() {
-    crash_restart_cycle(None, "flat");
-}
+fn journal_with_shard_stamps_recovers_every_accepted_request() {
+    let dir = temp_dir("stamped");
+    let expected = reference_winners(&dir);
 
-#[test]
-fn sigkill_mid_workload_recovers_every_accepted_request_sharded() {
-    crash_restart_cycle(Some(2), "sharded");
+    // The crash image a sharded daemon left behind: every submission
+    // stamped with the shard that accepted it, id 0 already sealed, id
+    // 3 cancelled before the crash, the rest unsealed.
+    let journal = dir.join("j.tamjrnl");
+    let mut writer = Journal::open(&journal, SyncPolicy::default())
+        .expect("opening a fresh journal")
+        .journal;
+    for (id, line) in WORKLOAD.iter().enumerate() {
+        writer
+            .append(&JournalRecord::Submit {
+                id: id as u64,
+                client: None,
+                shard: Some(1),
+                line: (*line).to_owned(),
+            })
+            .expect("appending a stamped submit");
+    }
+    for record in [
+        JournalRecord::Sealed { id: 0 },
+        JournalRecord::Cancel { id: 3 },
+    ] {
+        writer.append(&record).expect("appending a record");
+    }
+    drop(writer);
+
+    let mut recovery = spawn_serve(&dir, &["--journal", "j.tamjrnl"]);
+    drop(recovery.stdin.take());
+    let output = recovery.wait_with_output().expect("recovery daemon exits");
+    assert!(
+        output.status.success(),
+        "recovery daemon: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // No kill, so no torn tails: every outcome line counts, including
+    // the cancelled one, which has no `stats` object.
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let recovered: BTreeMap<usize, &str> = stdout
+        .lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix("{\"v\": 1, \"id\": ")?;
+            let end = rest.find(',')?;
+            Some((rest[..end].parse().ok()?, line))
+        })
+        .collect();
+    assert_eq!(
+        recovered.keys().copied().collect::<Vec<_>>(),
+        vec![1, 2, 3, 4, 5],
+        "every unsealed request is answered once: {stdout}"
+    );
+    for (id, line) in &recovered {
+        assert!(!line.contains("shard"), "the stamp is not echoed: {line}");
+        if *id == 3 {
+            assert!(line.contains("\"status\": \"cancelled\""), "{line}");
+        } else {
+            assert_eq!(
+                &winner(line),
+                &expected[id],
+                "request {id}: winner drifted across recovery"
+            );
+        }
+    }
+    assert_eq!(
+        std::fs::metadata(&journal).expect("journal exists").len(),
+        12,
+        "journal must compact to its empty header after a clean recovery"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -212,7 +281,7 @@ fn restart_after_a_clean_shutdown_recovers_nothing() {
     let dir = temp_dir("clean");
     let script = "d695 16 2\n";
 
-    let mut first = spawn_serve(&dir, None, &["--journal", "j.tamjrnl"]);
+    let mut first = spawn_serve(&dir, &["--journal", "j.tamjrnl"]);
     drop(feed(&mut first, script));
     let output = first.wait_with_output().expect("first daemon exits");
     assert!(output.status.success());
@@ -226,7 +295,7 @@ fn restart_after_a_clean_shutdown_recovers_nothing() {
 
     // Nothing was left unsealed, so the restart has nothing to redo —
     // and needs no --break-locks: the clean shutdown released them.
-    let mut second = spawn_serve(&dir, None, &["--journal", "j.tamjrnl"]);
+    let mut second = spawn_serve(&dir, &["--journal", "j.tamjrnl"]);
     drop(second.stdin.take());
     let output = second.wait_with_output().expect("second daemon exits");
     assert!(
@@ -255,7 +324,7 @@ fn overload_flags_account_for_every_submission() {
     // all six submissions are accounted for.
     let dir = temp_dir("overload");
     let script = WORKLOAD.join("\n") + "\n";
-    let mut child = spawn_serve(&dir, None, &["--max-pending", "1"]);
+    let mut child = spawn_serve(&dir, &["--max-pending", "1"]);
     drop(feed(&mut child, &script));
     let output = child.wait_with_output().expect("daemon exits");
     assert!(

@@ -27,9 +27,8 @@
 //!
 //! Because the whole scenario becomes one replay trace, every
 //! transcript and the final report are **byte-identical across thread
-//! counts and fixed shard counts** — the contract asserted by the chaos
-//! suite and `examples/chaos.rs` over the full threads {1, 2, 8} ×
-//! shards {1, 2, 4} grid.
+//! counts** — the contract asserted by the chaos suite and
+//! `examples/chaos.rs` over threads {1, 2, 8}.
 
 use std::collections::HashSet;
 
@@ -147,9 +146,7 @@ struct ClientState {
 /// Replays a multi-client scenario deterministically and returns the
 /// per-client transcripts plus the client-stamped final report.
 ///
-/// The queue's shape is [`LiveConfig::shards`]: with `Some(n)`, outcome
-/// lines also carry the shard stamp. `parser` maps raw
-/// lines to directives, exactly as the injected
+/// `parser` maps raw lines to directives, exactly as the injected
 /// [`crate::net::LineParser`] does for the socket server.
 /// Lines are pushed through the same [`LineFramer`] the server uses, so
 /// embedded newlines and oversized scripted lines behave identically.

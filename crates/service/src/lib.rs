@@ -33,12 +33,9 @@
 //!   long-running daemon: non-blocking [`LiveQueue::submit`] while
 //!   requests execute, re-prioritization at every generation barrier,
 //!   streamed outcomes, deterministic [`Trace`] replay and a warm-start
-//!   incumbent cache across requests on the same SOC. It runs `1..N`
-//!   shards ([`LiveConfig::shards`]), each with its own dispatcher and
-//!   pool: one unstamped shard by default, or `N` shards routed by SOC
-//!   fingerprint hash with deterministic work stealing (module
-//!   [`shard`]), sharing one warm cache and stamping each outcome with
-//!   its shard — trace replay stays bit-identical across thread counts;
+//!   incumbent cache across requests on the same SOC. One dispatcher
+//!   thread owns the worker pool and the warm cache, and trace replay
+//!   stays bit-identical across thread counts;
 //! * a [`StoreBinding`] attaches a persistent, versioned, crash-safe
 //!   [`tamopt_store`] warm-start store behind the in-memory cache: the
 //!   queue preloads from it at start, feeds it at every merge and
@@ -93,7 +90,6 @@ pub mod live;
 pub mod net;
 mod report;
 mod request;
-pub mod shard;
 
 pub use crate::batch::{run_batch, Batch, BatchConfig};
 pub use crate::chaos::{ChaosOutcome, ChaosScenario, ClientScript, ClientTranscript};
@@ -109,4 +105,3 @@ pub use crate::report::{
     json_string, BatchReport, RequestOutcome, RequestStatus, ResultEntry, WIRE_VERSION,
 };
 pub use crate::request::{Request, RequestError, RequestKind};
-pub use crate::shard::{ShardStats, ShardedStats, STEAL_MARGIN};

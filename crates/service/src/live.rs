@@ -1,13 +1,13 @@
-//! The live serving daemon: a non-blocking request queue over `1..N`
-//! shards, each a dispatcher with its own long-lived worker pool and
-//! between-generation re-prioritization.
+//! The live serving daemon: a non-blocking request queue whose one
+//! dispatcher owns a long-lived worker pool and re-prioritizes between
+//! generations.
 //!
 //! [`crate::Batch`] is build-then-run: a request arriving mid-run waits
-//! for the whole batch. A [`LiveQueue`] removes that limitation — each
-//! shard's dispatcher owns an engine worker pool for the queue's
-//! lifetime, and the queue accepts [`submit`](LiveQueue::submit) calls
-//! *while requests execute*. A dispatcher re-reads its priority queue at
-//! every generation barrier of the engine
+//! for the whole batch. A [`LiveQueue`] removes that limitation — its
+//! dispatcher owns an engine worker pool for the queue's lifetime, and
+//! the queue accepts [`submit`](LiveQueue::submit) calls *while requests
+//! execute*. The dispatcher re-reads its priority queue at every
+//! generation barrier of the engine
 //! ([`tamopt_engine::search_generations`]), so a high-priority request
 //! submitted mid-run preempts queued (not yet dispatched) lower-priority
 //! work — bounded by the optional [`LiveConfig::aging`] term, which
@@ -18,22 +18,13 @@
 //! one terminal report; [`shutdown`](LiveQueue::shutdown) drains the
 //! queue and returns the final [`BatchReport`].
 //!
-//! # Shards
-//!
-//! [`LiveConfig::shards`] sets the shape. `None` runs one shard that
-//! stamps nothing — the plain daemon. `Some(n)` runs `n` shards and
-//! stamps every outcome with the shard that ran it. The queue numbers
-//! every submission itself and routes it to a shard (see
-//! [`crate::shard`]); shards never number anything, and they all send
-//! into one outcome stream and share one warm cache.
-//!
 //! # Determinism
 //!
 //! Real-time submission is inherently racy — *when* a request lands
 //! relative to the running generations depends on wall-clock timing. The
 //! determinism contract is therefore stated over **traces**: for a fixed
 //! [`Trace`] (a sequence of submit/cancel events tagged with generation
-//! indices) and shard count, [`LiveQueue::replay`] produces a
+//! indices), [`LiveQueue::replay`] produces a
 //! bit-identical outcome stream and final report for every thread count.
 //! Live operation is the same machinery with the trace written by the
 //! wall clock.
@@ -52,10 +43,10 @@
 //! kind-aware too — a frontier sweep picks up every transferable
 //! `(width, time)` pair and seeds each swept width with the pairs at or
 //! below it, so a `topk:K` answer at `(SOC, W)` accelerates a later
-//! frontier covering widths ≥ W. Cache reads happen at dispatch and
-//! writes at merge, both on the dispatcher thread at generation
-//! barriers, so warm starts never break trace determinism; all shards of
-//! a queue share one cache.
+//! frontier covering widths ≥ W. The cache belongs to the dispatcher:
+//! reads happen at dispatch and writes at merge, both on the dispatcher
+//! thread at generation barriers, so warm starts never break trace
+//! determinism.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -74,7 +65,6 @@ use tamopt_wrapper::{pareto, TimeTable};
 
 use crate::report::{json_string, BatchReport, RequestOutcome, RequestStatus, ResultEntry};
 use crate::request::RequestKind;
-use crate::shard::{place, split, ShardAction, ShardEvent, ShardStats, ShardedStats};
 use crate::Request;
 
 /// Configuration of a [`LiveQueue`].
@@ -85,18 +75,12 @@ pub struct LiveConfig {
     /// flags are intersected into every request and a node budget caps
     /// the number of requests *dispatched*.
     pub budget: SearchBudget,
-    /// Worker threads of each shard's pool, the dispatcher included:
-    /// `N` means the shard's dispatcher thread plus `N − 1` spawned
-    /// workers, so `1` runs inline on the dispatcher; `0` means one per
-    /// available CPU. Pure execution policy: replayed traces are
-    /// bit-identical for every value.
+    /// Worker threads of the pool, the dispatcher included: `N` means
+    /// the dispatcher thread plus `N − 1` spawned workers, so `1` runs
+    /// inline on the dispatcher; `0` means one per available CPU. Pure
+    /// execution policy: replayed traces are bit-identical for every
+    /// value.
     pub threads: usize,
-    /// Shard count: `None` (the default) runs one shard and stamps
-    /// nothing; `Some(n)` runs `n.max(1)` fingerprint-routed shards and
-    /// stamps every outcome with its shard (the `--shards` flag of
-    /// `tamopt serve`). `threads`, `requests_per_generation` and
-    /// `max_pending` apply per shard; the warm cache is shared.
-    pub shards: Option<usize>,
     /// Upper bound on requests dispatched per generation — the window of
     /// the exponential ramp and therefore the preemption granularity:
     /// smaller generations re-read the priority queue more often.
@@ -152,12 +136,11 @@ pub const DEFAULT_SNAPSHOT_EVERY: u32 = 32;
 /// start, records every merged incumbent (and freshly computed cost
 /// columns) into both tiers, and calls [`Store::save`] when the store
 /// is dirty — every `snapshot_every` generation barriers and once at
-/// shutdown. Every shard clones the binding; the [`SharedStore`] mutex
-/// is a leaf lock, so cross-shard recording cannot deadlock. Store
-/// contents only ever *seed* searches: a pre-populated store changes
-/// completed-evaluation counts, never winners, and replayed traces stay
-/// byte-identical across thread and shard counts for any fixed starting
-/// store.
+/// shutdown. The [`SharedStore`] mutex is a leaf lock, never held across
+/// another lock. Store contents only ever *seed* searches: a
+/// pre-populated store changes completed-evaluation counts, never
+/// winners, and replayed traces stay byte-identical across thread counts
+/// for any fixed starting store.
 #[derive(Debug, Clone)]
 pub struct StoreBinding {
     /// The shared store handle.
@@ -192,9 +175,8 @@ impl StoreBinding {
         }
     }
 
-    /// A recency-ordered copy of the store contents, for preloading a
-    /// cache without holding the store lock while the cache lock is
-    /// taken (both stay leaf locks).
+    /// A recency-ordered copy of the store contents, for preloading the
+    /// warm cache.
     fn contents(&self) -> Vec<(u64, StoredEntry)> {
         self.lock()
             .iter()
@@ -255,19 +237,18 @@ impl JournalBinding {
         }
     }
 
-    /// Journals an accepted submission: its global id, the client and
-    /// shard stamps (when known) and the canonical request line it can
-    /// be resubmitted from.
-    pub fn submit(&self, id: usize, client: Option<usize>, shard: Option<usize>, line: &str) {
+    /// Journals an accepted submission: its id, the client stamp (when
+    /// known) and the canonical request line it can be resubmitted from.
+    pub fn submit(&self, id: usize, client: Option<usize>, line: &str) {
         self.append(&tamopt_store::JournalRecord::Submit {
             id: id as u64,
             client: client.map(|c| c as u64),
-            shard: shard.map(|s| s as u64),
+            shard: None,
             line: line.to_owned(),
         });
     }
 
-    /// Journals an accepted cancellation of global submission `id`.
+    /// Journals an accepted cancellation of submission `id`.
     pub fn cancel(&self, id: usize) {
         self.append(&tamopt_store::JournalRecord::Cancel { id: id as u64 });
     }
@@ -292,7 +273,6 @@ impl Default for LiveConfig {
         LiveConfig {
             budget: SearchBudget::unlimited(),
             threads: 1,
-            shards: None,
             requests_per_generation: 8,
             warm_start: true,
             aging: 0,
@@ -317,12 +297,6 @@ impl LiveConfig {
     pub fn time_limit(mut self, limit: Duration) -> Self {
         self.budget = self.budget.and_time_limit(limit);
         self
-    }
-
-    /// Shards a queue runs: [`shards`](Self::shards) clamped to at
-    /// least one, one when `None`.
-    fn shard_count(&self) -> usize {
-        self.shards.map_or(1, |n| n.max(1))
     }
 }
 
@@ -391,11 +365,6 @@ pub struct TraceEvent {
     pub generation: u32,
     /// What happens.
     pub action: TraceAction,
-    /// The shard a submission is pinned to, bypassing fingerprint
-    /// routing and stealing (wrapped `% N`); `None` routes it. Pins on
-    /// cancellations are ignored: a cancel goes to the submission's
-    /// shard.
-    pub shard: Option<usize>,
 }
 
 /// The action of a [`TraceEvent`].
@@ -421,37 +390,22 @@ impl Trace {
         Self::default()
     }
 
-    /// Appends a submission applying at generation barrier `generation`
-    /// of the shard it routes to.
+    /// Appends a submission applying at generation barrier `generation`.
     pub fn submit_at(mut self, generation: u32, request: Request) -> Self {
         self.events.push(TraceEvent {
             generation,
             action: TraceAction::Submit(request),
-            shard: None,
-        });
-        self
-    }
-
-    /// Appends a submission pinned to `shard` (wrapped `% N`; the CLI's
-    /// `@<generation>/<shard>` tags), applying at generation barrier
-    /// `generation` of that shard.
-    pub fn submit_pinned_at(mut self, generation: u32, shard: usize, request: Request) -> Self {
-        self.events.push(TraceEvent {
-            generation,
-            action: TraceAction::Submit(request),
-            shard: Some(shard),
         });
         self
     }
 
     /// Appends a cancellation of submission `id` (the index of an
     /// earlier submit event) applying at generation barrier
-    /// `generation` of the shard that owns the submission.
+    /// `generation`.
     pub fn cancel_at(mut self, generation: u32, id: impl Into<RequestId>) -> Self {
         self.events.push(TraceEvent {
             generation,
             action: TraceAction::Cancel(id.into()),
-            shard: None,
         });
         self
     }
@@ -693,6 +647,9 @@ struct State {
     /// (outcomes only ever stream from the dispatcher thread).
     shed: Vec<Pending>,
     shutdown: bool,
+    /// The id the next accepted submission gets: ids go only to
+    /// accepted submissions, in acceptance order.
+    next_id: usize,
     /// The most recent generation barrier the dispatcher reached — the
     /// reference point of [`LiveQueue::stats`]'s aging arithmetic.
     last_barrier: u32,
@@ -700,8 +657,7 @@ struct State {
     /// dispatched), so [`LiveQueue::cancel`] and trace cancel events can
     /// reach them. Pruned when a submission's outcome is emitted —
     /// cancelling a finished request is meaningless, and a long-running
-    /// daemon must not accumulate one entry per request forever. Its
-    /// length is the shard's load for live work stealing.
+    /// daemon must not accumulate one entry per request forever.
     handles: HashMap<usize, CancelHandle>,
 }
 
@@ -717,12 +673,12 @@ fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
 
 /// The incumbent cache: best known heuristic times per SOC fingerprint,
 /// indexed by the width and TAM count that achieved them, plus the
-/// SOC's compressed cost table once one has been computed. Shared by
-/// every shard of one queue (see [`SharedWarmCache`]). Bounded by an
-/// LRU-by-fingerprint entry cap ([`LiveConfig::warm_capacity`]): every
-/// dispatch-time read and merge-time write touches the fingerprint's
-/// recency, both on the dispatcher thread at generation barriers, so
-/// eviction order is deterministic under trace replay — and eviction
+/// SOC's compressed cost table once one has been computed. Owned by the
+/// dispatcher ([`Book`]). Bounded by an LRU-by-fingerprint entry cap
+/// ([`LiveConfig::warm_capacity`]): every dispatch-time read and
+/// merge-time write touches the fingerprint's recency, both on the
+/// dispatcher thread at generation barriers, so eviction order is
+/// deterministic under trace replay — and eviction
 /// only ever forgets seeds, never results.
 #[derive(Debug, Default)]
 struct WarmCache {
@@ -747,12 +703,6 @@ struct WarmEntry {
     time: u64,
 }
 
-/// A warm cache shareable across queues. Reads happen at dispatch and
-/// writes at merge, both at generation barriers on a dispatcher thread;
-/// the mutex is a leaf lock (never held across another lock), so
-/// cross-shard sharing cannot deadlock.
-type SharedWarmCache = Arc<Mutex<WarmCache>>;
-
 impl WarmCache {
     /// An empty cache evicting beyond `capacity` fingerprints
     /// (`0` = unbounded).
@@ -761,11 +711,6 @@ impl WarmCache {
             capacity,
             ..Self::default()
         }
-    }
-
-    /// [`with_capacity`](Self::with_capacity), shared.
-    fn shared(capacity: usize) -> SharedWarmCache {
-        Arc::new(Mutex::new(Self::with_capacity(capacity)))
     }
 
     fn touch(&mut self, fingerprint: u64) -> Option<&CacheSlot> {
@@ -905,37 +850,28 @@ impl WarmCache {
     }
 }
 
-/// Dispatcher-thread bookkeeping: the warm cache, the shard stamp, the
-/// live outcome stream and the outcomes emitted so far, in emit order.
-/// Wrapped in a `RefCell` because both the barrier hook and the merge
-/// closure need it — they run at disjoint times on the dispatcher
-/// thread.
+/// Dispatcher-thread bookkeeping: the warm cache, the live outcome
+/// stream and the outcomes emitted so far, in emit order. Wrapped in a
+/// `RefCell` because both the barrier hook and the merge closure need it
+/// — they run at disjoint times on the dispatcher thread.
 struct Book {
-    cache: SharedWarmCache,
-    /// Stamped into every outcome (`None` for an unstamped queue).
-    shard: Option<usize>,
-    /// The queue's shared outcome channel; `None` under replay, whose
-    /// stream is [`outcomes`](Self::outcomes) itself.
+    cache: WarmCache,
+    /// The queue's outcome channel; `None` under replay, whose stream is
+    /// [`outcomes`](Self::outcomes) itself.
     stream: Option<Sender<RequestOutcome>>,
     outcomes: Vec<RequestOutcome>,
 }
 
 impl Book {
-    fn new(
-        cache: &SharedWarmCache,
-        shard: Option<usize>,
-        stream: Option<Sender<RequestOutcome>>,
-    ) -> Self {
+    fn new(warm_capacity: usize, stream: Option<Sender<RequestOutcome>>) -> Self {
         Book {
-            cache: Arc::clone(cache),
-            shard,
+            cache: WarmCache::with_capacity(warm_capacity),
             stream,
             outcomes: Vec::new(),
         }
     }
 
-    fn emit(&mut self, mut outcome: RequestOutcome) {
-        outcome.shard = self.shard;
+    fn emit(&mut self, outcome: RequestOutcome) {
         if let Some(stream) = &self.stream {
             // A receiver may have been dropped (fire-and-forget
             // callers); the final report still collects everything.
@@ -1017,7 +953,6 @@ fn bare_outcome(id: usize, request: &Request, status: RequestStatus) -> RequestO
     RequestOutcome {
         index: id,
         client: None,
-        shard: None,
         soc: request.soc.name().to_owned(),
         width: request.width,
         min_tams: request.min_tams,
@@ -1093,7 +1028,8 @@ impl QueueStats {
     }
 }
 
-/// A long-running request queue over `1..N` shards.
+/// A long-running request queue: one dispatcher thread owning a worker
+/// pool.
 ///
 /// Start it with [`LiveQueue::start`], feed it with
 /// [`submit`](Self::submit) (thread-safe, non-blocking, callable while
@@ -1101,10 +1037,8 @@ impl QueueStats {
 /// and finish with [`shutdown`](Self::shutdown). For reproducible runs,
 /// [`replay`](Self::replay) executes a fixed [`Trace`] instead.
 ///
-/// The queue numbers submissions 0, 1, 2, … in acceptance order and
-/// hands each to a shard ([`LiveConfig::shards`]; [`crate::shard`] has
-/// the routing). Ids are global: outcomes, cancellations and the final
-/// report use them whatever the shard count.
+/// The queue numbers submissions 0, 1, 2, … in acceptance order;
+/// outcomes, cancellations and the final report use those ids.
 ///
 /// # Example
 ///
@@ -1118,7 +1052,6 @@ impl QueueStats {
 ///     .unwrap();
 /// let outcome = queue.recv_outcome().unwrap();
 /// assert_eq!(outcome.index, id.index());
-/// assert_eq!(outcome.shard, None, "one unstamped shard");
 /// let report = queue.shutdown().expect("first shutdown returns the report");
 /// assert!(report.complete);
 /// // The queue is sealed now.
@@ -1126,119 +1059,92 @@ impl QueueStats {
 /// ```
 #[derive(Debug)]
 pub struct LiveQueue {
-    shards: Vec<Shard>,
-    /// Whether outcomes and stats carry shard stamps
-    /// ([`LiveConfig::shards`] is `Some`).
-    stamped: bool,
-    /// Submission id → the shard that accepted it; its length is the
-    /// next id. Held across a shard's admission, so ids go only to
-    /// accepted submissions, in acceptance order.
-    owner: Mutex<Vec<usize>>,
-    /// The one outcome stream every shard's dispatcher sends into.
-    /// Behind a mutex so the queue is `Sync`: one thread can submit
-    /// while another drains outcomes (the `tamopt serve` pattern).
+    shared: Arc<Shared>,
+    /// The aging rate of the starting config, kept for
+    /// [`stats`](Self::stats) (the dispatcher owns the config itself).
+    aging: u32,
+    /// The backlog cap of the starting config, kept for
+    /// [`submit`](Self::submit)'s admission check.
+    max_pending: usize,
+    dispatcher: Mutex<Option<std::thread::JoinHandle<Vec<RequestOutcome>>>>,
+    /// The dispatcher's outcome stream. Behind a mutex so the queue is
+    /// `Sync`: one thread can submit while another drains outcomes (the
+    /// `tamopt serve` pattern).
     outcomes: Mutex<Receiver<RequestOutcome>>,
     start: Instant,
 }
 
 impl LiveQueue {
-    /// Starts the queue: spawns one dispatcher thread per shard, each
-    /// owning its worker pool until [`shutdown`](Self::shutdown).
+    /// Starts the queue: spawns the dispatcher thread, which owns its
+    /// worker pool until [`shutdown`](Self::shutdown).
     pub fn start(config: LiveConfig) -> Self {
-        let cache = WarmCache::shared(config.warm_capacity);
         let (tx, rx) = std::sync::mpsc::channel();
-        let shards = (0..config.shard_count())
-            .map(|shard| {
-                let book = Book::new(&cache, config.shards.map(|_| shard), Some(tx.clone()));
-                Shard::launch(config.clone(), book)
-            })
-            .collect();
+        let book = Book::new(config.warm_capacity, Some(tx));
+        let shared = Arc::new(Shared::default());
+        let (aging, max_pending) = (config.aging, config.max_pending);
+        let dispatcher_shared = Arc::clone(&shared);
+        let dispatcher = std::thread::Builder::new()
+            .name("tamopt-live-dispatcher".to_owned())
+            .spawn(move || dispatch(&dispatcher_shared, &config, None, book))
+            .expect("spawning the dispatcher thread");
         LiveQueue {
-            shards,
-            stamped: config.shards.is_some(),
-            owner: Mutex::new(Vec::new()),
+            shared,
+            aging,
+            max_pending,
+            dispatcher: Mutex::new(Some(dispatcher)),
             outcomes: Mutex::new(rx),
             start: Instant::now(),
         }
     }
 
-    /// Replays a fixed submission trace and returns the streamed
-    /// outcomes (in stream order) plus the final drained report.
+    /// Replays a fixed submission trace on the calling thread and returns
+    /// the streamed outcomes (in stream order) plus the final drained
+    /// report.
     ///
-    /// The trace is split up front into one sub-trace per shard (see
-    /// [`crate::shard`]), and the shards replay **one after another in
-    /// shard-id order** over one warm cache, on the calling thread. The
-    /// stream is the per-shard streams concatenated in shard-id order;
-    /// the report holds one outcome per submission, in id order. For a
-    /// fixed trace, shard count and
-    /// [`LiveConfig::requests_per_generation`], both are bit-identical
-    /// across [`LiveConfig::threads`] values — wall-clock fields aside.
-    /// Each shard stops by itself once its sub-trace is exhausted and
-    /// its backlog drained.
+    /// Submissions are numbered 0, 1, 2, … as they apply, in trace
+    /// order; a cancel of an id not submitted yet is a no-op. The report
+    /// holds one outcome per submission, in id order. For a fixed trace
+    /// and [`LiveConfig::requests_per_generation`], both are
+    /// bit-identical across [`LiveConfig::threads`] values — wall-clock
+    /// fields aside. The replay stops by itself once the trace is
+    /// exhausted and the backlog drained.
     pub fn replay(trace: Trace, config: LiveConfig) -> (Vec<RequestOutcome>, BatchReport) {
         let start = Instant::now();
-        let cache = WarmCache::shared(config.warm_capacity);
-        let mut stream = Vec::new();
-        // Shard `s` starts from the exact cache state shards `0..s` left
-        // behind — itself thread-count invariant by induction — so
-        // cross-shard warm sharing cannot break the byte-identity
-        // contract.
-        for (shard, events) in split(trace, config.shard_count()).into_iter().enumerate() {
-            let book = Book::new(&cache, config.shards.map(|_| shard), None);
-            stream.extend(dispatch(&Shared::default(), &config, Some(events), book));
-        }
+        let book = Book::new(config.warm_capacity, None);
+        let events = VecDeque::from(trace.events);
+        let stream = dispatch(&Shared::default(), &config, Some(events), book);
         let report = final_report(stream.clone(), start);
         (stream, report)
     }
 
-    /// Submits `request` to its fingerprint's home shard (or a stealing
-    /// shard — see [`crate::shard`]), returning its [`RequestId`] and
-    /// the [`CancelHandle`] that cancels it — and only it. Thread-safe
-    /// and non-blocking; may be called while other requests are
-    /// executing. The request becomes dispatchable at its shard's next
-    /// generation barrier, ahead of any queued work of lower priority.
+    /// Submits `request`, returning its [`RequestId`] and the
+    /// [`CancelHandle`] that cancels it — and only it. Thread-safe and
+    /// non-blocking; may be called while other requests are executing.
+    /// The request becomes dispatchable at the next generation barrier,
+    /// ahead of any queued work of lower priority.
     ///
     /// # Errors
     ///
     /// [`SubmitError::ShutDown`] after [`shutdown`](Self::shutdown) (or
     /// after the dispatcher stopped because the global budget expired);
-    /// [`SubmitError::Overloaded`] when the shard's backlog is at
+    /// [`SubmitError::Overloaded`] when the backlog is at
     /// [`LiveConfig::max_pending`] and this request is the weakest
     /// thing in it (lowest aged effective priority; ties shed the
     /// newest submission). A refused request consumes no id: the queue
     /// looks exactly as if the submission never happened, and the
     /// caller may retry once the backlog drains.
     pub fn submit(&self, request: Request) -> Result<(RequestId, CancelHandle), SubmitError> {
-        self.submit_pinned(None, request)
-    }
-
-    /// [`submit`](Self::submit), pinned to shard `pin % N` when `pin` is
-    /// `Some` (bypassing fingerprint routing and stealing) — the
-    /// recovery path re-runs a journalled request on the shard that
-    /// accepted it.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Self::submit).
-    pub fn submit_pinned(
-        &self,
-        pin: Option<usize>,
-        request: Request,
-    ) -> Result<(RequestId, CancelHandle), SubmitError> {
-        let mut owner = self.owner();
-        let loads: Vec<usize> = self.shards.iter().map(Shard::in_flight).collect();
-        let shard = place(request.soc.fingerprint(), pin, &loads);
-        let id = owner.len();
-        let handle = self.shards[shard].submit(id, request)?;
-        owner.push(shard);
+        let mut state = lock(&self.shared);
+        if state.shutdown {
+            return Err(SubmitError::ShutDown);
+        }
+        let id = state.next_id;
+        let handle = admit(&mut state, id, request, self.max_pending, self.aging)
+            .map_err(|_| SubmitError::Overloaded)?;
+        state.next_id += 1;
+        drop(state);
+        self.shared.cv.notify_all();
         Ok((RequestId(id), handle))
-    }
-
-    /// The shard that accepted submission `id` — the accept-time stamp
-    /// the journal records. `None` for unknown ids and on an unstamped
-    /// queue.
-    pub fn shard_of(&self, id: RequestId) -> Option<usize> {
-        self.owner().get(id.0).copied().filter(|_| self.stamped)
     }
 
     /// Cancels submission `id` (pending or already dispatched); returns
@@ -1247,46 +1153,57 @@ impl LiveQueue {
     /// Equivalent to the [`CancelHandle`] returned by
     /// [`submit`](Self::submit).
     pub fn cancel(&self, id: RequestId) -> bool {
-        let shard = self.owner().get(id.0).copied();
-        shard.is_some_and(|shard| self.shards[shard].cancel(id.0))
+        let state = lock(&self.shared);
+        let known = state.handles.get(&id.0).inspect(|h| h.cancel()).is_some();
+        drop(state);
+        self.shared.cv.notify_all();
+        known
     }
 
     /// Number of submissions accepted so far.
     pub fn submitted(&self) -> usize {
-        self.owner().len()
+        lock(&self.shared).next_id
     }
 
-    /// A backlog snapshot per shard, in shard-id order: each shard's
-    /// in-flight count and its pending entries with their raw priority,
-    /// barriers waited and aged effective priority, ordered as its
+    /// A backlog snapshot: the pending entries with their raw priority,
+    /// barriers waited and aged effective priority, ordered as the
     /// dispatcher would pick them (effective priority descending, ties
     /// by submission id). Deterministic under replay — the aging clock
     /// counts generation barriers, never the wall clock.
-    pub fn stats(&self) -> ShardedStats {
-        ShardedStats {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| s.stats(shard))
-                .collect(),
+    pub fn stats(&self) -> QueueStats {
+        let state = lock(&self.shared);
+        let generation = state.last_barrier;
+        let mut backlog: Vec<&Pending> = state.pending.iter().collect();
+        backlog.sort_by_key(|p| p.dispatch_key(generation, self.aging));
+        let pending = backlog
+            .into_iter()
+            .map(|p| {
+                let (Reverse(effective_priority), id) = p.dispatch_key(generation, self.aging);
+                PendingStat {
+                    id,
+                    soc: p.request.soc.name().to_owned(),
+                    kind: p.request.kind,
+                    priority: p.request.priority,
+                    barriers_waited: p.waited(generation),
+                    effective_priority,
+                }
+            })
+            .collect();
+        QueueStats {
+            generation,
+            aging: self.aging,
+            pending,
         }
     }
 
-    /// The `stats` verb's JSON: [`ShardedStats::to_json`] on a stamped
-    /// queue, the one shard's [`QueueStats::to_json`] otherwise.
+    /// The `stats` verb's JSON: [`QueueStats::to_json`] of
+    /// [`stats`](Self::stats).
     pub fn stats_json(&self) -> String {
-        let stats = self.stats();
-        if self.stamped {
-            stats.to_json()
-        } else {
-            stats.shards[0].queue.to_json()
-        }
+        self.stats().to_json()
     }
 
-    /// Blocks until the next outcome streams out of any shard; `None`
-    /// once every dispatcher has finished and all outcomes were
-    /// received.
+    /// Blocks until the next outcome streams out; `None` once the
+    /// dispatcher has finished and all outcomes were received.
     pub fn recv_outcome(&self) -> Option<RequestOutcome> {
         self.outcomes
             .lock()
@@ -1311,29 +1228,26 @@ impl LiveQueue {
     }
 
     /// Stops accepting submissions (later [`submit`](Self::submit)s
-    /// return [`SubmitError::ShutDown`] immediately), drains every
-    /// shard's backlog, joins the worker pools and returns the final
-    /// report — outcomes in submission order, exactly one per accepted
+    /// return [`SubmitError::ShutDown`] immediately), drains the
+    /// backlog, joins the worker pool and returns the final report —
+    /// outcomes in submission order, exactly one per accepted
     /// submission. `None` if the queue was already shut down.
     pub fn shutdown(&self) -> Option<BatchReport> {
-        for shard in &self.shards {
-            shard.signal_shutdown();
-        }
-        let mut outcomes = Vec::new();
-        for shard in &self.shards {
-            outcomes.extend(shard.join()?);
-        }
+        lock(&self.shared).shutdown = true;
+        self.shared.cv.notify_all();
+        let handle = self
+            .dispatcher
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()?;
+        let outcomes = handle.join().expect("dispatcher thread panicked");
         Some(final_report(outcomes, self.start))
-    }
-
-    fn owner(&self) -> std::sync::MutexGuard<'_, Vec<usize>> {
-        self.owner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Drop for LiveQueue {
     fn drop(&mut self) {
-        // A queue dropped without `shutdown` still winds every pool down
+        // A queue dropped without `shutdown` still winds the pool down
         // cleanly (finishing the backlog it already accepted).
         let _ = self.shutdown();
     }
@@ -1351,124 +1265,18 @@ fn final_report(mut outcomes: Vec<RequestOutcome>, start: Instant) -> BatchRepor
     }
 }
 
-/// One shard of a [`LiveQueue`]: a dispatcher thread owning a worker
-/// pool, fed with submissions the queue has already numbered.
-#[derive(Debug)]
-struct Shard {
-    shared: Arc<Shared>,
-    /// The aging rate of the launching config, kept for
-    /// [`stats`](Self::stats) (the dispatcher owns the config itself).
-    aging: u32,
-    /// The backlog cap of the launching config, kept for
-    /// [`submit`](Self::submit)'s admission check.
-    max_pending: usize,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<Vec<RequestOutcome>>>>,
-}
-
-impl Shard {
-    fn launch(config: LiveConfig, book: Book) -> Self {
-        let shared = Arc::new(Shared::default());
-        let (aging, max_pending) = (config.aging, config.max_pending);
-        let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher = std::thread::Builder::new()
-            .name("tamopt-live-dispatcher".to_owned())
-            .spawn(move || dispatch(&dispatcher_shared, &config, None, book))
-            .expect("spawning the dispatcher thread");
-        Shard {
-            shared,
-            aging,
-            max_pending,
-            dispatcher: Mutex::new(Some(dispatcher)),
-        }
-    }
-
-    /// Admits submission `id` (see [`LiveQueue::submit`] for the
-    /// errors).
-    fn submit(&self, id: usize, request: Request) -> Result<CancelHandle, SubmitError> {
-        let mut state = lock(&self.shared);
-        if state.shutdown {
-            return Err(SubmitError::ShutDown);
-        }
-        let handle = admit(&mut state, id, request, self.max_pending, self.aging)
-            .map_err(|_| SubmitError::Overloaded)?;
-        drop(state);
-        self.shared.cv.notify_all();
-        Ok(handle)
-    }
-
-    fn cancel(&self, id: usize) -> bool {
-        let state = lock(&self.shared);
-        let known = state.handles.get(&id).inspect(|h| h.cancel()).is_some();
-        drop(state);
-        self.shared.cv.notify_all();
-        known
-    }
-
-    /// Submissions in flight (pending or dispatched) — the load live
-    /// work stealing reads.
-    fn in_flight(&self) -> usize {
-        lock(&self.shared).handles.len()
-    }
-
-    fn stats(&self, shard: usize) -> ShardStats {
-        let state = lock(&self.shared);
-        let generation = state.last_barrier;
-        let mut backlog: Vec<&Pending> = state.pending.iter().collect();
-        backlog.sort_by_key(|p| p.dispatch_key(generation, self.aging));
-        let pending = backlog
-            .into_iter()
-            .map(|p| {
-                let (Reverse(effective_priority), id) = p.dispatch_key(generation, self.aging);
-                PendingStat {
-                    id,
-                    soc: p.request.soc.name().to_owned(),
-                    kind: p.request.kind,
-                    priority: p.request.priority,
-                    barriers_waited: p.waited(generation),
-                    effective_priority,
-                }
-            })
-            .collect();
-        ShardStats {
-            shard,
-            outstanding: state.handles.len(),
-            queue: QueueStats {
-                generation,
-                aging: self.aging,
-                pending,
-            },
-        }
-    }
-
-    fn signal_shutdown(&self) {
-        lock(&self.shared).shutdown = true;
-        self.shared.cv.notify_all();
-    }
-
-    /// The dispatcher's outcomes in emit order; `None` if already
-    /// joined.
-    fn join(&self) -> Option<Vec<RequestOutcome>> {
-        let handle = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()?;
-        Some(handle.join().expect("dispatcher thread panicked"))
-    }
-}
-
 /// The dispatcher: runs the engine's generation loop for the queue's
 /// whole lifetime. The barrier hook re-reads (and re-prioritizes) the
 /// pending queue, injects due trace events, reports
 /// cancelled-before-dispatch entries, resolves warm-start seeds, and —
 /// in live mode — blocks waiting for work; `merge` streams outcomes and
-/// feeds the warm cache. Returns every outcome the shard emitted, in
+/// feeds the warm cache. Returns every outcome the queue emitted, in
 /// emit order.
 fn dispatch(
     shared: &Shared,
     config: &LiveConfig,
-    mut replay: Option<VecDeque<ShardEvent>>,
-    book: Book,
+    mut replay: Option<VecDeque<TraceEvent>>,
+    mut book: Book,
 ) -> Vec<RequestOutcome> {
     let parallel = ParallelConfig {
         threads: config.threads,
@@ -1479,31 +1287,29 @@ fn dispatch(
     // executor); only deadline + cancellation carry into the requests
     // themselves.
     let inner_global = config.budget.clone().without_node_budget();
-    // Preload the in-memory cache from the persistent store (idempotent
-    // under the cache's min/widest merge rules, so shards sharing one
-    // cache may each preload). The store data is copied out first: the
-    // cache and store mutexes are both leaf locks, never nested.
+    // Preload the in-memory cache from the persistent store.
     if let Some(binding) = &config.store {
-        let contents = binding.contents();
-        let mut warm = book.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        for (fingerprint, entry) in contents {
-            warm.adopt(fingerprint, entry);
+        for (fingerprint, entry) in binding.contents() {
+            book.cache.adopt(fingerprint, entry);
         }
     }
     let book = RefCell::new(book);
 
-    let apply = |state: &mut State, event: ShardEvent| match event.action {
-        ShardAction::Submit(id, request) => {
+    let apply = |state: &mut State, event: TraceEvent| match event.action {
+        TraceAction::Submit(request) => {
             // Unlike the live path, a replayed submission that loses
             // the overload decision cannot be refused: trace ids are
             // positional (cancels reference them), so it keeps its id
             // and owes a [`RequestStatus::Shed`] outcome.
+            let id = state.next_id;
+            state.next_id += 1;
             if let Err(entry) = admit(state, id, request, config.max_pending, config.aging) {
                 state.shed.push(*entry);
             }
         }
-        ShardAction::Cancel(id) => {
-            if let Some(handle) = state.handles.get(&id) {
+        // An id not submitted yet has no handle: a no-op.
+        TraceAction::Cancel(id) => {
+            if let Some(handle) = state.handles.get(&id.0) {
                 handle.cancel();
             }
         }
@@ -1604,8 +1410,7 @@ fn dispatch(
             .drain(..take)
             .map(|p| {
                 let seed = if config.warm_start {
-                    let mut cache = book.cache.lock().unwrap_or_else(PoisonError::into_inner);
-                    cache.seed(p.fingerprint, &p.request)
+                    book.cache.seed(p.fingerprint, &p.request)
                 } else {
                     WarmSeed::default()
                 };
@@ -1652,8 +1457,7 @@ fn dispatch(
                             // own width — a frontier or top-k request
                             // warms the cache across its whole payload
                             // (all K incumbents, not just the headline).
-                            let mut cache =
-                                book.cache.lock().unwrap_or_else(PoisonError::into_inner);
+                            let cache = &mut book.cache;
                             for entry in &res.entries {
                                 cache.record(
                                     dispatch.fingerprint,
@@ -1667,8 +1471,6 @@ fn dispatch(
                             }
                         }
                         if let Some(binding) = &config.store {
-                            // Outside the cache lock: both are leaf
-                            // locks, never held together.
                             binding.record(dispatch.fingerprint, &res.entries, &res.columns);
                         }
                         // Any tripped flag on the request's own budget

@@ -3,12 +3,10 @@
 //!
 //! A [`NetServer`] binds a [`NetListener`] and serves the line protocol
 //! of `tamopt serve` to any number of concurrent connections, all
-//! feeding one [`LiveQueue`] (one shard, or `N` with
-//! [`LiveConfig::shards`]):
+//! feeding one [`LiveQueue`]:
 //!
 //! * every connection gets a **client id** `C`, announced by a greeting
-//!   line and stamped into every outcome line as `"client": C` (next to
-//!   the `"shard"` stamp of a queue with `shards = Some(n)`);
+//!   line and stamped into every outcome line as `"client": C`;
 //! * ids are **per-client namespaces**: each client's submissions are
 //!   numbered 0, 1, 2, … in its own submission order, outcome lines
 //!   carry that local id, and `cancel <id>` can only name the caller's
@@ -586,11 +584,9 @@ impl Shared {
         mux.outstanding.insert(global, (client, local));
         // Journal at accept, inside the mux lock: the append lands
         // before any later accept (or this request's own seal) can, so
-        // journal order matches accept order. The shard stamp records
-        // where routing placed it, so recovery re-runs it on the same
-        // shard.
+        // journal order matches accept order.
         if let Some(journal) = &self.journal {
-            journal.submit(global, stamp, self.queue.shard_of(id), line);
+            journal.submit(global, stamp, line);
         }
         Ok(())
     }
@@ -683,9 +679,8 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Starts the queue ([`LiveQueue::start`], shaped by
-    /// [`LiveConfig::shards`]) and begins accepting connections on
-    /// `listener`, parsing protocol lines with `parser`.
+    /// Starts the queue ([`LiveQueue::start`]) and begins accepting
+    /// connections on `listener`, parsing protocol lines with `parser`.
     pub fn start(config: LiveConfig, listener: NetListener, parser: LineParser) -> Self {
         Self::start_with_options(config, listener, parser, NetOptions::default())
     }

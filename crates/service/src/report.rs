@@ -89,12 +89,6 @@ pub struct RequestOutcome {
     /// the JSON renderings, so all single-client output is
     /// byte-identical to earlier wire versions.
     pub client: Option<usize>,
-    /// The shard that executed the request, when its queue stamps
-    /// shards ([`crate::LiveConfig::shards`] is `Some`). `None` for
-    /// plain batches and unstamped queues — and then absent from the
-    /// JSON renderings, so all unsharded output is byte-identical to
-    /// earlier wire versions.
-    pub shard: Option<usize>,
     /// Name of the request's SOC.
     pub soc: String,
     /// Requested total TAM width.
@@ -145,9 +139,6 @@ impl RequestOutcome {
         let _ = write!(out, "{{\"v\": {}, \"id\": {}", WIRE_VERSION, self.index);
         if let Some(client) = self.client {
             let _ = write!(out, ", \"client\": {client}");
-        }
-        if let Some(shard) = self.shard {
-            let _ = write!(out, ", \"shard\": {shard}");
         }
         let _ = write!(
             out,
@@ -267,9 +258,6 @@ fn write_outcome(out: &mut String, outcome: &RequestOutcome, comma: &str) {
     let _ = writeln!(out, "      \"index\": {},", outcome.index);
     if let Some(client) = outcome.client {
         let _ = writeln!(out, "      \"client\": {client},");
-    }
-    if let Some(shard) = outcome.shard {
-        let _ = writeln!(out, "      \"shard\": {shard},");
     }
     let _ = writeln!(out, "      \"soc\": {},", json_string(&outcome.soc));
     let _ = writeln!(out, "      \"width\": {},", outcome.width);
@@ -423,7 +411,6 @@ mod tests {
         let outcome = RequestOutcome {
             index: 3,
             client: None,
-            shard: None,
             soc: "d695".to_owned(),
             width: 16,
             min_tams: 1,
@@ -443,28 +430,16 @@ mod tests {
         assert!(line.contains("\"kind\": \"point\""));
         assert!(line.contains("\"status\": \"skipped\""));
         assert!(!line.contains("wall_clock"));
-        assert!(!line.contains("shard"), "unsharded lines carry no stamp");
         assert!(!line.contains("client"), "local lines carry no stamp");
-        let sharded = RequestOutcome {
-            shard: Some(2),
-            ..outcome.clone()
-        };
-        assert!(
-            sharded
-                .to_json_line()
-                .starts_with("{\"v\": 1, \"id\": 3, \"shard\": 2, "),
-            "the shard stamp follows the id"
-        );
         let networked = RequestOutcome {
             client: Some(4),
-            shard: Some(2),
             ..outcome.clone()
         };
         assert!(
             networked
                 .to_json_line()
-                .starts_with("{\"v\": 1, \"id\": 3, \"client\": 4, \"shard\": 2, "),
-            "the client stamp sits between the id and the shard"
+                .starts_with("{\"v\": 1, \"id\": 3, \"client\": 4, \"soc\": "),
+            "the client stamp follows the id"
         );
         let failed = RequestOutcome {
             status: RequestStatus::Failed,

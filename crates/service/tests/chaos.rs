@@ -1,7 +1,6 @@
 //! Chaos-replay determinism: multi-client scenarios with injected
 //! disconnects, malformed lines and namespace violations must replay
-//! byte-identically across threads {1, 2, 8} × shards {flat, 1, 2, 4},
-//! and a client's disconnect must be indistinguishable (to its
+//! byte-identically across threads {1, 2, 8}, and a client's disconnect must be indistinguishable (to its
 //! siblings) from explicit cancellation at the same point.
 
 use tamopt_service::chaos::{replay, ChaosScenario, ClientScript};
@@ -85,53 +84,37 @@ fn chaos_scenario() -> ChaosScenario {
 }
 
 #[test]
-fn chaos_replay_is_byte_identical_across_threads_and_shards() {
+fn chaos_replay_is_byte_identical_across_threads() {
     let scenario = chaos_scenario();
-    for shards in [None, Some(1), Some(2), Some(4)] {
-        let reference = replay(
-            &scenario,
-            LiveConfig {
-                shards,
-                ..LiveConfig::with_threads(1)
-            },
-            &parse,
-        );
-        assert_eq!(reference.transcripts.len(), 3);
-        // The reference itself is sane: client 1's dropped submission
-        // never ran, client 2 got its three error lines.
+    let reference = replay(&scenario, LiveConfig::with_threads(1), &parse);
+    assert_eq!(reference.transcripts.len(), 3);
+    // The reference itself is sane: client 1's dropped submission never
+    // ran, client 2 got its three error lines.
+    assert_eq!(
+        reference.report.outcomes.len(),
+        6,
+        "five surviving submissions + client 2's one"
+    );
+    let responses: Vec<&str> = reference.transcripts[2]
+        .responses
+        .iter()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(responses.len(), 3);
+    assert!(responses[0].contains("\"error\": \"parse\""));
+    assert!(responses[1].contains("\"error\": \"unknown-id\""));
+    assert!(responses[2].contains("\"error\": \"unsupported\""));
+    for threads in [2, 8] {
+        let run = replay(&scenario, LiveConfig::with_threads(threads), &parse);
         assert_eq!(
-            reference.report.outcomes.len(),
-            6,
-            "five surviving submissions + client 2's one (shards {shards:?})"
+            run.transcripts, reference.transcripts,
+            "transcripts drifted at threads {threads}"
         );
-        let responses: Vec<&str> = reference.transcripts[2]
-            .responses
-            .iter()
-            .map(String::as_str)
-            .collect();
-        assert_eq!(responses.len(), 3);
-        assert!(responses[0].contains("\"error\": \"parse\""));
-        assert!(responses[1].contains("\"error\": \"unknown-id\""));
-        assert!(responses[2].contains("\"error\": \"unsupported\""));
-        for threads in [2, 8] {
-            let run = replay(
-                &scenario,
-                LiveConfig {
-                    shards,
-                    ..LiveConfig::with_threads(threads)
-                },
-                &parse,
-            );
-            assert_eq!(
-                run.transcripts, reference.transcripts,
-                "transcripts drifted at threads {threads}, shards {shards:?}"
-            );
-            assert_eq!(
-                run.stable_report(),
-                reference.stable_report(),
-                "report drifted at threads {threads}, shards {shards:?}"
-            );
-        }
+        assert_eq!(
+            run.stable_report(),
+            reference.stable_report(),
+            "report drifted at threads {threads}"
+        );
     }
 }
 
@@ -197,30 +180,24 @@ fn disconnect_mid_run_is_indistinguishable_from_explicit_cancels_for_siblings() 
         .line_at(0, "d695 12 2")
         .line_at(1, "cancel 0")
         .line_at(1, "cancel 1");
-    for shards in [None, Some(2)] {
-        for threads in [1, 2] {
-            let config = LiveConfig {
-                shards,
-                ..LiveConfig::with_threads(threads)
-            };
-            let a = replay(
-                &ChaosScenario::new(vec![sibling.clone(), dropped.clone()]),
-                config.clone(),
-                &parse,
-            );
-            let b = replay(
-                &ChaosScenario::new(vec![sibling.clone(), cancelled.clone()]),
-                config,
-                &parse,
-            );
-            assert_eq!(
-                a.transcripts[0], b.transcripts[0],
-                "sibling transcript perturbed by the disconnect \
-                 (threads {threads}, shards {shards:?})"
-            );
-            // The dropped client's own outcomes match too: a disconnect
-            // is exactly cancel-everything at that generation.
-            assert_eq!(a.transcripts[1].outcomes, b.transcripts[1].outcomes);
-        }
+    for threads in [1, 2] {
+        let config = LiveConfig::with_threads(threads);
+        let a = replay(
+            &ChaosScenario::new(vec![sibling.clone(), dropped.clone()]),
+            config.clone(),
+            &parse,
+        );
+        let b = replay(
+            &ChaosScenario::new(vec![sibling.clone(), cancelled.clone()]),
+            config,
+            &parse,
+        );
+        assert_eq!(
+            a.transcripts[0], b.transcripts[0],
+            "sibling transcript perturbed by the disconnect (threads {threads})"
+        );
+        // The dropped client's own outcomes match too: a disconnect is
+        // exactly cancel-everything at that generation.
+        assert_eq!(a.transcripts[1].outcomes, b.transcripts[1].outcomes);
     }
 }

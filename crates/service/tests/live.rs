@@ -386,6 +386,27 @@ fn all_requests_cancelled_before_dispatch() {
 }
 
 #[test]
+fn cancel_of_an_id_not_yet_submitted_is_a_no_op() {
+    // Replay numbers submissions as it applies them, in trace order: at
+    // the cancel, id 1 does not exist yet, so the later submission that
+    // gets id 1 still runs.
+    let trace = Trace::new()
+        .submit_at(0, Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
+        .cancel_at(0, 1)
+        .submit_at(0, Request::new(benchmarks::d695(), 24).unwrap().max_tams(3));
+    let (_, report) = LiveQueue::replay(trace, LiveConfig::default());
+    let statuses: Vec<RequestStatus> = report.outcomes.iter().map(|o| o.status).collect();
+    assert_eq!(
+        statuses,
+        vec![RequestStatus::Complete, RequestStatus::Complete]
+    );
+    assert_eq!(
+        report.outcomes[1].width, 24,
+        "id 1 is the second submission"
+    );
+}
+
+#[test]
 fn expired_global_budget_skips_the_backlog() {
     // The first generation always dispatches one request (truncated
     // internally by the shared deadline); the rest of the backlog is

@@ -62,13 +62,9 @@ fn parser() -> LineParser {
     Arc::new(parse)
 }
 
-fn tcp_server(threads: usize, shards: Option<usize>) -> NetServer {
+fn tcp_server(threads: usize) -> NetServer {
     let listener = NetListener::tcp("127.0.0.1:0").expect("binding a loopback port");
-    let config = LiveConfig {
-        shards,
-        ..LiveConfig::with_threads(threads)
-    };
-    NetServer::start(config, listener, parser())
+    NetServer::start(LiveConfig::with_threads(threads), listener, parser())
 }
 
 /// How client 0's `stats` reply starts. Outcome lines carry a
@@ -109,7 +105,10 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.stream, "{line}").expect("writing a request line");
+        // One write per line: a split write can stall on Nagle.
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("writing a request line");
         self.stream.flush().expect("flushing the request line");
     }
 
@@ -123,7 +122,7 @@ impl Client {
 
 #[test]
 fn clients_get_stamped_outcomes_in_their_own_namespaces() {
-    let server = tcp_server(1, None);
+    let server = tcp_server(1);
     let addr = server.addr().to_owned();
 
     // Connect sequentially (reading each greeting first) so client ids
@@ -163,21 +162,8 @@ fn clients_get_stamped_outcomes_in_their_own_namespaces() {
 }
 
 #[test]
-fn sharded_outcomes_carry_both_client_and_shard_stamps() {
-    let server = tcp_server(2, Some(2));
-    let mut client = Client::connect(server.addr());
-    client.send("d695 16 2");
-    let line = client.read_line();
-    assert!(
-        line.starts_with("{\"v\": 1, \"id\": 0, \"client\": 0, \"shard\": "),
-        "sharded outcome line: {line}"
-    );
-    server.shutdown();
-}
-
-#[test]
 fn cancel_outside_the_namespace_is_a_typed_error() {
-    let server = tcp_server(1, None);
+    let server = tcp_server(1);
     let mut client = Client::connect(server.addr());
     client.send("d695 16 2");
     let outcome = client.read_line();
@@ -202,7 +188,7 @@ fn cancel_outside_the_namespace_is_a_typed_error() {
 
 #[test]
 fn stats_reports_per_client_outstanding_counts() {
-    let server = tcp_server(1, None);
+    let server = tcp_server(1);
     let addr = server.addr().to_owned();
     let mut alice = Client::connect(&addr);
     // Bob only connects — his slot must still show up in the stats.
@@ -258,7 +244,7 @@ fn stats_reports_per_client_outstanding_counts() {
 
 #[test]
 fn malformed_and_oversized_lines_get_errors_and_the_connection_survives() {
-    let server = tcp_server(1, None);
+    let server = tcp_server(1);
     let mut client = Client::connect(server.addr());
 
     client.send("not a request at all");
@@ -355,7 +341,7 @@ fn disconnect_cancels_pending_work_without_leaking_or_touching_siblings() {
 
 #[test]
 fn stalled_reader_does_not_stall_siblings() {
-    let server = tcp_server(1, None);
+    let server = tcp_server(1);
     let addr = server.addr().to_owned();
     // The stalled client submits but never reads; its outcome lines sit
     // in the writer queue without blocking anyone.
@@ -429,7 +415,7 @@ fn unix_socket_end_to_end() {
     assert!(line.contains("\"protocol\": \"tamopt-serve\""));
 
     let mut writer = stream;
-    writeln!(writer, "d695 16 2").expect("submitting");
+    writer.write_all(b"d695 16 2\n").expect("submitting");
     writer.flush().expect("flushing");
     line.clear();
     reader.read_line(&mut line).expect("outcome");
@@ -445,7 +431,7 @@ fn unix_socket_end_to_end() {
 
 #[test]
 fn shutdown_streams_sealed_outcomes_to_connected_clients() {
-    let server = tcp_server(1, None);
+    let server = tcp_server(1);
     let mut client = Client::connect(server.addr());
     for _ in 0..4 {
         client.send("d695 32 6");

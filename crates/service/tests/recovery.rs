@@ -1,13 +1,12 @@
 //! Crash-recovery and overload-protection tests.
 //!
 //! The journal half simulates a crash at the library level: a workload
-//! is journaled exactly as the daemon would (submits with accept-time
-//! shard stamps, a cancel, a sealed prefix), the file is reopened, and
-//! the accepted-but-unsealed set is resubmitted into a fresh queue over
-//! the full threads × shards grid. The oracle is the recovery contract:
-//! every redone request produces the same winners as an uninterrupted
-//! run — shard stamps and wall-clock stats aside — no matter what shape
-//! the restarted daemon has.
+//! is journaled exactly as the daemon would (submits, a cancel, a
+//! sealed prefix), the file is reopened, and the accepted-but-unsealed
+//! set is resubmitted into a fresh queue at threads {1, 2, 8}. The
+//! oracle is the recovery contract: every redone request produces the
+//! same winners as an uninterrupted run — wall-clock stats aside — at
+//! whatever thread count the restarted daemon runs.
 //!
 //! The overload half drives deterministic shedding through replay
 //! (byte-identical across thread counts) and through a live queue with
@@ -65,8 +64,8 @@ fn line(spec: (&str, u32, u32, i32)) -> String {
 }
 
 /// The comparable part of an outcome: everything from `"soc"` on, minus
-/// the wall-clock-dependent `stats` tail. Ids are remapped and shard
-/// stamps are routing metadata, so both stay out of the comparison.
+/// the wall-clock-dependent `stats` tail. Ids are remapped, so they
+/// stay out of the comparison.
 fn winner(outcome: &RequestOutcome) -> String {
     let json = outcome.to_json_line();
     let start = json.find("\"soc\": ").expect("a soc field in the outcome");
@@ -82,7 +81,7 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn unsealed_requests_redo_identically_across_threads_and_shards() {
+fn unsealed_requests_redo_identically_across_threads() {
     // The uninterrupted reference: a flat single-threaded replay of the
     // full workload, winners keyed by id.
     let full = WORKLOAD
@@ -92,9 +91,9 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
     reference.sort_by_key(|o| o.index);
     let reference: Vec<String> = reference.iter().map(winner).collect();
 
-    // Journal the workload the way the daemon does: every accept with
-    // its shard stamp, one accepted cancel, then a crash after the
-    // first two outcomes were sealed.
+    // Journal the workload the way the daemon does: every accept, one
+    // accepted cancel, then a crash after the first two outcomes were
+    // sealed.
     let path = temp_path("grid.tamjrnl");
     let _ = fs::remove_file(&path);
     {
@@ -106,7 +105,7 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
                 .append(&JournalRecord::Submit {
                     id: id as u64,
                     client: None,
-                    shard: Some((id % 4) as u64),
+                    shard: None,
                     line: line(spec),
                 })
                 .expect("journaling a submit");
@@ -150,44 +149,24 @@ fn unsealed_requests_redo_identically_across_threads_and_shards() {
         );
     }
 
-    // Redo the live (not cancelled) recovered set on every daemon shape
+    // Redo the live (not cancelled) recovered set at every thread count
     // and hold each redo to the uninterrupted winners.
     let live: Vec<&tamopt_store::journal::RecoveredRequest> =
         recovered.iter().filter(|r| !r.cancelled).collect();
     for &threads in &[1usize, 2, 8] {
-        for &shards in &[None, Some(1usize), Some(2), Some(4)] {
-            let outcomes = match shards {
-                None => {
-                    let trace = live.iter().fold(Trace::new(), |t, r| {
-                        t.submit_at(0, request(WORKLOAD[r.id as usize]))
-                    });
-                    LiveQueue::replay(trace, LiveConfig::with_threads(threads)).0
-                }
-                Some(_) => {
-                    // Pin each redo to its recorded accept-time shard,
-                    // exactly as `tamopt serve` recovery does.
-                    let trace = live.iter().fold(Trace::new(), |t, r| {
-                        let pin = r.shard.expect("sharded submits carry a stamp") as usize;
-                        t.submit_pinned_at(0, pin, request(WORKLOAD[r.id as usize]))
-                    });
-                    let config = LiveConfig {
-                        shards,
-                        ..LiveConfig::with_threads(threads)
-                    };
-                    LiveQueue::replay(trace, config).0
-                }
-            };
-            let mut outcomes = outcomes;
-            outcomes.sort_by_key(|o| o.index);
-            assert_eq!(outcomes.len(), live.len());
-            for (outcome, r) in outcomes.iter().zip(&live) {
-                assert_eq!(
-                    winner(outcome),
-                    reference[r.id as usize],
-                    "recovered id {} drifted at threads={threads} shards={shards:?}",
-                    r.id
-                );
-            }
+        let trace = live.iter().fold(Trace::new(), |t, r| {
+            t.submit_at(0, request(WORKLOAD[r.id as usize]))
+        });
+        let (mut outcomes, _) = LiveQueue::replay(trace, LiveConfig::with_threads(threads));
+        outcomes.sort_by_key(|o| o.index);
+        assert_eq!(outcomes.len(), live.len());
+        for (outcome, r) in outcomes.iter().zip(&live) {
+            assert_eq!(
+                winner(outcome),
+                reference[r.id as usize],
+                "recovered id {} drifted at threads={threads}",
+                r.id
+            );
         }
     }
 }
@@ -315,7 +294,7 @@ fn live_submission_is_refused_only_when_it_is_the_weakest() {
     let (heavy, handle) = queue
         .submit(request(("p31108", 64, 8, 0)))
         .expect("the first submission is accepted");
-    while !queue.stats().shards[0].queue.pending.is_empty() {
+    while !queue.stats().pending.is_empty() {
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -422,7 +401,10 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.stream, "{line}").expect("writing a request line");
+        // One write per line: a split write can stall on Nagle.
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("writing a request line");
         self.stream.flush().expect("flushing the request line");
     }
 

@@ -204,46 +204,6 @@ fn flat_replay_grid_is_byte_identical_with_a_prepopulated_store() {
 }
 
 #[test]
-fn sharded_replay_grid_is_byte_identical_with_a_prepopulated_store() {
-    let trace = || {
-        Trace::new()
-            .submit_at(0, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
-            .submit_at(0, Request::new(benchmarks::d695(), 16).unwrap().max_tams(2))
-            .submit_at(
-                0,
-                Request::new(benchmarks::p31108(), 24).unwrap().max_tams(3),
-            )
-            .submit_at(1, Request::new(benchmarks::d695(), 32).unwrap().max_tams(6))
-    };
-    // Populate once (unsharded — the store is shard-agnostic).
-    let scratch = Scratch::new();
-    let config = LiveConfig {
-        store: Some(scratch.open()),
-        ..LiveConfig::default()
-    };
-    LiveQueue::replay(mixed_trace(), config);
-    let snapshot = std::fs::read(&scratch.path).unwrap();
-
-    for shards in [1, 2, 4] {
-        let run = |threads: usize| {
-            let copy = Scratch::new();
-            std::fs::write(&copy.path, &snapshot).unwrap();
-            let config = LiveConfig {
-                store: Some(copy.open()),
-                shards: Some(shards),
-                ..LiveConfig::with_threads(threads)
-            };
-            let (stream, report) = LiveQueue::replay(trace(), config);
-            (stream_text(&stream), stable_lines(&report.to_json()))
-        };
-        let reference = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), reference, "shards {shards} threads {threads}");
-        }
-    }
-}
-
-#[test]
 fn cache_eviction_never_changes_winners() {
     // Alternate SOCs so a capacity-1 cache evicts on every dispatch;
     // winners must match the unbounded-cache replay exactly.

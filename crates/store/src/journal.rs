@@ -10,6 +10,10 @@
 //! shard   := 0:u8 | 1:u8 shard:u64
 //! ```
 //!
+//! The `shard` stamp is kept for compatibility: daemons that ran
+//! sharded queues wrote it, current ones always write `0:u8`, and
+//! recovery ignores it.
+//!
 //! Same framing discipline as the store file ([`crate::format`]):
 //! little-endian integers, FNV-1a checksums over each payload, and a
 //! decoder that treats the bytes as untrusted — a torn final record
@@ -107,7 +111,7 @@ impl FromStr for SyncPolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A request was accepted: the queue-assigned id, the submitting
-    /// network client (if any), the shard pin (if any), and the exact
+    /// network client (if any), a legacy shard stamp, and the exact
     /// request line as the serve grammar accepted it — replayable text.
     Submit {
         /// Queue-assigned global request id.
@@ -115,7 +119,8 @@ pub enum JournalRecord {
         /// Submitting network client, when the request arrived over a
         /// socket.
         client: Option<u64>,
-        /// Shard the request was pinned to, when it was.
+        /// The shard stamp of journals written by sharded daemons; `None`
+        /// from current ones, and ignored by [`unsealed`].
         shard: Option<u64>,
         /// The accepted request line (serve grammar, untagged).
         line: String,
@@ -311,8 +316,6 @@ pub struct RecoveredRequest {
     /// The network client that submitted it, if any (gone after the
     /// restart; preserved as the stamp on the recovered outcome).
     pub client: Option<u64>,
-    /// The shard pin, if any.
-    pub shard: Option<u64>,
     /// The request line to re-parse and resubmit.
     pub line: String,
     /// Whether a cancellation was also accepted before the crash — the
@@ -328,14 +331,10 @@ pub fn unsealed(records: &[JournalRecord]) -> Vec<RecoveredRequest> {
     for record in records {
         match record {
             JournalRecord::Submit {
-                id,
-                client,
-                shard,
-                line,
+                id, client, line, ..
             } => pending.push(RecoveredRequest {
                 id: *id,
                 client: *client,
-                shard: *shard,
                 line: line.clone(),
                 cancelled: false,
             }),
@@ -570,7 +569,6 @@ mod tests {
         assert_eq!(recovered[0].id, 1);
         assert!(recovered[0].cancelled);
         assert_eq!(recovered[0].client, Some(3));
-        assert_eq!(recovered[0].shard, Some(1));
         assert_eq!(recovered[0].line, "p31108 24 4 kind=topk:3");
     }
 

@@ -154,9 +154,10 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// A store handle shareable across the dispatcher threads of a sharded
-/// queue. The mutex is a leaf lock: holders only read or mutate the
-/// in-memory map (or save it), never take another lock.
+/// A store handle shared between a queue's dispatcher thread, which
+/// records into it and snapshots it, and the caller that opened it. The
+/// mutex is a leaf lock: holders only read or mutate the in-memory map
+/// (or save it), never take another lock.
 pub type SharedStore = Arc<Mutex<Store>>;
 
 #[derive(Debug)]

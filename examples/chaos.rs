@@ -7,9 +7,8 @@
 //!
 //! * **replay**: the deterministic twin ([`tamopt::service::chaos`]).
 //!   Every scenario must produce byte-identical per-client transcripts
-//!   and final reports across threads {1, 2, 8} × shards
-//!   {flat, 1, 2, 4} — the workspace determinism contract extended to
-//!   hostile multi-client traffic.
+//!   and final reports across threads {1, 2, 8} — the workspace
+//!   determinism contract extended to hostile multi-client traffic.
 //! * **socket**: the same scenario driven over real TCP connections
 //!   against a live [`tamopt::service::NetServer`]. The stream
 //!   interleaving is scheduler-dependent, so the oracles are semantic:
@@ -242,32 +241,26 @@ impl Session {
     }
 }
 
-/// The replay grid: threads {1, 2, 8} × shards {flat, 1, 2, 4} must be
-/// byte-identical (transcripts and wall-clock-free report).
+/// The replay grid: threads {1, 2, 8} must be byte-identical
+/// (transcripts and wall-clock-free report).
 fn check_replay(s: &mut Session, id: u64, scenario: &Scenario) {
     let chaos = scenario.to_chaos();
-    for shards in [None, Some(1), Some(2), Some(4)] {
-        let config = |threads| LiveConfig {
-            shards,
-            ..LiveConfig::with_threads(threads)
-        };
-        let reference = replay(&chaos, config(1), &net_parse);
-        for threads in [2, 8] {
-            let run = replay(&chaos, config(threads), &net_parse);
-            if run.transcripts != reference.transcripts {
-                s.fail(
-                    id,
-                    format!("transcripts drifted at threads {threads}, shards {shards:?}"),
-                    scenario.render(),
-                );
-            }
-            if run.stable_report() != reference.stable_report() {
-                s.fail(
-                    id,
-                    format!("report drifted at threads {threads}, shards {shards:?}"),
-                    scenario.render(),
-                );
-            }
+    let reference = replay(&chaos, LiveConfig::with_threads(1), &net_parse);
+    for threads in [2, 8] {
+        let run = replay(&chaos, LiveConfig::with_threads(threads), &net_parse);
+        if run.transcripts != reference.transcripts {
+            s.fail(
+                id,
+                format!("transcripts drifted at threads {threads}"),
+                scenario.render(),
+            );
+        }
+        if run.stable_report() != reference.stable_report() {
+            s.fail(
+                id,
+                format!("report drifted at threads {threads}"),
+                scenario.render(),
+            );
         }
     }
 }
@@ -374,7 +367,7 @@ fn read_until_stats(
 /// disconnect — and before shutdown — the driver runs a `stats`
 /// round-trip barrier: each connection's reader processes frames in
 /// order, so the response proves every earlier line was registered.
-fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<usize>) {
+fn check_socket(s: &mut Session, id: u64, scenario: &Scenario) {
     let parser: LineParser = Arc::new(net_parse);
     let listener = match NetListener::tcp("127.0.0.1:0") {
         Ok(listener) => listener,
@@ -387,11 +380,7 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
             return;
         }
     };
-    let config = LiveConfig {
-        shards,
-        ..LiveConfig::with_threads(2)
-    };
-    let server = NetServer::start(config, listener, parser);
+    let server = NetServer::start(LiveConfig::with_threads(2), listener, parser);
     let addr = server.addr().to_owned();
 
     // Connect sequentially, reading each greeting before the next
@@ -437,7 +426,9 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
                 // earlier line on this connection is registered, so the
                 // disconnect cancels exactly the still-outstanding ones
                 // and the report accounts for all of them.
-                writeln!(stream, "stats").expect("writing the disconnect barrier");
+                stream
+                    .write_all(b"stats\n")
+                    .expect("writing the disconnect barrier");
                 let pending = expected[client].stats - tallies[client].stats;
                 if let Err(reason) = read_until_stats(client, reader, &mut tallies[client], pending)
                 {
@@ -462,12 +453,15 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
                 stream.write_all(head).expect("writing a partial frame");
                 stream.flush().expect("flushing a partial frame");
                 std::thread::sleep(Duration::from_millis(2));
-                stream.write_all(tail).expect("completing a partial frame");
-                writeln!(stream).expect("terminating a partial frame");
+                stream
+                    .write_all(&[tail, b"\n"].concat())
+                    .expect("completing a partial frame");
                 expected[client].sent(line);
             }
             Event::Line(line) => {
-                writeln!(stream, "{line}").expect("writing a scenario line");
+                stream
+                    .write_all(format!("{line}\n").as_bytes())
+                    .expect("writing a scenario line");
                 expected[client].sent(line);
             }
         }
@@ -479,7 +473,9 @@ fn check_socket(s: &mut Session, id: u64, scenario: &Scenario, shards: Option<us
         let Some((stream, reader)) = entry.as_mut() else {
             continue;
         };
-        writeln!(stream, "stats").expect("writing the shutdown barrier");
+        stream
+            .write_all(b"stats\n")
+            .expect("writing the shutdown barrier");
         let pending = expected[client].stats - tallies[client].stats;
         if let Err(reason) = read_until_stats(client, reader, &mut tallies[client], pending) {
             s.fail(id, reason, scenario.render());
@@ -623,24 +619,15 @@ fn tamopt_binary() -> Option<PathBuf> {
     path.exists().then_some(path)
 }
 
-fn spawn_serve(
-    binary: &Path,
-    dir: &Path,
-    shards: Option<usize>,
-    extra: &[&str],
-) -> std::io::Result<std::process::Child> {
-    let mut command = std::process::Command::new(binary);
-    command
+fn spawn_serve(binary: &Path, dir: &Path, extra: &[&str]) -> std::io::Result<std::process::Child> {
+    std::process::Command::new(binary)
         .current_dir(dir)
         .args(["serve", "--threads", "2"])
+        .args(extra)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null());
-    if let Some(shards) = shards {
-        command.args(["--shards", &shards.to_string()]);
-    }
-    command.args(extra);
-    command.spawn()
+        .stderr(std::process::Stdio::null())
+        .spawn()
 }
 
 /// `{"v": 1, "id": N, ...}` outcome lines only; the banner and the
@@ -659,17 +646,14 @@ fn outcome_lines(stdout: &[u8]) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// The winner fields of an outcome line: the prune-statistics tail and
-/// the shard stamp are stripped. A warm-started redo prunes more
-/// (different `stats`), and live shard routing steals by instantaneous
-/// load (timing-dependent `shard`), but the winner itself must be
-/// byte-identical.
+/// The winner fields of an outcome line: the prune-statistics tail is
+/// stripped. A warm-started redo prunes more (different `stats`), but
+/// the winner itself must be byte-identical.
 fn winner(line: &str) -> String {
-    let head = line.split(", \"stats\": ").next().unwrap_or(line);
-    match (head.find(", \"shard\": "), head.find(", \"soc\": ")) {
-        (Some(start), Some(end)) if start < end => format!("{}{}", &head[..start], &head[end..]),
-        _ => head.to_owned(),
-    }
+    line.split(", \"stats\": ")
+        .next()
+        .unwrap_or(line)
+        .to_owned()
 }
 
 /// Crash-and-restart a `--journal --store`-backed daemon mid-workload.
@@ -681,13 +665,7 @@ fn winner(line: &str) -> String {
 /// (prune stats may differ: the warm store makes the redo cheaper);
 /// (3) once everything is sealed the journal compacts back to its
 /// empty 12-byte header.
-fn check_crash_restart(
-    s: &mut Session,
-    id: u64,
-    rng: &mut StdRng,
-    shards: Option<usize>,
-    binary: &Path,
-) {
+fn check_crash_restart(s: &mut Session, id: u64, rng: &mut StdRng, binary: &Path) {
     let workload = gen_workload(rng);
     let script = workload.join("\n") + "\n";
     let dir = std::env::temp_dir().join(format!("tamopt-chaos-{}-{id}", std::process::id()));
@@ -695,23 +673,18 @@ fn check_crash_restart(
         s.fail(id, format!("cannot create {}: {e}", dir.display()), script);
         return;
     }
-    let result = crash_restart_cycle(&dir, &workload, shards, binary);
+    let result = crash_restart_cycle(&dir, &workload, binary);
     let _ = std::fs::remove_dir_all(&dir);
     if let Err(reason) = result {
         s.fail(id, reason, script);
     }
 }
 
-fn crash_restart_cycle(
-    dir: &Path,
-    workload: &[String],
-    shards: Option<usize>,
-    binary: &Path,
-) -> Result<(), String> {
+fn crash_restart_cycle(dir: &Path, workload: &[String], binary: &Path) -> Result<(), String> {
     let script = workload.join("\n") + "\n";
 
-    // Uninterrupted reference run: same shard shape, no persistence.
-    let mut reference = spawn_serve(binary, dir, shards, &[])
+    // Uninterrupted reference run: no persistence.
+    let mut reference = spawn_serve(binary, dir, &[])
         .map_err(|e| format!("cannot spawn the reference daemon: {e}"))?;
     reference
         .stdin
@@ -740,7 +713,7 @@ fn crash_restart_cycle(
     // Journal-backed victim, SIGKILLed mid-workload. Stdin stays open
     // so the daemon keeps serving right up to the kill.
     let flags = ["--journal", "j.tamjrnl", "--store", "w.tamstore"];
-    let mut victim = spawn_serve(binary, dir, shards, &flags)
+    let mut victim = spawn_serve(binary, dir, &flags)
         .map_err(|e| format!("cannot spawn the victim daemon: {e}"))?;
     let mut stdin = victim.stdin.take().expect("piped stdin");
     stdin
@@ -778,7 +751,7 @@ fn crash_restart_cycle(
         "w.tamstore",
         "--break-locks",
     ];
-    let mut recovery = spawn_serve(binary, dir, shards, &flags)
+    let mut recovery = spawn_serve(binary, dir, &flags)
         .map_err(|e| format!("cannot spawn the recovery daemon: {e}"))?;
     drop(recovery.stdin.take());
     let output = recovery
@@ -869,16 +842,14 @@ fn main() -> ExitCode {
     };
     for id in 0..args.scenarios {
         let scenario = gen_scenario(&mut rng, args.clients, args.events);
-        // Alternate flat and sharded serving across scenarios.
-        let shards = if id % 2 == 0 { None } else { Some(2) };
         if args.mode == "all" || args.mode == "replay" {
             check_replay(&mut session, id, &scenario);
         }
         if args.mode == "all" || args.mode == "socket" {
-            check_socket(&mut session, id, &scenario, shards);
+            check_socket(&mut session, id, &scenario);
         }
         if let Some(binary) = &crash_binary {
-            check_crash_restart(&mut session, id, &mut rng, shards, binary);
+            check_crash_restart(&mut session, id, &mut rng, binary);
         }
         println!("chaos: scenario {id} checked");
     }

@@ -12,9 +12,7 @@
 //! * whole tagged submit/cancel **traces** ([`tamopt::service::Trace`]):
 //!   structure-aware generation whose oracle is the
 //!   workspace invariant itself — replays are byte-identical across
-//!   threads and winner-identical across shard shapes (a cancelled id
-//!   only where it completes), a store-backed
-//!   restart mid-trace redoes the tail with identical winners and
+//!   threads, a store-backed restart mid-trace redoes the tail with identical winners and
 //!   never more work, and the write-ahead journal round-trips its
 //!   records (and tolerates arbitrary corruption) across a reopen.
 //!
@@ -42,8 +40,8 @@ use std::process::ExitCode;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tamopt::cli::{parse_manifest, parse_serve_line, parse_session_line};
 use tamopt::service::{
-    Frame, LineFramer, LiveConfig, LiveQueue, Refusal, Request, RequestOutcome, RequestStatus,
-    StoreBinding, Trace, MAX_LINE_LEN,
+    Frame, LineFramer, LiveConfig, LiveQueue, Refusal, Request, RequestOutcome, StoreBinding,
+    Trace, MAX_LINE_LEN,
 };
 use tamopt::soc::itc02::{parse_itc02, write_itc02};
 use tamopt::soc::{
@@ -228,16 +226,12 @@ fn gen_manifest(rng: &mut StdRng) -> String {
     text
 }
 
-/// A valid serve-protocol line: an optionally `@gen[/shard]`-tagged
-/// submit, cancel or stats directive.
+/// A valid serve-protocol line: an optionally `@gen`-tagged submit,
+/// cancel or stats directive.
 fn gen_serve_line(rng: &mut StdRng) -> String {
     let mut line = String::new();
     if rng.gen::<bool>() {
-        line.push_str(&format!("@{}", rng.gen_range(0..=12u32)));
-        if rng.gen::<bool>() {
-            line.push_str(&format!("/{}", rng.gen_range(0..4usize)));
-        }
-        line.push(' ');
+        line.push_str(&format!("@{} ", rng.gen_range(0..=12u32)));
     }
     match rng.gen_range(0u32..4) {
         0 => line.push_str(&format!("cancel {}", rng.gen_range(0..32usize))),
@@ -509,16 +503,8 @@ fn fuzz_net(s: &mut Session, iters: u64) {
 /// One event of a generated trace, kept structured so the same steps
 /// build a [`Trace`], a journal record stream and a failure artifact.
 enum TraceStep {
-    Submit {
-        generation: u32,
-        request: Request,
-        /// Explicit shard pin (`None` = routed; one shard ignores it).
-        pin: Option<usize>,
-    },
-    Cancel {
-        generation: u32,
-        id: usize,
-    },
+    Submit { generation: u32, request: Request },
+    Cancel { generation: u32, id: usize },
 }
 
 /// A structure-aware random trace: submits against the fast benchmark
@@ -544,11 +530,9 @@ fn gen_trace_steps(rng: &mut StdRng) -> Vec<TraceStep> {
                 .expect("widths >= 8 are valid")
                 .max_tams(rng.gen_range(1..=3u32))
                 .priority(rng.gen_range(0..=9u32) as i32);
-            let pin = rng.gen::<bool>().then(|| rng.gen_range(0..4usize));
             steps.push(TraceStep::Submit {
                 generation,
                 request,
-                pin,
             });
             submitted += 1;
         }
@@ -561,12 +545,6 @@ fn trace(steps: &[TraceStep]) -> Trace {
         TraceStep::Submit {
             generation,
             request,
-            pin: Some(shard),
-        } => trace.submit_pinned_at(*generation, *shard, request.clone()),
-        TraceStep::Submit {
-            generation,
-            request,
-            pin: None,
         } => trace.submit_at(*generation, request.clone()),
         TraceStep::Cancel { generation, id } => trace.cancel_at(*generation, *id),
     })
@@ -580,11 +558,9 @@ fn render_steps(steps: &[TraceStep]) -> String {
             TraceStep::Submit {
                 generation,
                 request,
-                pin,
             } => {
-                let pin = pin.map_or(String::new(), |shard| format!("/{shard}"));
                 text.push_str(&format!(
-                    "@{generation}{pin} {} {} {} priority={}\n",
+                    "@{generation} {} {} {} priority={}\n",
                     request.soc.name(),
                     request.width,
                     request.max_tams,
@@ -599,17 +575,15 @@ fn render_steps(steps: &[TraceStep]) -> String {
     text
 }
 
-/// The winner fields of an outcome line: the shard stamp (a routing
-/// artifact across shard shapes) and the prune-statistics tail (warm
-/// seeds record less work) are stripped; everything else must be
+/// The winner fields of an outcome line: the prune-statistics tail
+/// (warm seeds record less work) is stripped; everything else must be
 /// byte-identical.
 fn outcome_winner(outcome: &RequestOutcome) -> String {
     let line = outcome.to_json_line();
-    let head = line.split(", \"stats\": ").next().unwrap_or(&line);
-    match (head.find(", \"shard\": "), head.find(", \"soc\": ")) {
-        (Some(start), Some(end)) if start < end => format!("{}{}", &head[..start], &head[end..]),
-        _ => head.to_owned(),
-    }
+    line.split(", \"stats\": ")
+        .next()
+        .unwrap_or(&line)
+        .to_owned()
 }
 
 /// The winner views of an outcome stream, ordered by submission id.
@@ -620,39 +594,6 @@ fn winners_by_id(outcomes: &[RequestOutcome]) -> Vec<String> {
         .collect();
     winners.sort_by_key(|&(index, _)| index);
     winners.into_iter().map(|(_, winner)| winner).collect()
-}
-
-/// The cross-shape oracle for cancelled ids: each one that completes in
-/// `outcomes` must have the winner it had in every earlier shape where
-/// it completed (`seen[id]`, filled in here on first completion).
-fn check_cancelled_winners(
-    s: &mut Session,
-    case: u64,
-    artifact: &str,
-    outcomes: &[RequestOutcome],
-    cancelled: &[usize],
-    seen: &mut [Option<String>],
-) {
-    for outcome in outcomes {
-        if outcome.status != RequestStatus::Complete || !cancelled.contains(&outcome.index) {
-            continue;
-        }
-        let winner = outcome_winner(outcome);
-        match &seen[outcome.index] {
-            None => seen[outcome.index] = Some(winner),
-            Some(first) if *first != winner => s.fail(
-                "trace",
-                case,
-                format!(
-                    "cancelled id {} completed with two winners across shard shapes\n  \
-                     first: {first}\n  later: {winner}",
-                    outcome.index
-                ),
-                artifact.as_bytes(),
-            ),
-            Some(_) => {}
-        }
-    }
 }
 
 /// Completed heuristic evaluations of one outcome — the "work" in the
@@ -669,9 +610,8 @@ fn completed_evals(outcome: &RequestOutcome) -> u64 {
 }
 
 /// A fresh [`LiveConfig`] for trace replay, optionally store-backed.
-fn trace_config(threads: usize, shards: Option<usize>, store: Option<StoreBinding>) -> LiveConfig {
+fn trace_config(threads: usize, store: Option<StoreBinding>) -> LiveConfig {
     LiveConfig {
-        shards,
         store,
         ..LiveConfig::with_threads(threads)
     }
@@ -684,92 +624,25 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
     for case in 0..iters {
         let steps = gen_trace_steps(&mut s.rng);
         let artifact = render_steps(&steps);
-        let (reference, _) = LiveQueue::replay(trace(&steps), trace_config(1, None, None));
+        let (reference, _) = LiveQueue::replay(trace(&steps), trace_config(1, None));
         let cold_lines: Vec<String> = reference.iter().map(RequestOutcome::to_json_line).collect();
         // Streams interleave cancellations and completions; key the
         // winner views by submission id so differently-ordered streams
-        // (sharded replay goes shard-by-shard) compare request-wise.
+        // compare request-wise.
         let cold_winners: Vec<String> = winners_by_id(&reference);
 
-        // Oracle 1a: flat replay is byte-identical across threads.
+        // Oracle 1: replay is byte-identical across threads.
         for threads in [2, 8] {
-            let (outcomes, _) = LiveQueue::replay(trace(&steps), trace_config(threads, None, None));
+            let (outcomes, _) = LiveQueue::replay(trace(&steps), trace_config(threads, None));
             let lines: Vec<String> = outcomes.iter().map(RequestOutcome::to_json_line).collect();
             if lines != cold_lines {
                 s.fail(
                     "trace",
                     case,
-                    format!("flat replay drifted at {threads} threads"),
+                    format!("replay drifted at {threads} threads"),
                     artifact.as_bytes(),
                 );
             }
-        }
-        // Oracle 1b: per shard count byte-identical across threads, and
-        // winner-identical to the flat replay across shard shapes (the
-        // README "Scaling" contract). Generation clocks are per shard, so
-        // a cancel may land before dispatch in one shape and after it in
-        // another: at 2 and 4 shards only the ids the trace never
-        // cancels must match flat, and a cancelled id must have one
-        // winner across every shape where it completes.
-        let cancelled: Vec<usize> = steps
-            .iter()
-            .filter_map(|step| match step {
-                TraceStep::Cancel { id, .. } => Some(*id),
-                TraceStep::Submit { .. } => None,
-            })
-            .collect();
-        let mut cancelled_winners: Vec<Option<String>> = vec![None; cold_winners.len()];
-        check_cancelled_winners(
-            s,
-            case,
-            &artifact,
-            &reference,
-            &cancelled,
-            &mut cancelled_winners,
-        );
-        for shards in [1, 2, 4] {
-            let (base, _) = LiveQueue::replay(trace(&steps), trace_config(1, Some(shards), None));
-            let base_lines: Vec<String> = base.iter().map(RequestOutcome::to_json_line).collect();
-            for threads in [2, 8] {
-                let (outcomes, _) =
-                    LiveQueue::replay(trace(&steps), trace_config(threads, Some(shards), None));
-                let lines: Vec<String> =
-                    outcomes.iter().map(RequestOutcome::to_json_line).collect();
-                if lines != base_lines {
-                    s.fail(
-                        "trace",
-                        case,
-                        format!("sharded replay drifted at {shards} shards, {threads} threads"),
-                        artifact.as_bytes(),
-                    );
-                }
-            }
-            let winners = winners_by_id(&base);
-            let drift =
-                winners
-                    .iter()
-                    .zip(&cold_winners)
-                    .enumerate()
-                    .find(|(id, (sharded, flat))| {
-                        sharded != flat && (shards == 1 || !cancelled.contains(id))
-                    });
-            if let Some((_, (sharded, flat))) = drift {
-                let diff = format!("\n  flat:    {flat}\n  sharded: {sharded}");
-                s.fail(
-                    "trace",
-                    case,
-                    format!("winners drifted between flat and {shards}-shard replay{diff}"),
-                    artifact.as_bytes(),
-                );
-            }
-            check_cancelled_winners(
-                s,
-                case,
-                &artifact,
-                &base,
-                &cancelled,
-                &mut cancelled_winners,
-            );
         }
 
         // Oracle 2: a store-backed restart mid-trace. A prefix run
@@ -798,11 +671,9 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
                 TraceStep::Submit {
                     generation,
                     request,
-                    pin,
                 } => TraceStep::Submit {
                     generation: *generation,
                     request: request.clone(),
-                    pin: *pin,
                 },
                 TraceStep::Cancel { generation, id } => TraceStep::Cancel {
                     generation: *generation,
@@ -826,10 +697,7 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
             })
             .collect();
         let warm_binding = StoreBinding::new(Store::in_memory(StoreConfig::default()));
-        let _ = LiveQueue::replay(
-            trace(&prefix),
-            trace_config(2, None, Some(warm_binding.clone())),
-        );
+        let _ = LiveQueue::replay(trace(&prefix), trace_config(2, Some(warm_binding.clone())));
         let bytes = warm_binding.store.lock().map(|store| store.to_bytes());
         let revived = bytes
             .ok()
@@ -843,8 +711,7 @@ fn fuzz_trace(s: &mut Session, iters: u64) {
             ),
             Some(revived) => {
                 let binding = StoreBinding::new(revived);
-                let (warm, _) =
-                    LiveQueue::replay(trace(&steps), trace_config(2, None, Some(binding)));
+                let (warm, _) = LiveQueue::replay(trace(&steps), trace_config(2, Some(binding)));
                 if winners_by_id(&warm) != cold_winners {
                     s.fail(
                         "trace",
@@ -912,12 +779,14 @@ fn fuzz_trace_journal(s: &mut Session, case: u64, steps: &[TraceStep], artifact:
         for (id, step) in steps.iter().enumerate() {
             let id = id as u64;
             let record = match step {
-                TraceStep::Submit { request, pin, .. } => {
+                TraceStep::Submit { request, .. } => {
                     submits.push(id);
                     JournalRecord::Submit {
                         id,
                         client: s.rng.gen::<bool>().then(|| s.rng.gen_range(0..4u64)),
-                        shard: pin.map(|shard| shard as u64),
+                        // The shard stamp older sharded daemons wrote:
+                        // the decoder must keep accepting it.
+                        shard: s.rng.gen::<bool>().then(|| s.rng.gen_range(0..4u64)),
                         line: format!(
                             "{} {} {}",
                             request.soc.name(),
