@@ -125,8 +125,11 @@ serve-determinism:
 	$(call serve_diff,serve,,serve)
 	$(call serve_diff,kinds,,kinds)
 
-# Warm-store gate: the store crate suite (format, crash safety, the
-# committed v1 upgrade fixture), the service-level store suite
+# Warm-store gate: the store crate suite (the file envelope shared with
+# the journal, crash safety, and the committed fixtures under
+# crates/store/tests/fixtures/: v1.tamstore for the upgrade path,
+# v2.tamstore and v1.tamjrnl pinning the current store and journal
+# layouts byte for byte), the service-level store suite
 # (identical winners + strictly fewer completed evaluations, restart
 # resume, replay-grid byte-identity against a pre-populated store), and
 # an end-to-end CLI diff: populate a store once, then replay the trace

@@ -99,7 +99,7 @@ use tamopt::service::{
     Trace, WIRE_VERSION,
 };
 use tamopt::soc::format::parse_soc;
-use tamopt::store::{Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
+use tamopt::store::{break_lock, Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
 use tamopt::{benchmarks, CoOptimizer, Soc, Strategy};
 
 #[derive(Debug)]
@@ -459,18 +459,12 @@ fn serve_main(argv: impl Iterator<Item = String>) -> io::Result<ExitCode> {
     // opts into reclaiming them (a *live* holder would lose the lock
     // too — breaking is explicitly not automatic).
     if args.break_locks {
-        if let Some(path) = &args.store {
-            match Store::break_lock(path) {
-                Ok(true) => eprintln!("tamopt: store `{path}`: broke a stale lock"),
+        for (kind, path) in [("store", &args.store), ("journal", &args.journal)] {
+            let Some(path) = path else { continue };
+            match break_lock(path) {
+                Ok(true) => eprintln!("tamopt: {kind} `{path}`: broke a stale lock"),
                 Ok(false) => {}
-                Err(e) => eprintln!("tamopt: store `{path}`: cannot break lock: {e}"),
-            }
-        }
-        if let Some(path) = &args.journal {
-            match Journal::break_lock(path) {
-                Ok(true) => eprintln!("tamopt: journal `{path}`: broke a stale lock"),
-                Ok(false) => {}
-                Err(e) => eprintln!("tamopt: journal `{path}`: cannot break lock: {e}"),
+                Err(e) => eprintln!("tamopt: {kind} `{path}`: cannot break lock: {e}"),
             }
         }
     }

@@ -12,7 +12,9 @@
 //! cases into the tier-1 suite. One more case builds its crash image
 //! with the journal API instead of a kill: a journal written by an
 //! older daemon that stamped each submission with a shard must still
-//! recover.
+//! recover. Two more pass each file kind where the other is expected
+//! (a store as `--journal`, a journal as `--store`): the daemon must
+//! refuse to start and leave the file byte-identical.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
@@ -363,6 +365,76 @@ fn overload_flags_account_for_every_submission() {
             );
         }
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `tamopt serve <flags>` in `dir` with `script` on stdin. A daemon
+/// that refuses its files exits before reading stdin, so a failed
+/// write is expected there and ignored.
+fn serve_once(dir: &Path, flags: &[&str], script: &str) -> std::process::Output {
+    let mut child = spawn_serve(dir, flags);
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let _ = stdin.write_all(script.as_bytes());
+    drop(stdin);
+    child.wait_with_output().expect("daemon exits")
+}
+
+#[test]
+fn serve_refuses_a_store_file_as_its_journal_and_leaves_it_untouched() {
+    let dir = temp_dir("store-as-journal");
+    let output = serve_once(&dir, &["--store", "s.tamstore"], "d695 16 2\n");
+    assert!(output.status.success(), "writing the store");
+    let store = dir.join("s.tamstore");
+    let before = std::fs::read(&store).expect("the daemon saved its store");
+
+    let output = serve_once(&dir, &["--journal", "s.tamstore"], "d695 16 2\n");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot open journal `s.tamstore`"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&store).expect("the store still exists"),
+        before,
+        "a store opened as a journal must be left byte-identical"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_refuses_a_journal_file_as_its_store_and_leaves_it_untouched() {
+    let dir = temp_dir("journal-as-store");
+    // A crash image holding one accepted, unsealed request.
+    let journal = dir.join("crash.jrnl");
+    let mut writer = Journal::open(&journal, SyncPolicy::default())
+        .expect("opening a fresh journal")
+        .journal;
+    writer
+        .append(&JournalRecord::Submit {
+            id: 0,
+            client: None,
+            shard: None,
+            line: "d695 16 2".to_owned(),
+        })
+        .expect("appending a submit");
+    drop(writer);
+    let before = std::fs::read(&journal).expect("reading the journal");
+
+    let output = serve_once(&dir, &["--store", "crash.jrnl"], "d695 16 2\n");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot open store `crash.jrnl`"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&journal).expect("the journal still exists"),
+        before,
+        "a journal opened as a store must be left byte-identical"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,6 @@
-//! The on-disk byte layout and its hardened decoder.
+//! The store's payload codec.
 //!
 //! ```text
-//! file    := MAGIC (8 bytes) version:u32 record*
-//! record  := payload_len:u32 payload checksum:u64
 //! payload := fingerprint:u64 incumbents columns        (version 2)
 //!          | fingerprint:u64 incumbents                (version 1)
 //! incumbents := count:u32 (width:u32 tams:u32 time:u64)*
@@ -11,122 +9,49 @@
 //!            (width:u32 time:u64{cores})*
 //! ```
 //!
-//! All integers are little-endian. The checksum is FNV-1a (the same
-//! constants as [`Soc::fingerprint`](tamopt_soc::Soc::fingerprint))
-//! over the payload bytes. The decoder treats the file as **untrusted
-//! input**: every read is bounds-checked, a bad magic or an
-//! unrecognized old version yields an empty store with a warning, and a
-//! truncated, bit-flipped or otherwise corrupt record ends the scan —
-//! the valid prefix is kept, the tail is dropped with a warning, and
-//! nothing ever panics. Only a version *newer* than this build is a
-//! hard error (see [`crate::version`]).
+//! Each payload travels in one record of the shared file envelope
+//! ([`crate::envelope`]: header, length prefix, checksum and the
+//! lenient decode loop). Integers are little-endian, and a payload that
+//! does not decode exactly — a bad count, a zero width, trailing bytes
+//! — is a corrupt record. Version-1 payloads decode through
+//! [`crate::upgrade`].
 
 use crate::columns::CostColumns;
+use crate::envelope::{self, Decoded, FileKind, Reader};
 use crate::upgrade;
-use crate::version::{is_supported, CURRENT_VERSION, MAGIC, VERSION_2};
+use crate::version::VERSION_2;
 use crate::{Incumbent, StoreError, StoredEntry};
 
-/// FNV-1a 64-bit over `bytes` — the record checksum.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
+/// Encodes the shared incumbent-list section of a payload — the whole
+/// of a version-1 payload.
+pub(crate) fn encode_incumbents(fingerprint: u64, incumbents: &[Incumbent], out: &mut Vec<u8>) {
+    out.extend_from_slice(&fingerprint.to_le_bytes());
+    out.extend_from_slice(&(incumbents.len() as u32).to_le_bytes());
+    for inc in incumbents {
+        out.extend_from_slice(&inc.width.to_le_bytes());
+        out.extend_from_slice(&inc.tams.to_le_bytes());
+        out.extend_from_slice(&inc.time.to_le_bytes());
     }
-    hash
-}
-
-/// A bounds-checked cursor over untrusted bytes. Every accessor returns
-/// `None` past the end instead of slicing out of range.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Encodes one entry's payload in the current layout.
-fn encode_payload(fingerprint: u64, entry: &StoredEntry) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_u64(&mut out, fingerprint);
-    push_u32(&mut out, entry.incumbents.len() as u32);
-    for inc in &entry.incumbents {
-        push_u32(&mut out, inc.width);
-        push_u32(&mut out, inc.tams);
-        push_u64(&mut out, inc.time);
-    }
+pub(crate) fn encode_payload(fingerprint: u64, entry: &StoredEntry, out: &mut Vec<u8>) {
+    encode_incumbents(fingerprint, &entry.incumbents, out);
     match &entry.columns {
         None => out.push(0),
         Some(columns) => {
             out.push(1);
-            push_u32(&mut out, columns.max_width());
-            push_u32(&mut out, columns.num_cores() as u32);
-            push_u32(&mut out, columns.breaks().len() as u32);
+            out.extend_from_slice(&columns.max_width().to_le_bytes());
+            out.extend_from_slice(&(columns.num_cores() as u32).to_le_bytes());
+            out.extend_from_slice(&(columns.breaks().len() as u32).to_le_bytes());
             for (width, column) in columns.breaks() {
-                push_u32(&mut out, *width);
+                out.extend_from_slice(&width.to_le_bytes());
                 for &time in column {
-                    push_u64(&mut out, time);
+                    out.extend_from_slice(&time.to_le_bytes());
                 }
             }
         }
     }
-    out
-}
-
-/// Encodes a whole store image (current version). `entries` must be in
-/// the order they should reload — least-recently-used first, so a
-/// reload under a smaller cap evicts exactly the oldest tail.
-pub(crate) fn encode(entries: &[(u64, &StoredEntry)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, CURRENT_VERSION);
-    for (fingerprint, entry) in entries {
-        let payload = encode_payload(*fingerprint, entry);
-        push_u32(&mut out, payload.len() as u32);
-        let check = checksum(&payload);
-        out.extend_from_slice(&payload);
-        push_u64(&mut out, check);
-    }
-    out
 }
 
 /// Decodes the shared incumbent-list section of a payload.
@@ -189,97 +114,22 @@ fn decode_payload_v2(payload: &[u8]) -> Option<(u64, StoredEntry)> {
     ))
 }
 
-/// What [`decode`] recovered from a byte image.
-pub(crate) struct Decoded {
-    /// The version the file declared ([`CURRENT_VERSION`] for files too
-    /// short to carry a header).
-    pub(crate) version: u32,
-    /// Recovered entries, in file order (least-recently-used first).
-    pub(crate) entries: Vec<(u64, StoredEntry)>,
-    /// Human-readable notes about anything dropped along the way.
-    pub(crate) warnings: Vec<String>,
-}
-
-/// Decodes a store image leniently: corruption costs data (with a
-/// warning), never a panic or an error. The only hard error is a
-/// version newer than this build understands.
-pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded, StoreError> {
-    let mut decoded = Decoded {
-        version: CURRENT_VERSION,
-        entries: Vec::new(),
-        warnings: Vec::new(),
-    };
-    if bytes.is_empty() {
-        decoded
-            .warnings
-            .push("store file is empty; starting fresh".to_owned());
-        return Ok(decoded);
-    }
-    let mut reader = Reader::new(bytes);
-    match reader.take(8) {
-        Some(magic) if magic == MAGIC => {}
-        _ => {
-            decoded
-                .warnings
-                .push("store file has no tamstore header; ignoring it".to_owned());
-            return Ok(decoded);
+/// Decodes a store image through the envelope, dispatching each payload
+/// on the declared version.
+pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded<(u64, StoredEntry)>, StoreError> {
+    envelope::decode(FileKind::Store, bytes, |version, payload| {
+        if version >= VERSION_2 {
+            decode_payload_v2(payload)
+        } else {
+            upgrade::decode_payload_v1(payload)
         }
-    }
-    let Some(file_version) = reader.u32() else {
-        decoded
-            .warnings
-            .push("store header is truncated; starting fresh".to_owned());
-        return Ok(decoded);
-    };
-    if file_version > CURRENT_VERSION {
-        return Err(StoreError::FutureVersion {
-            found: file_version,
-            supported: CURRENT_VERSION,
-        });
-    }
-    if !is_supported(file_version) {
-        decoded.warnings.push(format!(
-            "store declares unknown version {file_version}; starting fresh"
-        ));
-        return Ok(decoded);
-    }
-    decoded.version = file_version;
-    while reader.remaining() > 0 {
-        let record = (|| {
-            let len = reader.u32()? as usize;
-            // Payload + trailing checksum must fit in what is left.
-            if len.checked_add(8)? > reader.remaining() {
-                return None;
-            }
-            let payload = reader.take(len)?;
-            let declared = reader.u64()?;
-            if checksum(payload) != declared {
-                return None;
-            }
-            if file_version >= VERSION_2 {
-                decode_payload_v2(payload)
-            } else {
-                upgrade::decode_payload_v1(payload)
-            }
-        })();
-        match record {
-            Some(entry) => decoded.entries.push(entry),
-            None => {
-                decoded.warnings.push(format!(
-                    "store record {} is truncated or corrupt; dropping it and the rest \
-                     of the file",
-                    decoded.entries.len()
-                ));
-                break;
-            }
-        }
-    }
-    Ok(decoded)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::{CURRENT_VERSION, MAGIC};
 
     fn sample() -> Vec<(u64, StoredEntry)> {
         vec![
@@ -316,8 +166,9 @@ mod tests {
     }
 
     fn encode_sample(entries: &[(u64, StoredEntry)]) -> Vec<u8> {
-        let refs: Vec<(u64, &StoredEntry)> = entries.iter().map(|(f, e)| (*f, e)).collect();
-        encode(&refs)
+        envelope::encode(FileKind::Store, CURRENT_VERSION, entries, |(f, e), out| {
+            encode_payload(*f, e, out)
+        })
     }
 
     #[test]
@@ -327,14 +178,14 @@ mod tests {
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.version, CURRENT_VERSION);
         assert!(decoded.warnings.is_empty(), "{:?}", decoded.warnings);
-        assert_eq!(decoded.entries, entries);
+        assert_eq!(decoded.records, entries);
     }
 
     #[test]
     fn empty_and_garbage_open_empty_with_warnings() {
         for bytes in [&b""[..], b"not a store", b"tamstor"] {
             let decoded = decode(bytes).unwrap();
-            assert!(decoded.entries.is_empty());
+            assert!(decoded.records.is_empty());
             assert_eq!(decoded.warnings.len(), 1, "{bytes:?}");
         }
     }
@@ -354,7 +205,7 @@ mod tests {
         let mut bytes = Vec::from(MAGIC);
         bytes.extend_from_slice(&0u32.to_le_bytes());
         let decoded = decode(&bytes).unwrap();
-        assert!(decoded.entries.is_empty());
+        assert!(decoded.records.is_empty());
         assert_eq!(decoded.warnings.len(), 1);
     }
 
@@ -365,8 +216,8 @@ mod tests {
         // Chop mid-way through the second record: the first survives.
         let cut = bytes.len() - 5;
         let decoded = decode(&bytes[..cut]).unwrap();
-        assert_eq!(decoded.entries.len(), 1);
-        assert_eq!(decoded.entries[0], entries[0]);
+        assert_eq!(decoded.records.len(), 1);
+        assert_eq!(decoded.records[0], entries[0]);
         assert_eq!(decoded.warnings.len(), 1);
     }
 
@@ -377,7 +228,7 @@ mod tests {
         // Flip a bit inside the first record's payload.
         bytes[20] ^= 0x10;
         let decoded = decode(&bytes).unwrap();
-        assert!(decoded.entries.is_empty(), "first record must be dropped");
+        assert!(decoded.records.is_empty(), "first record must be dropped");
         assert_eq!(decoded.warnings.len(), 1);
     }
 
@@ -386,7 +237,7 @@ mod tests {
         let bytes = encode_sample(&sample());
         for cut in 0..bytes.len() {
             let decoded = decode(&bytes[..cut]).unwrap();
-            assert!(decoded.entries.len() <= 2);
+            assert!(decoded.records.len() <= 2);
         }
     }
 }

@@ -1,8 +1,6 @@
 //! Write-ahead request journal for crash-safe serving.
 //!
 //! ```text
-//! file    := MAGIC (8 bytes, "tamjrnl\0") version:u32 record*
-//! record  := payload_len:u32 payload checksum:u64
 //! payload := 0:u8 id:u64 client? shard? line_len:u32 line (submit)
 //!          | 1:u8 id:u64                                  (cancel)
 //!          | 2:u8 id:u64                                  (sealed)
@@ -14,12 +12,13 @@
 //! sharded queues wrote it, current ones always write `0:u8`, and
 //! recovery ignores it.
 //!
-//! Same framing discipline as the store file ([`crate::format`]):
-//! little-endian integers, FNV-1a checksums over each payload, and a
-//! decoder that treats the bytes as untrusted — a torn final record
-//! (the expected leftover of a `kill -9` mid-append) truncates to the
-//! valid prefix with a warning, never a panic; only a version newer
-//! than this build is a hard error.
+//! Each payload travels in one record of the file envelope the store
+//! shares ([`crate::envelope`]): the `tamjrnl\0` magic and version
+//! header, a length prefix and an FNV-1a checksum per record, and the
+//! lenient decode loop — a torn final record (the expected leftover of
+//! a `kill -9` mid-append) truncates to the valid prefix with a
+//! warning, never a panic. A version newer than this build, or a store
+//! file opened as a journal, refuses to open and is left untouched.
 //!
 //! Unlike the store, the journal is **append-only**: every accepted
 //! request is recorded *before* the daemon acts on it, every streamed
@@ -33,7 +32,7 @@ use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use crate::format::{checksum, Reader};
+use crate::envelope::{self, Decoded, FileKind, Reader, HEADER_LEN};
 use crate::{lock, StoreError};
 
 /// The 8 magic bytes opening every journal file.
@@ -139,8 +138,7 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             JournalRecord::Submit {
                 id,
@@ -171,18 +169,6 @@ impl JournalRecord {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
-        out
-    }
-
-    /// Encodes the record in its framed on-disk form.
-    fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 12);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let check = checksum(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&check.to_le_bytes());
-        out
     }
 
     fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
@@ -215,95 +201,21 @@ impl JournalRecord {
     }
 }
 
-/// What [`decode`] recovered from a journal image.
-#[derive(Debug)]
-pub struct DecodedJournal {
-    /// Recovered records, in append order.
-    pub records: Vec<JournalRecord>,
-    /// Human-readable notes about anything dropped along the way.
-    pub warnings: Vec<String>,
-    /// Byte length of the valid prefix — everything past it is a torn
-    /// tail [`Journal::open`] truncates away.
-    pub valid_len: usize,
-}
+/// What [`decode`] recovered from a journal image; its
+/// [`valid_len`](Decoded::valid_len) is where [`Journal::open`]
+/// truncates a torn tail.
+pub type DecodedJournal = Decoded<JournalRecord>;
 
-/// Decodes a journal image leniently: a torn or corrupt tail is
-/// dropped with a warning (its byte offset preserved in
-/// [`DecodedJournal::valid_len`]); a missing or foreign header starts
-/// fresh with a warning. The only hard error is a version newer than
-/// this build ([`StoreError::FutureVersion`]).
+/// Decodes a journal image leniently through [`crate::envelope`].
 ///
 /// # Errors
 ///
-/// [`StoreError::FutureVersion`] only.
+/// [`StoreError::FutureVersion`] for a journal from a newer build, and
+/// [`StoreError::WrongKind`] for a store file.
 pub fn decode(bytes: &[u8]) -> Result<DecodedJournal, StoreError> {
-    let mut decoded = DecodedJournal {
-        records: Vec::new(),
-        warnings: Vec::new(),
-        valid_len: 0,
-    };
-    if bytes.is_empty() {
-        return Ok(decoded);
-    }
-    let mut reader = Reader::new(bytes);
-    match reader.take(8) {
-        Some(magic) if magic == JOURNAL_MAGIC => {}
-        _ => {
-            decoded
-                .warnings
-                .push("journal file has no tamjrnl header; starting fresh".to_owned());
-            return Ok(decoded);
-        }
-    }
-    let Some(file_version) = reader.u32() else {
-        decoded
-            .warnings
-            .push("journal header is truncated; starting fresh".to_owned());
-        return Ok(decoded);
-    };
-    if file_version > JOURNAL_VERSION {
-        return Err(StoreError::FutureVersion {
-            found: file_version,
-            supported: JOURNAL_VERSION,
-        });
-    }
-    if file_version == 0 {
-        decoded
-            .warnings
-            .push("journal declares version 0; starting fresh".to_owned());
-        return Ok(decoded);
-    }
-    decoded.valid_len = 12;
-    while reader.remaining() > 0 {
-        let record = (|| {
-            let len = reader.u32()? as usize;
-            if len.checked_add(8)? > reader.remaining() {
-                return None;
-            }
-            let payload = reader.take(len)?;
-            let declared = reader.u64()?;
-            if checksum(payload) != declared {
-                return None;
-            }
-            JournalRecord::decode_payload(payload)
-        })();
-        match record {
-            Some(record) => {
-                decoded.records.push(record);
-                decoded.valid_len = bytes.len() - reader.remaining();
-            }
-            None => {
-                decoded.warnings.push(format!(
-                    "journal record {} is torn or corrupt; recovering the {} record(s) \
-                     before it",
-                    decoded.records.len(),
-                    decoded.records.len()
-                ));
-                break;
-            }
-        }
-    }
-    Ok(decoded)
+    envelope::decode(FileKind::Journal, bytes, |_, payload| {
+        JournalRecord::decode_payload(payload)
+    })
 }
 
 /// One accepted-but-unsealed request [`unsealed`] recovered from a
@@ -385,7 +297,8 @@ impl Journal {
     ///
     /// [`StoreError::Locked`] when another handle holds the path,
     /// [`StoreError::FutureVersion`] for a journal from a newer build,
-    /// or [`StoreError::Io`] for filesystem failures.
+    /// [`StoreError::WrongKind`] for a store file (left untouched), or
+    /// [`StoreError::Io`] for filesystem failures.
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<OpenedJournal, StoreError> {
         let path = path.into();
         let guard = lock::LockGuard::acquire(&path)?;
@@ -406,8 +319,7 @@ impl Journal {
             // journal and make the header durable immediately, so a
             // crash right after open still leaves a well-formed file.
             file.set_len(0)?;
-            file.write_all(&JOURNAL_MAGIC)?;
-            file.write_all(&JOURNAL_VERSION.to_le_bytes())?;
+            file.write_all(&envelope::header(FileKind::Journal, JOURNAL_VERSION))?;
             file.sync_all()?;
         } else if decoded.valid_len < bytes.len() {
             // Torn tail from a mid-append crash: drop it so the next
@@ -429,16 +341,18 @@ impl Journal {
         })
     }
 
-    /// Appends one record, fsyncing per the open policy. The write is
-    /// flushed to the OS either way — only the device barrier is
-    /// policy-gated.
+    /// Appends one record in a single write, fsyncing per the open
+    /// policy. The write is flushed to the OS either way — only the
+    /// device barrier is policy-gated.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when writing fails; the journal then holds a
     /// torn tail the next open truncates away.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), StoreError> {
-        self.file.write_all(&record.encode())?;
+        let mut frame = Vec::new();
+        envelope::push_record(&mut frame, |out| record.encode_payload(out));
+        self.file.write_all(&frame)?;
         self.unsynced += 1;
         match self.policy {
             SyncPolicy::Always => self.sync()?,
@@ -475,7 +389,7 @@ impl Journal {
     ///
     /// [`StoreError::Io`] when truncating fails.
     pub fn compact(&mut self) -> Result<(), StoreError> {
-        self.file.set_len(12)?;
+        self.file.set_len(HEADER_LEN as u64)?;
         self.file.seek(std::io::SeekFrom::End(0))?;
         self.file.sync_all()?;
         self.unsynced = 0;
@@ -490,22 +404,6 @@ impl Journal {
     /// The fsync policy the journal was opened with.
     pub fn policy(&self) -> SyncPolicy {
         self.policy
-    }
-
-    /// Removes a stale `<path>.lock` left behind by a crashed daemon.
-    /// Returns whether a lock file existed. **Only** call this after
-    /// confirming no live process owns the journal.
-    ///
-    /// # Errors
-    ///
-    /// [`std::io::Error`] for filesystem failures other than the lock
-    /// not existing.
-    pub fn break_lock(path: impl AsRef<Path>) -> std::io::Result<bool> {
-        match std::fs::remove_file(lock::lock_path(path.as_ref())) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -533,12 +431,9 @@ mod tests {
     }
 
     fn encode_all(records: &[JournalRecord]) -> Vec<u8> {
-        let mut bytes = Vec::from(JOURNAL_MAGIC);
-        bytes.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        for record in records {
-            bytes.extend_from_slice(&record.encode());
-        }
-        bytes
+        envelope::encode(FileKind::Journal, JOURNAL_VERSION, records, |r, out| {
+            r.encode_payload(out)
+        })
     }
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -548,7 +443,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = Journal::break_lock(&path);
+        let _ = crate::break_lock(&path);
         path
     }
 
@@ -696,9 +591,9 @@ mod tests {
             Journal::open(&path, SyncPolicy::Always),
             Err(StoreError::Locked { .. })
         ));
-        assert!(Journal::break_lock(&path).unwrap());
+        assert!(crate::break_lock(&path).unwrap());
         assert!(
-            !Journal::break_lock(&path).unwrap(),
+            !crate::break_lock(&path).unwrap(),
             "second break is a no-op"
         );
         let reopened = Journal::open(&path, SyncPolicy::Always).unwrap();

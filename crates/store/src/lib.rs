@@ -14,12 +14,16 @@
 //!   `<path>.tmp`, fsyncs, then renames over the store path — a crash
 //!   at any instant leaves either the old file or the new one, never a
 //!   torn hybrid. A leftover `.tmp` is simply ignored on open.
-//! - **Corruption detection.** Records are length-prefixed and FNV-1a
-//!   checksummed. Truncated or garbage files open as empty (or as the
-//!   longest valid prefix) with [`Store::warnings`] explaining what was
-//!   dropped — never a panic, whatever the bytes (fuzz-enforced).
+//! - **Corruption detection.** The store and the request [`journal`]
+//!   share one file envelope ([`envelope`]): a magic and version
+//!   header, then length-prefixed, FNV-1a-checksummed records, decoded
+//!   by one lenient loop. Truncated or garbage files open as empty (or
+//!   as the longest valid prefix) with [`Store::warnings`] explaining
+//!   what was dropped — never a panic, whatever the bytes
+//!   (fuzz-enforced). A journal opened as a store refuses to open
+//!   ([`StoreError::WrongKind`]) and is left untouched.
 //! - **Versioning.** An explicit header version
-//!   ([`version::CURRENT_VERSION`]); old layouts decode through
+//!   ([`version::CURRENT_VERSION`]); old payload layouts decode through
 //!   [`upgrade`], a *newer* layout refuses to open
 //!   ([`StoreError::FutureVersion`]) so an old binary cannot silently
 //!   rewrite — and downgrade — a new store.
@@ -29,7 +33,8 @@
 //!   recently used entries.
 //! - **Single writer.** A sidecar `<path>.lock` makes a concurrent
 //!   open of the same path an explicit [`StoreError::Locked`], not
-//!   last-writer-wins corruption.
+//!   last-writer-wins corruption; [`break_lock`] removes one a crashed
+//!   owner left behind.
 //!
 //! Warm data is purely work-saving: a seed changes how much of the
 //! search is pruned, never which architecture wins, and the expanded
@@ -45,6 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 mod columns;
+pub mod envelope;
 mod format;
 pub mod journal;
 mod lock;
@@ -52,7 +58,9 @@ pub mod upgrade;
 pub mod version;
 
 pub use columns::CostColumns;
+use envelope::FileKind;
 pub use journal::{Journal, JournalRecord, OpenedJournal, RecoveredRequest, SyncPolicy};
+pub use lock::break_lock;
 
 /// One recorded incumbent: an architecture's testing time achieved at a
 /// width with a TAM count.
@@ -118,6 +126,15 @@ pub enum StoreError {
         /// Newest version this build understands.
         supported: u32,
     },
+    /// The file carries the other kind's magic (a journal opened as a
+    /// store, or a store opened as a journal); refusing to open it
+    /// protects it from being overwritten.
+    WrongKind {
+        /// The kind the caller asked to open.
+        expected: FileKind,
+        /// The kind the file's header declares.
+        found: FileKind,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -134,6 +151,10 @@ impl std::fmt::Display for StoreError {
                 f,
                 "store format version {found} is newer than this build supports \
                  (max {supported}); refusing to rewrite it"
+            ),
+            StoreError::WrongKind { expected, found } => write!(
+                f,
+                "the file is a tamopt {found}, not a {expected}; refusing to overwrite it"
             ),
         }
     }
@@ -193,7 +214,8 @@ impl Store {
     /// # Errors
     ///
     /// [`StoreError::Locked`] when another handle holds the path,
-    /// [`StoreError::FutureVersion`] for a file from a newer build, or
+    /// [`StoreError::FutureVersion`] for a file from a newer build,
+    /// [`StoreError::WrongKind`] for a journal file, or
     /// [`StoreError::Io`] for filesystem failures other than the file
     /// not existing yet.
     pub fn open(path: impl Into<PathBuf>, config: StoreConfig) -> Result<Self, StoreError> {
@@ -205,8 +227,8 @@ impl Store {
             Err(e) => return Err(StoreError::Io(e)),
         };
         let mut store = match bytes {
-            Some(bytes) => Self::from_decoded(format::decode(&bytes)?, config),
-            None => Self::empty(config),
+            Some(bytes) => Self::from_bytes(&bytes, config)?,
+            None => Self::in_memory(config),
         };
         store.path = Some(path);
         store._lock = Some(guard);
@@ -215,33 +237,6 @@ impl Store {
 
     /// An empty in-memory store (no path, no lock; `save` is a no-op).
     pub fn in_memory(config: StoreConfig) -> Self {
-        Self::empty(config)
-    }
-
-    /// Decodes a store image from bytes into an in-memory store — the
-    /// unit-testable (and fuzzable) core of [`open`](Store::open).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::FutureVersion`] only; corruption degrades to
-    /// warnings.
-    pub fn from_bytes(bytes: &[u8], config: StoreConfig) -> Result<Self, StoreError> {
-        Ok(Self::from_decoded(format::decode(bytes)?, config))
-    }
-
-    /// Encodes the current contents as a complete store image —
-    /// exactly what [`save`](Store::save) writes. Entries are ordered
-    /// least-recently-used first.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let entries: Vec<(u64, &StoredEntry)> = self
-            .ordered_slots()
-            .into_iter()
-            .map(|(fingerprint, slot)| (fingerprint, &slot.entry))
-            .collect();
-        format::encode(&entries)
-    }
-
-    fn empty(config: StoreConfig) -> Self {
         Store {
             path: None,
             config,
@@ -253,19 +248,39 @@ impl Store {
         }
     }
 
-    fn from_decoded(decoded: format::Decoded, config: StoreConfig) -> Self {
-        let mut store = Self::empty(config);
+    /// Decodes a store image from bytes into an in-memory store — the
+    /// unit-testable (and fuzzable) core of [`open`](Store::open).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::FutureVersion`] or [`StoreError::WrongKind`] only;
+    /// corruption degrades to warnings.
+    pub fn from_bytes(bytes: &[u8], config: StoreConfig) -> Result<Self, StoreError> {
+        let decoded = format::decode(bytes)?;
+        let mut store = Self::in_memory(config);
         store.warnings = decoded.warnings;
         // File order is LRU order: adopting in order reassigns recency
         // stamps consistently, and the cap evicts the oldest head when
         // the file was written under a larger cap.
-        for (fingerprint, entry) in decoded.entries {
+        for (fingerprint, entry) in decoded.records {
             store.adopt(fingerprint, entry);
         }
         // A rewrite is owed when the layout is old or anything was
         // dropped — the next save restores a clean current-version file.
         store.dirty = decoded.version != version::CURRENT_VERSION || !store.warnings.is_empty();
-        store
+        Ok(store)
+    }
+
+    /// Encodes the current contents as a complete store image —
+    /// exactly what [`save`](Store::save) writes. Entries are ordered
+    /// least-recently-used first.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        envelope::encode(
+            FileKind::Store,
+            version::CURRENT_VERSION,
+            self.iter(),
+            |(fingerprint, entry), out| format::encode_payload(fingerprint, entry, out),
+        )
     }
 
     /// Fingerprints and slots ordered by recency, oldest first —
@@ -429,22 +444,6 @@ impl Store {
         std::fs::rename(&tmp, &path)?;
         self.dirty = false;
         Ok(())
-    }
-
-    /// Removes a stale `<path>.lock` left behind by a crashed process.
-    /// Returns whether a lock file existed. **Only** call this after
-    /// confirming no live process owns the store.
-    ///
-    /// # Errors
-    ///
-    /// [`std::io::Error`] for filesystem failures other than the lock
-    /// not existing.
-    pub fn break_lock(path: impl AsRef<Path>) -> std::io::Result<bool> {
-        match std::fs::remove_file(lock::lock_path(path.as_ref())) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 
     /// Merges `entry` under `fingerprint` through the normal recording

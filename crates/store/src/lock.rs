@@ -1,13 +1,13 @@
-//! Single-writer exclusion for a store path.
+//! Single-writer exclusion for a store or journal path.
 //!
-//! The store has no intra-file concurrency story — the whole image is
-//! rewritten on save — so two processes opening the same path must be
-//! an explicit error, not silent last-writer-wins corruption. A
-//! sidecar `<path>.lock` file created with `create_new` (atomic on
-//! every platform Rust targets) is the mutex: whoever creates it owns
-//! the store until the guard drops. A crash leaves the lock file
-//! behind; [`crate::Store::break_lock`] removes a stale one after the
-//! operator has confirmed no other process is alive.
+//! Neither file has an intra-file concurrency story — the store's whole
+//! image is rewritten on save, the journal is appended by one daemon —
+//! so two processes opening the same path must be an explicit error,
+//! not silent last-writer-wins corruption. A sidecar `<path>.lock` file
+//! created with `create_new` (atomic on every platform Rust targets) is
+//! the mutex: whoever creates it owns the file until the guard drops. A
+//! crash leaves the lock file behind; [`break_lock`] removes a stale
+//! one after the operator has confirmed no other process is alive.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -21,8 +21,25 @@ pub(crate) fn lock_path(store: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Holds `<path>.lock` for the lifetime of an open [`crate::Store`];
-/// dropping the guard removes the file.
+/// Removes the stale `<path>.lock` a crashed [`crate::Store`] or
+/// [`crate::Journal`] owner left behind. Returns whether a lock file
+/// existed. **Only** call this after confirming no live process owns
+/// the path.
+///
+/// # Errors
+///
+/// [`std::io::Error`] for filesystem failures other than the lock not
+/// existing.
+pub fn break_lock(path: impl AsRef<Path>) -> std::io::Result<bool> {
+    match std::fs::remove_file(lock_path(path.as_ref())) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Holds `<path>.lock` for the lifetime of an open [`crate::Store`] or
+/// [`crate::Journal`]; dropping the guard removes the file.
 #[derive(Debug)]
 pub(crate) struct LockGuard {
     path: PathBuf,

@@ -1,14 +1,18 @@
-//! Decoders for superseded file layouts.
+//! Decoders for superseded store payload layouts.
 //!
-//! [`crate::format::decode`] dispatches each record's payload here when
-//! the header declares an old (but supported) version, so a store
-//! written before a layout change keeps opening — the entries surface
-//! in the current in-memory shape and the next save rewrites the file
-//! at [`crate::version::CURRENT_VERSION`]. One function per retired
-//! version; nothing here is ever removed, only added.
+//! The store's decoder (`format.rs`) dispatches each record's payload
+//! here when the header declares an old (but supported) version, so a
+//! store written before a layout change keeps opening — the entries
+//! surface in the current in-memory shape and the next save rewrites
+//! the file at [`crate::version::CURRENT_VERSION`]. The records around
+//! the payloads are framed by [`crate::envelope`], which no version has
+//! changed. One function per retired version; nothing here is ever
+//! removed, only added.
 
-use crate::format::{decode_incumbents, Reader};
-use crate::StoredEntry;
+use crate::envelope::{self, FileKind, Reader};
+use crate::format::{decode_incumbents, encode_incumbents};
+use crate::version::VERSION_1;
+use crate::{Incumbent, StoredEntry};
 
 /// Version 1 payload: `fingerprint u64, count u32, (width u32, tams
 /// u32, time u64)*` — incumbents only, no cost columns. Upgrading fills
@@ -29,32 +33,19 @@ pub(crate) fn decode_payload_v1(payload: &[u8]) -> Option<(u64, StoredEntry)> {
 /// Encodes a version-1 file image — test/fixture support only, so the
 /// committed `tests/fixtures/v1.tamstore` can be regenerated and the
 /// upgrade path exercised without carrying an old binary around.
-pub fn encode_v1_for_tests(entries: &[(u64, Vec<crate::Incumbent>)]) -> Vec<u8> {
-    let mut out = Vec::from(crate::version::MAGIC);
-    out.extend_from_slice(&crate::version::VERSION_1.to_le_bytes());
-    for (fingerprint, incumbents) in entries {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&fingerprint.to_le_bytes());
-        payload.extend_from_slice(&(incumbents.len() as u32).to_le_bytes());
-        for inc in incumbents {
-            payload.extend_from_slice(&inc.width.to_le_bytes());
-            payload.extend_from_slice(&inc.tams.to_le_bytes());
-            payload.extend_from_slice(&inc.time.to_le_bytes());
-        }
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let check = crate::format::checksum(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&check.to_le_bytes());
-    }
-    out
+pub fn encode_v1_for_tests(entries: &[(u64, Vec<Incumbent>)]) -> Vec<u8> {
+    envelope::encode(
+        FileKind::Store,
+        VERSION_1,
+        entries,
+        |(fingerprint, incumbents), out| encode_incumbents(*fingerprint, incumbents, out),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::decode;
-    use crate::version::VERSION_1;
-    use crate::Incumbent;
 
     #[test]
     fn v1_image_decodes_without_columns() {
@@ -74,8 +65,8 @@ mod tests {
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.version, VERSION_1);
         assert!(decoded.warnings.is_empty(), "{:?}", decoded.warnings);
-        assert_eq!(decoded.entries.len(), 1);
-        let (fingerprint, entry) = &decoded.entries[0];
+        assert_eq!(decoded.records.len(), 1);
+        let (fingerprint, entry) = &decoded.records[0];
         assert_eq!(*fingerprint, 77);
         assert_eq!(entry.incumbents, incumbents);
         assert!(entry.columns.is_none(), "v1 carries no columns");
@@ -83,21 +74,13 @@ mod tests {
 
     #[test]
     fn v1_trailing_bytes_are_corruption() {
-        let mut bytes = encode_v1_for_tests(&[(77, Vec::new())]);
-        // Splice one extra payload byte in and fix up length + checksum:
-        // a well-checksummed record with trailing junk is still corrupt.
-        let record_start = 12;
-        let len = u32::from_le_bytes(bytes[record_start..record_start + 4].try_into().unwrap());
-        let payload_start = record_start + 4;
-        let mut payload = bytes[payload_start..payload_start + len as usize].to_vec();
-        payload.push(0xAB);
-        let mut spliced = bytes[..record_start].to_vec();
-        spliced.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        spliced.extend_from_slice(&payload);
-        spliced.extend_from_slice(&crate::format::checksum(&payload).to_le_bytes());
-        bytes = spliced;
+        // A well-checksummed record with trailing junk is still corrupt.
+        let bytes = envelope::encode(FileKind::Store, VERSION_1, [77], |fingerprint, out| {
+            encode_incumbents(fingerprint, &[], out);
+            out.push(0xAB);
+        });
         let decoded = decode(&bytes).unwrap();
-        assert!(decoded.entries.is_empty());
+        assert!(decoded.records.is_empty());
         assert_eq!(decoded.warnings.len(), 1);
     }
 }

@@ -1,4 +1,5 @@
-//! The store file header: magic bytes plus an explicit format version.
+//! The store's magic bytes and format versions — the values of the
+//! header [`crate::envelope`] writes and checks.
 //!
 //! Every layout change bumps [`CURRENT_VERSION`] and adds a decoder to
 //! [`crate::upgrade`] so files written by older binaries keep opening.
@@ -19,23 +20,3 @@ pub const VERSION_2: u32 = 2;
 
 /// The version this build writes.
 pub const CURRENT_VERSION: u32 = VERSION_2;
-
-/// Whether `version` is a layout this build can decode (directly or via
-/// [`crate::upgrade`]).
-pub fn is_supported(version: u32) -> bool {
-    (VERSION_1..=CURRENT_VERSION).contains(&version)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn supported_versions() {
-        assert!(!is_supported(0));
-        assert!(is_supported(VERSION_1));
-        assert!(is_supported(VERSION_2));
-        assert!(is_supported(CURRENT_VERSION));
-        assert!(!is_supported(CURRENT_VERSION + 1));
-    }
-}

@@ -184,9 +184,12 @@ fn break_lock_recovers_from_a_crashed_owner() {
         Store::open(&scratch.path, StoreConfig::default()),
         Err(StoreError::Locked { .. })
     ));
-    assert!(Store::break_lock(&scratch.path).unwrap());
+    assert!(tamopt_store::break_lock(&scratch.path).unwrap());
     assert!(Store::open(&scratch.path, StoreConfig::default()).is_ok());
-    assert!(!Store::break_lock(&scratch.path).unwrap(), "no lock left");
+    assert!(
+        !tamopt_store::break_lock(&scratch.path).unwrap(),
+        "no lock left"
+    );
 }
 
 #[test]

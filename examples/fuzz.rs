@@ -4,7 +4,8 @@
 //! * the batch-manifest grammar ([`tamopt::cli::parse_manifest`]),
 //! * the serve line protocol ([`tamopt::cli::parse_serve_line`]),
 //! * the ITC'02 SOC parser ([`tamopt::soc::itc02`]),
-//! * the warm-start store file format ([`tamopt::store::Store`]),
+//! * the warm-start store file format ([`tamopt::store::Store`]), which
+//!   must also refuse a valid journal image,
 //! * the framed network protocol ([`tamopt::service::LineFramer`] +
 //!   the serve grammar): split, merged, oversized and interleaved
 //!   lines must frame chunking-invariantly and answer with error
@@ -14,7 +15,8 @@
 //!   workspace invariant itself — replays are byte-identical across
 //!   threads, a store-backed restart mid-trace redoes the tail with identical winners and
 //!   never more work, and the write-ahead journal round-trips its
-//!   records (and tolerates arbitrary corruption) across a reopen.
+//!   records (and tolerates arbitrary corruption) across a reopen, and
+//!   refuses a valid store image without touching the file.
 //!
 //! This is **not** cargo-fuzz: the build container has no crates.io
 //! access, so the harness is a plain example over the vendored `rand`
@@ -50,7 +52,9 @@ use tamopt::soc::{
     Soc,
 };
 use tamopt::store::journal::{decode as decode_journal, unsealed};
-use tamopt::store::{CostColumns, Journal, JournalRecord, Store, StoreConfig, SyncPolicy};
+use tamopt::store::{
+    CostColumns, Journal, JournalRecord, Store, StoreConfig, StoreError, SyncPolicy,
+};
 use tamopt::TimeTable;
 
 const SURFACES: [&str; 6] = ["manifest", "serve", "itc02", "store", "net", "trace"];
@@ -369,6 +373,26 @@ fn fuzz_store(s: &mut Session, iters: u64, columns: &CostColumns) {
             }
             Err(e) => s.fail("store", case, format!("own bytes rejected: {e}"), &bytes),
         }
+        // Wrong-kind oracle: the store and the journal share one
+        // envelope, so a valid journal image must be refused outright —
+        // never decoded as a corrupt store that a save would overwrite.
+        if let Some(journal) = journal_image(&mut s.rng, case) {
+            let mut refused = false;
+            s.must_not_panic("store", case, &journal, || {
+                refused = matches!(
+                    Store::from_bytes(&journal, StoreConfig::default()),
+                    Err(StoreError::WrongKind { .. })
+                );
+            });
+            if !refused {
+                s.fail(
+                    "store",
+                    case,
+                    "a valid journal image was not refused".to_owned(),
+                    &journal,
+                );
+            }
+        }
         let mut mutated = bytes;
         mutate(&mut s.rng, &mut mutated);
         s.must_not_panic("store", case, &mutated, || {
@@ -378,6 +402,34 @@ fn fuzz_store(s: &mut Session, iters: u64, columns: &CostColumns) {
             let _ = Store::from_bytes(&mutated, StoreConfig::default());
         });
     }
+}
+
+/// A valid journal image of up to four random records, written through
+/// the real append path.
+fn journal_image(rng: &mut StdRng, case: u64) -> Option<Vec<u8>> {
+    let path = std::env::temp_dir().join(format!(
+        "tamopt-fuzz-{}-store-{case}.tamjrnl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut journal = Journal::open(&path, SyncPolicy::Never).ok()?.journal;
+    for id in 0..rng.gen_range(0..=4u64) {
+        let record = match rng.gen_range(0u32..3) {
+            0 => JournalRecord::Submit {
+                id,
+                client: rng.gen::<bool>().then(|| rng.gen_range(0..4u64)),
+                shard: None,
+                line: gen_request_line(rng),
+            },
+            1 => JournalRecord::Cancel { id },
+            _ => JournalRecord::Sealed { id },
+        };
+        journal.append(&record).ok()?;
+    }
+    drop(journal);
+    let bytes = std::fs::read(&path).ok();
+    let _ = std::fs::remove_file(&path);
+    bytes
 }
 
 /// A hostile framed byte stream: valid serve lines, junk, carriage
@@ -870,6 +922,32 @@ fn fuzz_trace_journal(s: &mut Session, case: u64, steps: &[TraceStep], artifact:
             format!("journal reopen failed: {e}"),
             artifact,
         ),
+    }
+    // Wrong-kind leg: a valid store image is refused by the decoder and
+    // by `Journal::open`, which must leave the file byte-identical.
+    let mut store = Store::in_memory(StoreConfig::default());
+    for _ in 0..s.rng.gen_range(0..=3u32) {
+        store.record_incumbent(s.rng.gen(), s.rng.gen_range(1..=64u32), 1, s.rng.gen());
+    }
+    let image = store.to_bytes();
+    let foreign = dir.join("foreign.tamstore");
+    let mut refused = false;
+    s.must_not_panic("trace", case, &image, || {
+        refused = matches!(decode_journal(&image), Err(StoreError::WrongKind { .. }))
+            && std::fs::write(&foreign, &image).is_ok()
+            && matches!(
+                Journal::open(&foreign, SyncPolicy::Never),
+                Err(StoreError::WrongKind { .. })
+            )
+            && std::fs::read(&foreign).is_ok_and(|bytes| bytes == image);
+    });
+    if !refused {
+        s.fail(
+            "trace",
+            case,
+            "a valid store image was not refused as a journal".to_owned(),
+            &image,
+        );
     }
     // Corruption leg: mutated bytes must decode leniently or reject —
     // never panic — and a reopen of the mutated file must not either.
