@@ -221,7 +221,10 @@ pub(crate) fn decode<T>(
         let record = (|| {
             let len = reader.u32()?;
             let bytes = reader.take(len as usize)?;
-            (checksum(bytes) == reader.u64()?).then_some(())?;
+            let declared = reader.u64()?;
+            if checksum(bytes) != declared {
+                return None;
+            }
             payload(version, bytes)
         })();
         let Some(record) = record else {
