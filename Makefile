@@ -79,6 +79,7 @@ chaos-soak:
 
 determinism: serve-determinism store-determinism recovery-determinism
 	cargo test --release -p tamopt_engine
+	cargo test --release -p tamopt_assign --test kernel_equivalence
 	cargo test --release -p tamopt_partition --test determinism
 	cargo test --release -p tamopt_service --test batch
 	cargo build --release -p tamopt

@@ -7,6 +7,16 @@ use crate::{AssignResult, CostMatrix};
 /// and `widest_tam_tie_break_matters` turn one off to show what it
 /// decides, and the `kernel_equivalence` proptests run all four
 /// settings against the reference kernel.
+///
+/// The kernel picks the TAM of each step in one of two phases. With
+/// the widest-TAM tie-break on and the widths non-decreasing (every
+/// partition the scan scores), every TAM not yet loaded has load 0 and
+/// every loaded one a nonzero load, so the least-loaded TAM is the
+/// widest unloaded one: the kernel takes the TAMs widest first without
+/// comparing loads, until all are loaded or a step loads a time of 0.
+/// From there, or from the start under any other setting, it compares
+/// the loads as Figure 1 does. Both phases pick the TAM the figure
+/// picks, so the switches alone decide the outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreAssignOptions {
     /// Lines 11–12: when several TAMs are equally least-loaded, pick the
@@ -281,6 +291,26 @@ pub fn core_assign_first_steps(
 /// column `column_of(t)`. It stops after `steps` steps (pass
 /// `usize::MAX` for a full run) and returns the largest TAM load, or
 /// `None` if a load reached `bound` first.
+///
+/// Lines 10–12 (the least-loaded TAM, tie: widest, then lowest index)
+/// are found in one of two phases, and both pick the TAM Figure 1
+/// picks:
+///
+/// * **Widest first.** With the widest-TAM tie-break on and `widths`
+///   non-decreasing (every partition the scan scores), the phase runs
+///   from the first step. While every TAM loaded so far holds a
+///   nonzero load, the others hold 0, so the least-loaded TAM is the
+///   widest unloaded one, lowest index first: the next TAM in run
+///   order, where runs of equal widths go from the right and each
+///   run's indices ascend. No scan is needed, and the next-narrower TAM
+///   of lines 14–16 is the first index of the run to the left. The
+///   phase ends once every TAM is loaded, or after a step that loads a
+///   time of 0, since that TAM stays least-loaded.
+/// * **Least loaded.** Otherwise, and from there on, a scan over the
+///   TAMs' loads, as Figure 1 states the rule.
+///
+/// Both phases hand the TAM to [`load_tam`], the one copy of lines
+/// 13–17.
 fn assign_columns(
     columns: &TimeColumns,
     widths: &[u32],
@@ -290,7 +320,6 @@ fn assign_columns(
     options: &CoreAssignOptions,
     scratch: &mut AssignScratch,
 ) -> Option<u64> {
-    const UNASSIGNED: usize = usize::MAX;
     let b = widths.len();
     scratch.tam_times.clear();
     scratch.tam_times.resize(b, 0);
@@ -299,64 +328,48 @@ fn assign_columns(
     scratch.assignment.clear();
     scratch.assignment.resize(columns.num_cores(), UNASSIGNED);
 
+    let mut widest_first = if options.widest_tam_tie_break && widths.is_sorted() {
+        WidestFirst::first(widths)
+    } else {
+        None
+    };
     for _ in 0..columns.num_cores().min(steps) {
-        // Lines 10-12: least-loaded TAM, tie broken toward the widest.
-        let tam_times = &scratch.tam_times;
-        let tam = (0..b)
-            .min_by_key(|&t| {
-                let width_key = if options.widest_tam_tie_break {
-                    // Larger width wins the tie => smaller key.
-                    u32::MAX - widths[t]
-                } else {
-                    0
-                };
-                (tam_times[t], width_key, t)
-            })
-            .expect("at least one tam");
-
-        // Line 13: the first unassigned core in the column's order has
-        // the largest time on `tam`; the cursor skips assigned ones.
-        let column = column_of(tam);
-        let times = columns.column(column);
-        let order = columns.order(column);
-        let assignment = &scratch.assignment;
-        let mut at = scratch.cursor[tam];
-        while assignment[order[at] as usize] != UNASSIGNED {
-            at += 1;
-        }
-        scratch.cursor[tam] = at;
-        let mut core = order[at] as usize;
-
-        // Lines 14-16: among the unassigned cores tied at that time,
-        // take the one with the largest time on the next-narrower TAM
-        // (the widest TAM strictly narrower than `tam`); equal times
-        // there keep the lowest core index.
-        if options.next_tam_tie_break {
-            let top = times[core];
-            let mut tied = order[at + 1..]
-                .iter()
-                .map(|&c| c as usize)
-                .take_while(|&c| times[c] == top)
-                .filter(|&c| assignment[c] == UNASSIGNED)
-                .peekable();
-            if tied.peek().is_some() {
-                let narrower = (0..b)
-                    .filter(|&t| widths[t] < widths[tam])
-                    .max_by_key(|&t| (widths[t], usize::MAX - t));
-                if let Some(next) = narrower {
-                    let next = columns.column(column_of(next));
-                    for c in tied {
-                        if next[c] > next[core] {
-                            core = c;
-                        }
-                    }
-                }
+        let tam = match widest_first {
+            Some(pick) => pick.tam,
+            None => {
+                // Lines 10-12: least-loaded TAM, tie broken toward the widest.
+                let tam_times = &scratch.tam_times;
+                (0..b)
+                    .min_by_key(|&t| {
+                        let width_key = if options.widest_tam_tie_break {
+                            // Larger width wins the tie => smaller key.
+                            u32::MAX - widths[t]
+                        } else {
+                            0
+                        };
+                        (tam_times[t], width_key, t)
+                    })
+                    .expect("at least one tam")
             }
-        }
-
-        // Line 17: assign.
-        scratch.assignment[core] = tam;
-        scratch.tam_times[tam] += times[core];
+        };
+        // The widest TAM strictly narrower than `tam`, lowest index first.
+        let narrower = || match widest_first {
+            Some(pick) => pick.narrower,
+            None => (0..b)
+                .filter(|&t| widths[t] < widths[tam])
+                .max_by_key(|&t| (widths[t], usize::MAX - t)),
+        };
+        let time = load_tam(
+            columns,
+            &column_of,
+            tam,
+            narrower,
+            options.next_tam_tie_break,
+            scratch,
+        );
+        widest_first = widest_first
+            .filter(|_| time > 0)
+            .and_then(|pick| pick.next(widths));
 
         // Lines 18-20: abort against the best-known bound. Every other
         // TAM was already below it, so only the one just loaded can
@@ -373,6 +386,114 @@ fn assign_columns(
             .max()
             .expect("at least one tam"),
     )
+}
+
+const UNASSIGNED: usize = usize::MAX;
+
+/// Lines 13–17 of Figure 1 on the TAM that lines 10–12 picked: assigns
+/// it the unassigned core with the largest time in its column and
+/// returns that time. With `next_tam_tie_break` on, a tie on that time
+/// goes to the core with the largest time on the next-narrower TAM
+/// (`narrower`, asked only when cores tie), then to the lowest core
+/// index.
+fn load_tam(
+    columns: &TimeColumns,
+    column_of: &impl Fn(usize) -> usize,
+    tam: usize,
+    narrower: impl FnOnce() -> Option<usize>,
+    next_tam_tie_break: bool,
+    scratch: &mut AssignScratch,
+) -> u64 {
+    // Line 13: the first unassigned core in the column's order has
+    // the largest time on `tam`; the cursor skips assigned ones.
+    let column = column_of(tam);
+    let times = columns.column(column);
+    let order = columns.order(column);
+    let assignment = &scratch.assignment;
+    let mut at = scratch.cursor[tam];
+    while assignment[order[at] as usize] != UNASSIGNED {
+        at += 1;
+    }
+    scratch.cursor[tam] = at;
+    let mut core = order[at] as usize;
+
+    // Lines 14-16: among the unassigned cores tied at that time, take
+    // the one with the largest time on the next-narrower TAM; equal
+    // times there keep the lowest core index.
+    if next_tam_tie_break {
+        let top = times[core];
+        let mut tied = order[at + 1..]
+            .iter()
+            .map(|&c| c as usize)
+            .take_while(|&c| times[c] == top)
+            .filter(|&c| assignment[c] == UNASSIGNED)
+            .peekable();
+        if tied.peek().is_some() {
+            if let Some(next) = narrower() {
+                let next = columns.column(column_of(next));
+                for c in tied {
+                    if next[c] > next[core] {
+                        core = c;
+                    }
+                }
+            }
+        }
+    }
+
+    // Line 17: assign.
+    let time = times[core];
+    scratch.assignment[core] = tam;
+    scratch.tam_times[tam] += time;
+    time
+}
+
+/// Where the widest-first phase of [`assign_columns`] stands on
+/// non-decreasing widths: the TAM it loads next and that TAM's
+/// next-narrower TAM.
+#[derive(Clone, Copy)]
+struct WidestFirst {
+    tam: usize,
+    /// The widest TAM strictly narrower than `tam`, lowest index first:
+    /// the first index of the run of equal widths to the left of
+    /// `tam`'s run.
+    narrower: Option<usize>,
+}
+
+impl WidestFirst {
+    /// The first TAM of the phase: the first index of the widest run.
+    fn first(widths: &[u32]) -> Option<Self> {
+        let last = widths.len().checked_sub(1)?;
+        Some(Self::run(widths, run_start(widths, last)))
+    }
+
+    /// The TAM after this one: the next index of the same run, else the
+    /// first of the run to the left, else none (every TAM is loaded).
+    fn next(self, widths: &[u32]) -> Option<Self> {
+        if widths.get(self.tam + 1) == Some(&widths[self.tam]) {
+            Some(WidestFirst {
+                tam: self.tam + 1,
+                ..self
+            })
+        } else {
+            self.narrower.map(|start| Self::run(widths, start))
+        }
+    }
+
+    /// The first TAM of the run that starts at `start`.
+    fn run(widths: &[u32], start: usize) -> Self {
+        WidestFirst {
+            tam: start,
+            narrower: start.checked_sub(1).map(|last| run_start(widths, last)),
+        }
+    }
+}
+
+/// The first index of the run of equal widths that ends at `last`.
+fn run_start(widths: &[u32], last: usize) -> usize {
+    widths[..last]
+        .iter()
+        .rposition(|&w| w != widths[last])
+        .map_or(0, |i| i + 1)
 }
 
 #[cfg(test)]

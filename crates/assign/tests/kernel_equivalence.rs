@@ -11,6 +11,12 @@
 //! achieved time, the two must return the same value, and the same
 //! assignment whenever the run completes.
 //!
+//! Widths drawn in any order are rarely sorted once there are four or
+//! more TAMs, so the kernel's widest-first phase, which runs only on
+//! non-decreasing widths, gets cases of its own: widths in partition
+//! order, the kernel's first `steps` steps for every `steps` up to the
+//! TAM count, and matrices with zero times, which end the phase early.
+//!
 //! The same reference also checks the partition scan's abort gate: the
 //! kernel's first two steps on a TAM set's two widest widths decide
 //! exactly whether the reference aborts with at most two cores assigned.
@@ -168,22 +174,35 @@ fn options(widest: bool, next: bool) -> CoreAssignOptions {
     }
 }
 
+/// Non-decreasing `widths` when `sorted` (partition order, the shape
+/// of the kernel's widest-first phase), else `widths` as drawn.
+fn ordered(mut widths: Vec<u32>, sorted: bool) -> Vec<u32> {
+    if sorted {
+        widths.sort_unstable();
+    }
+    widths
+}
+
 /// A random cost matrix: up to 40 cores, up to 10 TAMs whose widths
-/// repeat, times in `1..=4`.
-fn arb_costs() -> impl Strategy<Value = CostMatrix> {
-    (1usize..=40, 1usize..=10).prop_flat_map(|(cores, tams)| {
+/// repeat (non-decreasing when `sorted`), times in `times`.
+fn arb_costs(times: RangeInclusive<u64>, sorted: bool) -> impl Strategy<Value = CostMatrix> {
+    (1usize..=40, 1usize..=10).prop_flat_map(move |(cores, tams)| {
         (
-            proptest::collection::vec(proptest::collection::vec(1u64..=4, tams), cores),
+            proptest::collection::vec(proptest::collection::vec(times.clone(), tams), cores),
             proptest::collection::vec(1u32..=4, tams),
         )
-            .prop_map(|(rows, widths)| CostMatrix::from_raw(rows, widths).expect("valid shape"))
+            .prop_map(move |(rows, widths)| {
+                CostMatrix::from_raw(rows, ordered(widths, sorted)).expect("valid shape")
+            })
     })
 }
 
-/// A random table up to width 8 with times in `times`, and a partition
-/// of TAM widths into it (widths repeat, in any order).
+/// A random table up to width 8 with times in `times`, and TAM widths
+/// into it (widths repeat; non-decreasing when `sorted`, else in any
+/// order).
 fn arb_table_and_widths(
     times: RangeInclusive<u64>,
+    sorted: bool,
 ) -> impl Strategy<Value = (TimeTable, Vec<u32>)> {
     (1usize..=40, 1u32..=8, 1usize..=10).prop_flat_map(move |(cores, max_width, tams)| {
         (
@@ -193,46 +212,135 @@ fn arb_table_and_widths(
             ),
             proptest::collection::vec(1u32..=max_width, tams),
         )
-            .prop_map(|(rows, widths)| (TimeTable::from_matrix(rows), widths))
+            .prop_map(move |(rows, widths)| (TimeTable::from_matrix(rows), ordered(widths, sorted)))
     })
+}
+
+/// `core_assign` (the kernel on columns keyed by TAM index) agrees with
+/// the reference on `costs` under every bound of [`bounds`].
+fn check_matrix_kernel(
+    costs: &CostMatrix,
+    options: &CoreAssignOptions,
+    random: u64,
+) -> TestCaseResult {
+    let (achieved, _) = reference_run(costs, None, options);
+    let achieved = achieved.expect("unbounded runs complete");
+    for bound in bounds(achieved, random) {
+        let (time, assignment) = reference_run(costs, bound, options);
+        match core_assign(costs, bound, options) {
+            CoreAssignOutcome::Complete(result) => {
+                prop_assert_eq!(time, Some(result.soc_time()), "bound {:?}", bound);
+                prop_assert_eq!(assignment.as_deref(), Some(result.assignment()));
+            }
+            CoreAssignOutcome::Aborted { bound: b } => {
+                prop_assert_eq!(Some(b), bound);
+                prop_assert_eq!(time, None, "bound {:?}", bound);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `core_assign_widths` (the kernel on width-major table columns, as
+/// the partition scan calls it) agrees with the reference run on the
+/// TAM set's cost matrix under every bound of [`bounds`].
+fn check_width_kernel(
+    table: &TimeTable,
+    widths: &[u32],
+    options: &CoreAssignOptions,
+    random: u64,
+) -> TestCaseResult {
+    let columns = TimeColumns::from_table(table);
+    let tams = TamSet::new(widths.to_vec()).expect("positive widths");
+    let costs = CostMatrix::from_table(table, &tams).expect("widths fit the table");
+    let (achieved, _) = reference_run(&costs, None, options);
+    let achieved = achieved.expect("unbounded runs complete");
+    let mut scratch = AssignScratch::new();
+    for bound in bounds(achieved, random) {
+        let (time, assignment) = reference_run(&costs, bound, options);
+        let kernel = core_assign_widths(&columns, widths, bound, options, &mut scratch);
+        prop_assert_eq!(kernel, time, "widths {:?} bound {:?}", widths, bound);
+        if kernel.is_some() {
+            let result = scratch.result();
+            prop_assert_eq!(assignment.as_deref(), Some(result.assignment()));
+            prop_assert_eq!(result.soc_time(), achieved);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `core_assign` (the kernel on columns keyed by TAM index) agrees
-    /// with the reference on every matrix, switch and bound.
+    /// `core_assign` agrees with the reference on every matrix, switch
+    /// and bound.
     #[test]
     fn matrix_kernel_matches_the_reference(
-        costs in arb_costs(),
+        costs in arb_costs(1..=4, false),
         widest in any::<bool>(),
         next in any::<bool>(),
         random in 0u64..=60,
     ) {
-        let options = options(widest, next);
-        let (achieved, _) = reference_run(&costs, None, &options);
-        let achieved = achieved.expect("unbounded runs complete");
-        for bound in bounds(achieved, random) {
-            let (time, assignment) = reference_run(&costs, bound, &options);
-            match core_assign(&costs, bound, &options) {
-                CoreAssignOutcome::Complete(result) => {
-                    prop_assert_eq!(time, Some(result.soc_time()), "bound {:?}", bound);
-                    prop_assert_eq!(assignment.as_deref(), Some(result.assignment()));
-                }
-                CoreAssignOutcome::Aborted { bound: b } => {
-                    prop_assert_eq!(Some(b), bound);
-                    prop_assert_eq!(time, None, "bound {:?}", bound);
-                }
-            }
-        }
+        check_matrix_kernel(&costs, &options(widest, next), random)?;
     }
 
-    /// `core_assign_widths` (the kernel on width-major table columns,
-    /// as the partition scan calls it) agrees with the reference run on
-    /// the partition's cost matrix.
+    /// `core_assign_widths` agrees with the reference run on the
+    /// partition's cost matrix.
     #[test]
     fn width_kernel_matches_the_reference(
-        (table, widths) in arb_table_and_widths(1..=4),
+        (table, widths) in arb_table_and_widths(1..=4, false),
+        widest in any::<bool>(),
+        next in any::<bool>(),
+        random in 0u64..=60,
+    ) {
+        check_width_kernel(&table, &widths, &options(widest, next), random)?;
+    }
+
+    /// The widest-first phase on a matrix: with non-decreasing widths,
+    /// each TAM of a run of equal widths has a column of its own, so
+    /// reading the wrong TAM of a run as the next-narrower one shows.
+    #[test]
+    fn sorted_matrix_kernel_matches_the_reference(
+        costs in arb_costs(1..=4, true),
+        widest in any::<bool>(),
+        next in any::<bool>(),
+        random in 0u64..=60,
+    ) {
+        check_matrix_kernel(&costs, &options(widest, next), random)?;
+    }
+
+    /// The widest-first phase on widths in partition order, as the scan
+    /// calls the kernel.
+    #[test]
+    fn partition_order_width_kernel_matches_the_reference(
+        (table, widths) in arb_table_and_widths(1..=4, true),
+        widest in any::<bool>(),
+        next in any::<bool>(),
+        random in 0u64..=60,
+    ) {
+        check_width_kernel(&table, &widths, &options(widest, next), random)?;
+    }
+
+    /// A zero time leaves the loaded TAM least-loaded, so the kernel
+    /// must leave the widest-first phase after the step that loads it.
+    /// Times in `0..=2` make such steps common.
+    #[test]
+    fn zero_times_end_the_widest_first_phase(
+        costs in arb_costs(0..=2, true),
+        next in any::<bool>(),
+        random in 0u64..=60,
+    ) {
+        check_matrix_kernel(&costs, &options(true, next), random)?;
+    }
+
+    /// `core_assign_first_steps` on widths in partition order, for every
+    /// `steps` up to the TAM count: its largest load reaches a bound iff
+    /// the reference under that bound aborts with at most `steps` cores
+    /// assigned. Loads only grow, so checking the load itself, one less
+    /// and one more pins it to the reference's load after `steps` steps.
+    #[test]
+    fn first_steps_match_the_reference_at_every_step(
+        (table, widths) in arb_table_and_widths(0..=4, true),
         widest in any::<bool>(),
         next in any::<bool>(),
         random in 0u64..=60,
@@ -241,17 +349,22 @@ proptest! {
         let columns = TimeColumns::from_table(&table);
         let tams = TamSet::new(widths.clone()).expect("positive widths");
         let costs = CostMatrix::from_table(&table, &tams).expect("widths fit the table");
-        let (achieved, _) = reference_run(&costs, None, &options);
-        let achieved = achieved.expect("unbounded runs complete");
         let mut scratch = AssignScratch::new();
-        for bound in bounds(achieved, random) {
-            let (time, assignment) = reference_run(&costs, bound, &options);
-            let kernel = core_assign_widths(&columns, &widths, bound, &options, &mut scratch);
-            prop_assert_eq!(kernel, time, "widths {:?} bound {:?}", &widths, bound);
-            if kernel.is_some() {
-                let result = scratch.result();
-                prop_assert_eq!(assignment.as_deref(), Some(result.assignment()));
-                prop_assert_eq!(result.soc_time(), achieved);
+        prop_assert_eq!(core_assign_first_steps(&columns, &widths, 0, &options, &mut scratch), 0);
+        for steps in 1..=widths.len() {
+            let load = core_assign_first_steps(&columns, &widths, steps, &options, &mut scratch);
+            for tau in [load.checked_sub(1), Some(load), Some(load + 1), Some(random)]
+                .into_iter()
+                .flatten()
+            {
+                let early = reference_abort_step(&costs, Some(tau), &options)
+                    .is_some_and(|n| n <= steps);
+                prop_assert_eq!(
+                    load >= tau,
+                    early,
+                    "widths {:?} steps {} load {} tau {}",
+                    &widths, steps, load, tau
+                );
             }
         }
     }
@@ -265,7 +378,7 @@ proptest! {
     /// loads nothing is covered too.
     #[test]
     fn two_widest_tams_decide_an_abort_within_two_steps(
-        (table, widths) in arb_table_and_widths(0..=4),
+        (table, widths) in arb_table_and_widths(0..=4, false),
         next in any::<bool>(),
         random in 0u64..=60,
     ) {

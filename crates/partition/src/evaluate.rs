@@ -566,13 +566,12 @@ pub fn partition_evaluate_top_k(
 /// scan: the gate [`partition_evaluate_top_k`] puts in front of the
 /// kernel.
 ///
-/// With the widest-TAM tie-break on, every TAM but the one just loaded
-/// still has load 0 after step 1, so `Core_assign` loads a partition's
-/// TAMs widest first. Step 1 puts the largest time at `w_max` on the
-/// widest TAM, breaking a tie on the next-narrower TAM, which is `w_2nd`
-/// unless `w_2nd = w_max`. Step 2 puts the largest remaining time at
-/// `w_2nd` on the second-widest TAM (or at `w_max` again, if step 1
-/// loaded nothing). Which core step 2 picks among tied ones depends on
+/// With the widest-TAM tie-break on, the kernel's widest-first phase
+/// (see [`CoreAssignOptions`]) loads a partition's TAMs widest first, so
+/// steps 1 and 2 load its widest TAM `w_max` and then its second-widest
+/// `w_2nd` (or `w_max` again, if step 1 loaded nothing). A tie among
+/// cores at step 1 is broken on the next-narrower width, `w_2nd` unless
+/// `w_2nd = w_max`; which core step 2 picks among tied ones depends on
 /// narrower TAMs, but its time does not. So the largest load after two
 /// steps is a function of the pair `(w_2nd, w_max)`: the kernel run for
 /// two steps on `[w_2nd, w_max]` ([`core_assign_first_steps`]). Loads

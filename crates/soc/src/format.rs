@@ -18,7 +18,11 @@
 //! ```
 //!
 //! * `#` starts a comment that runs to end-of-line;
-//! * blank lines are ignored; indentation is free-form;
+//! * tokens are separated by ASCII whitespace (space, tab, form feed,
+//!   carriage return); any other character, non-ASCII spaces included,
+//!   is part of a token;
+//! * lines holding only ASCII whitespace are blank and ignored;
+//!   indentation is free-form;
 //! * omitted fields default to 0 (`patterns` defaults to 1);
 //! * a repeated field within one core block is an error.
 //!
@@ -71,13 +75,11 @@ pub fn parse_soc(text: &str) -> Result<Soc, SocError> {
         let line = match raw.find('#') {
             Some(pos) => &raw[..pos],
             None => raw,
-        }
-        .trim();
-        if line.is_empty() {
+        };
+        let mut tokens = line.split_ascii_whitespace();
+        let Some(keyword) = tokens.next() else {
             continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let keyword = tokens.next().expect("non-empty line has a token");
+        };
         match keyword {
             "soc" => {
                 if soc_name.is_some() {
@@ -127,7 +129,7 @@ pub fn parse_soc(text: &str) -> Result<Soc, SocError> {
                 if draft.scan_chains.is_some() {
                     return err(line_no, "duplicate `scanchains` field");
                 }
-                let mut lengths = Vec::new();
+                let mut lengths = Vec::with_capacity(tokens.clone().count());
                 for tok in tokens {
                     let len: u32 = tok.parse().map_err(|_| {
                         parse_err(line_no, format!("invalid scan-chain length `{tok}`"))
@@ -297,6 +299,19 @@ mod tests {
                 line: 3,
                 message: "missing `inputs` value".into()
             }
+        );
+    }
+
+    #[test]
+    fn only_ascii_whitespace_separates_tokens() {
+        let soc = parse_soc("soc s\r\ncore\tc\n\x0c inputs  2 \nend\n").unwrap();
+        assert_eq!(soc.core(0).unwrap().inputs(), 2);
+        assert_eq!(
+            parse_soc("soc s\ncore c\n inputs\u{a0}2\nend\n"),
+            Err(SocError::Parse {
+                line: 3,
+                message: "unknown keyword `inputs\u{a0}2`".into()
+            })
         );
     }
 
