@@ -23,11 +23,6 @@ pub enum AssignError {
     },
     /// The cost matrix is empty or ragged.
     MalformedCosts,
-    /// An exact solver hit its node or time limit before proving
-    /// optimality and no feasible incumbent was available.
-    LimitWithoutSolution,
-    /// The ILP backend failed (propagated from [`tamopt_ilp`]).
-    Ilp(String),
 }
 
 impl fmt::Display for AssignError {
@@ -46,10 +41,6 @@ impl fmt::Display for AssignError {
                 "tam #{index} of width {width} exceeds the time table's maximum width {max_width}"
             ),
             AssignError::MalformedCosts => f.write_str("cost matrix is empty or ragged"),
-            AssignError::LimitWithoutSolution => {
-                f.write_str("search limit reached before any feasible assignment")
-            }
-            AssignError::Ilp(msg) => write!(f, "ilp backend failure: {msg}"),
         }
     }
 }

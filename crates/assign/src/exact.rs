@@ -14,8 +14,8 @@
 //! * node and wall-clock limits make it safe inside enumeration loops.
 //!
 //! It plays the role the ILP of the paper's reference [8] plays for the
-//! exhaustive baseline, at far higher speed; the literal ILP model lives
-//! in [`crate::ilp`] and is cross-checked against this solver in tests.
+//! exhaustive baseline, at far higher speed; the LP relaxation of that
+//! model lives in [`crate::ilp`].
 
 use std::time::Duration;
 

@@ -1,9 +1,9 @@
-//! The literal ILP model for *P_AW* from Section 3.2 of the paper,
-//! solved with the workspace's own simplex + branch-and-bound.
+//! The LP relaxation of the paper's Section 3.2 ILP model for *P_AW*.
 //!
 //! For an SOC with `N` cores and `B` TAMs of widths `w_1 … w_B`:
 //!
-//! * binary variables `x_ib` (core `i` assigned to TAM `b`),
+//! * variables `x_ib` (core `i` assigned to TAM `b`; binary in the ILP,
+//!   relaxed here to `x_ib ≥ 0`),
 //! * continuous `τ`,
 //! * objective: minimize `τ`,
 //! * `τ ≥ Σ_i T_i(w_b)·x_ib` for every TAM `b` (`τ` is the maximum
@@ -11,59 +11,39 @@
 //! * `Σ_b x_ib = 1` for every core `i`.
 //!
 //! The model has `N·B + 1` variables and `N + B` rows — the `O(N·B)`
-//! size the paper quotes as its complexity measure. The paper's final
-//! optimization step runs exactly this model once, warm-started with the
-//! heuristic solution; [`solve`] reproduces that (the heuristic bound is
-//! passed as the initial incumbent).
+//! size the paper quotes as its complexity measure. The assignment rows
+//! already imply `x_ib ≤ 1`, so no variable bounds are needed. The
+//! relaxation's optimum is a lower bound on the exact *P_AW* time, and
+//! its duals price each TAM and each core; the exact optimum itself
+//! comes from [`crate::exact::solve`].
 
-use std::time::Duration;
-
-use tamopt_engine::SearchBudget;
-use tamopt_ilp::{IlpConfig, IlpError, IlpProblem};
 use tamopt_lp::{Problem, Relation};
 
-use crate::exact::ExactSolution;
-use crate::{core_assign, AssignError, AssignResult, CoreAssignOptions, CostMatrix};
+use crate::CostMatrix;
 
-/// Limits for the ILP solver.
-#[derive(Debug, Clone)]
-pub struct IlpAssignConfig {
-    /// Branch-and-bound node limit.
-    pub node_limit: u64,
-    /// Unified wall-clock / node / cancellation budget
-    /// ([`SearchBudget`]).
-    pub budget: SearchBudget,
-    /// Seed the search with the `Core_assign` heuristic bound
-    /// (the paper's final-step usage). On by default.
-    pub warm_start: bool,
-}
-
-impl Default for IlpAssignConfig {
-    fn default() -> Self {
-        IlpAssignConfig {
-            node_limit: 2_000_000,
-            budget: SearchBudget::unlimited(),
-            warm_start: true,
-        }
-    }
-}
-
-impl IlpAssignConfig {
-    /// Config with a wall-clock limit starting now (delegates to
-    /// [`SearchBudget::time_limited`]).
-    pub fn with_time_limit(limit: Duration) -> Self {
-        IlpAssignConfig {
-            budget: SearchBudget::time_limited(limit),
-            ..Self::default()
-        }
-    }
-}
-
-/// Builds the Section 3.2 model for `costs`.
+/// Builds the LP relaxation of the Section 3.2 model for `costs`.
 ///
-/// Returned problem layout: variable `i * B + b` is `x_ib`; variable
-/// `N * B` is `τ`.
-pub fn build_model(costs: &CostMatrix) -> IlpProblem {
+/// Variable `i * B + b` is `x_ib`; variable `N * B` is `τ`. Rows
+/// `0..B` are the TAM load rows, rows `B..B + N` the core assignment
+/// rows.
+///
+/// # Example
+///
+/// ```
+/// use tamopt_assign::exact::{self, ExactConfig};
+/// use tamopt_assign::{ilp, CostMatrix};
+/// use tamopt_soc::benchmarks;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let (widths, times) = benchmarks::figure2_cost_table();
+/// let costs = CostMatrix::from_raw(times, widths)?;
+/// let relaxed = ilp::build_model(&costs).solve()?.objective();
+/// let exact = exact::solve(&costs, &ExactConfig::default())?.result.soc_time();
+/// assert!(relaxed <= exact as f64 + 1e-6);
+/// # Ok(())
+/// # }
+/// ```
+pub fn build_model(costs: &CostMatrix) -> Problem {
     let n = costs.num_cores();
     let b = costs.num_tams();
     let tau = n * b;
@@ -84,88 +64,13 @@ pub fn build_model(costs: &CostMatrix) -> IlpProblem {
         lp.constraint(&terms, Relation::Eq, 1.0)
             .expect("valid model row");
     }
-    let mut ilp = IlpProblem::new(lp);
-    for var in 0..n * b {
-        ilp.set_binary(var).expect("assignment variables exist");
-    }
-    ilp
-}
-
-/// Solves *P_AW* with the literal ILP model.
-///
-/// # Errors
-///
-/// [`AssignError::LimitWithoutSolution`] if limits stop the search before
-/// any integer-feasible point (only possible with `warm_start` disabled);
-/// [`AssignError::Ilp`] for numerical failures in the relaxations.
-///
-/// # Example
-///
-/// ```
-/// use tamopt_assign::ilp::{solve, IlpAssignConfig};
-/// use tamopt_assign::CostMatrix;
-/// use tamopt_soc::benchmarks;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let (widths, times) = benchmarks::figure2_cost_table();
-/// let costs = CostMatrix::from_raw(times, widths)?;
-/// let sol = solve(&costs, &IlpAssignConfig::default())?;
-/// assert!(sol.result.soc_time() <= 200);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve(costs: &CostMatrix, config: &IlpAssignConfig) -> Result<ExactSolution, AssignError> {
-    let n = costs.num_cores();
-    let b = costs.num_tams();
-    let ilp = build_model(costs);
-    let heuristic = core_assign(costs, None, &CoreAssignOptions::default())
-        .into_result()
-        .expect("unbounded core_assign always completes");
-    let ilp_config = IlpConfig {
-        node_limit: config.node_limit,
-        budget: config.budget.clone(),
-        // +0.5 keeps a solution *equal* to the heuristic reachable while
-        // pruning everything worse (times are integral).
-        initial_bound: config.warm_start.then(|| heuristic.soc_time() as f64 + 0.5),
-        ..IlpConfig::default()
-    };
-    match ilp.solve(&ilp_config) {
-        Ok(sol) => {
-            let assignment: Vec<usize> = (0..n)
-                .map(|core| {
-                    (0..b)
-                        .find(|&t| sol.value_rounded(core * b + t) == 1)
-                        .expect("every core row sums to one")
-                })
-                .collect();
-            let result = AssignResult::from_assignment(assignment, costs);
-            Ok(ExactSolution {
-                result,
-                nodes: sol.nodes(),
-                proven_optimal: sol.proven_optimal(),
-            })
-        }
-        // Limits hit before beating the warm-start bound: the heuristic
-        // incumbent *is* the answer (within limits).
-        Err(IlpError::Infeasible) | Err(IlpError::LimitWithoutSolution) if config.warm_start => {
-            Ok(ExactSolution {
-                result: heuristic,
-                nodes: 0,
-                proven_optimal: false,
-            })
-        }
-        Err(IlpError::LimitWithoutSolution) => Err(AssignError::LimitWithoutSolution),
-        Err(e) => Err(AssignError::Ilp(e.to_string())),
-    }
+    lp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact;
-    use crate::TamSet;
     use tamopt_soc::benchmarks;
-    use tamopt_wrapper::TimeTable;
 
     #[test]
     fn model_dimensions_match_section_3_2() {
@@ -173,65 +78,7 @@ mod tests {
         let costs = CostMatrix::from_raw(times, widths).unwrap();
         let model = build_model(&costs);
         // N*B + 1 variables, N + B rows.
-        assert_eq!(model.lp().num_variables(), 5 * 3 + 1);
-        assert_eq!(model.lp().num_constraints(), 5 + 3);
-    }
-
-    #[test]
-    fn agrees_with_specialized_exact_solver() {
-        let soc = benchmarks::d695();
-        let table = TimeTable::new(&soc, 32).unwrap();
-        for widths in [vec![16u32, 16], vec![8, 24], vec![4, 12, 16]] {
-            let tams = TamSet::new(widths.clone()).unwrap();
-            let costs = CostMatrix::from_table(&table, &tams).unwrap();
-            let via_ilp = solve(&costs, &IlpAssignConfig::default()).unwrap();
-            let via_bb = exact::solve(&costs, &exact::ExactConfig::default()).unwrap();
-            assert_eq!(
-                via_ilp.result.soc_time(),
-                via_bb.result.soc_time(),
-                "solvers disagree on widths {widths:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn figure2_optimal() {
-        let (widths, times) = benchmarks::figure2_cost_table();
-        let costs = CostMatrix::from_raw(times, widths).unwrap();
-        let sol = solve(&costs, &IlpAssignConfig::default()).unwrap();
-        let bb = exact::solve(&costs, &exact::ExactConfig::default()).unwrap();
-        assert_eq!(sol.result.soc_time(), bb.result.soc_time());
-    }
-
-    #[test]
-    fn cold_start_still_solves() {
-        let (widths, times) = benchmarks::figure2_cost_table();
-        let costs = CostMatrix::from_raw(times, widths).unwrap();
-        let sol = solve(
-            &costs,
-            &IlpAssignConfig {
-                warm_start: false,
-                ..IlpAssignConfig::default()
-            },
-        )
-        .unwrap();
-        let bb = exact::solve(&costs, &exact::ExactConfig::default()).unwrap();
-        assert_eq!(sol.result.soc_time(), bb.result.soc_time());
-    }
-
-    #[test]
-    fn tight_limits_fall_back_to_heuristic_with_warm_start() {
-        let (widths, times) = benchmarks::figure2_cost_table();
-        let costs = CostMatrix::from_raw(times, widths).unwrap();
-        let sol = solve(
-            &costs,
-            &IlpAssignConfig {
-                node_limit: 0,
-                ..IlpAssignConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!sol.proven_optimal);
-        assert_eq!(sol.result.soc_time(), 200);
+        assert_eq!(model.num_variables(), 5 * 3 + 1);
+        assert_eq!(model.num_constraints(), 5 + 3);
     }
 }

@@ -7,19 +7,19 @@
 //! summed testing times of the cores on that TAM (all TAMs test in
 //! parallel; cores on one TAM test serially).
 //!
-//! Three solvers are provided:
+//! Two solvers and one model are provided:
 //!
 //! * [`core_assign`] — the paper's new `Core_assign` heuristic
 //!   (Figure 1): largest-testing-time core onto the least-loaded TAM,
 //!   with two tie-break rules and an early abort against a best-known
 //!   bound `τ`. Runs in `O(N·(N + B))`.
 //! * [`exact::solve`] — a specialized branch-and-bound for the underlying
-//!   unrelated-machines min-makespan problem; plays the role of the
-//!   paper's exact ILP baseline at much higher speed.
-//! * [`ilp::solve`] — the *literal* ILP model of the paper's Section 3.2
-//!   (binary `x_ib`, `N + B` rows), built on the workspace's own
-//!   simplex + branch-and-bound ([`tamopt_ilp`]). Kept as a faithful
-//!   reproduction and as a cross-check of `exact`.
+//!   unrelated-machines min-makespan problem; the one exact solver, in
+//!   the role of the paper's Section 3.2 ILP at much higher speed.
+//! * [`ilp::build_model`] — the LP relaxation of that ILP model
+//!   (`N·B + 1` variables, `N + B` rows) on the workspace's own simplex
+//!   ([`tamopt_lp`]): a lower bound on the exact time, with TAM and core
+//!   duals.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tamopt_assign::exact::{self, ExactConfig};
-use tamopt_assign::{core_assign, AssignResult, CoreAssignOptions, CostMatrix};
+use tamopt_assign::{core_assign, ilp, AssignResult, CoreAssignOptions, CostMatrix};
 
 /// Arbitrary cost matrices: times non-increasing in TAM width, widths
 /// strictly decreasing across columns (the shape `Design_wrapper`
@@ -68,7 +68,8 @@ proptest! {
         prop_assert_eq!(sol.result.soc_time(), brute_force(&costs));
     }
 
-    /// Sandwich: lower bounds <= exact <= heuristic.
+    /// Sandwich: lower bounds (including the Section 3.2 LP relaxation)
+    /// <= exact <= heuristic.
     #[test]
     fn bounds_sandwich(costs in arb_costs()) {
         let heuristic = core_assign(&costs, None, &CoreAssignOptions::default())
@@ -83,6 +84,12 @@ proptest! {
         let avg_lb = total_min.div_ceil(costs.num_tams() as u64);
         let max_min = (0..costs.num_cores()).map(|c| costs.min_time(c)).max().unwrap_or(0);
         prop_assert!(exact_time >= avg_lb.max(max_min));
+        let relaxed = ilp::build_model(&costs)
+            .solve()
+            .expect("the relaxation is feasible")
+            .objective();
+        let exact_f = exact_time as f64;
+        prop_assert!(relaxed <= exact_f + 1e-6 * exact_f, "LP {relaxed} > exact {exact_time}");
     }
 
     /// The abort path never *under*-reports: an aborted run means some

@@ -4,7 +4,7 @@
 //! USAGE:
 //!   tamopt --soc <file.soc | d695 | p21241 | p31108 | p93791>
 //!          --width <W> [--max-tams <B>] [--tams <B>]
-//!          [--strategy two-step|two-step-ilp|heuristic|exhaustive]
+//!          [--strategy two-step|heuristic|exhaustive]
 //!          [--threads <N>] [--time-limit <seconds>]
 //!          [--analyze]
 //!
@@ -118,7 +118,7 @@ struct Args {
 fn usage() -> &'static str {
     "usage: tamopt --soc <file.soc|d695|p21241|p31108|p93791> --width <W> \
      [--max-tams <B>] [--tams <B>] \
-     [--strategy two-step|two-step-ilp|heuristic|exhaustive] \
+     [--strategy two-step|heuristic|exhaustive] \
      [--threads <N, 0 = all CPUs>] [--time-limit <seconds>] \
      [--analyze]\n\
      or:    tamopt batch <manifest> [--threads <N>] [--time-limit <seconds>] \
@@ -174,7 +174,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--strategy" => {
                 strategy = match value("--strategy")?.as_str() {
                     "two-step" => Strategy::TwoStep,
-                    "two-step-ilp" => Strategy::TwoStepIlp,
                     "heuristic" => Strategy::Heuristic,
                     "exhaustive" => Strategy::Exhaustive,
                     other => return Err(format!("unknown strategy `{other}`")),
@@ -961,7 +960,10 @@ mod tests {
     #[test]
     fn rejects_bad_values() {
         assert!(args(&["--soc", "d695", "--width", "x"]).is_err());
-        assert!(args(&["--soc", "d695", "--width", "8", "--strategy", "magic"]).is_err());
+        for strategy in ["magic", "two-step-ilp"] {
+            let err = args(&["--soc", "d695", "--width", "8", "--strategy", strategy]).unwrap_err();
+            assert!(err.contains("unknown strategy"), "{err}");
+        }
         assert!(args(&["--soc", "d695", "--width", "8", "--frobnicate"]).is_err());
         assert!(args(&["--soc"]).is_err());
     }
@@ -970,7 +972,6 @@ mod tests {
     fn strategy_names() {
         for (name, expected) in [
             ("two-step", Strategy::TwoStep),
-            ("two-step-ilp", Strategy::TwoStepIlp),
             ("heuristic", Strategy::Heuristic),
             ("exhaustive", Strategy::Exhaustive),
         ] {

@@ -18,8 +18,8 @@
 //! `Partition_evaluate`/`Core_assign` heuristics pick an architecture,
 //! then one exact optimization pass polishes the core assignment. The
 //! exhaustive exact baseline ([`Strategy::Exhaustive`]) is included for
-//! comparison, as are all substrates (wrapper design, a simplex LP
-//! solver, branch-and-bound ILP).
+//! comparison, as are all substrates (wrapper design, an exact
+//! branch-and-bound for *P_AW*, a simplex LP solver).
 //!
 //! ## Quick start
 //!
@@ -41,12 +41,12 @@
 //! |---|---|---|
 //! | [`soc`] | SOC/core model, `.soc` format, benchmarks, generator | — |
 //! | [`wrapper`] | `Design_wrapper`, time tables, Pareto analysis | *P_W* |
-//! | [`assign`] | `Core_assign`, exact B&B, the Section 3.2 ILP | *P_AW* |
+//! | [`assign`] | `Core_assign`, exact B&B, the Section 3.2 LP relaxation | *P_AW* |
 //! | [`partition`] | `Partition_evaluate`, exhaustive baseline, pipeline | *P_PAW*, *P_NPAW* |
 //! | [`engine`] | deterministic parallel executor, `SearchBudget`, shared `τ` | — |
 //! | [`service`] | batched + live multi-SOC request queues on one worker pool | extension |
 //! | [`store`] | persistent, versioned, crash-safe warm-start store | extension |
-//! | [`lp`], [`ilp`] | simplex + branch-and-bound substrate (lpsolve stand-in) | — |
+//! | [`lp`] | dense simplex with duals (lpsolve stand-in) | — |
 //! | [`analysis`] | idle-wire / utilization metrics behind the paper's motivation | extension |
 
 #![forbid(unsafe_code)]
@@ -116,11 +116,6 @@ pub mod store {
 /// Linear programming substrate (re-export of [`tamopt_lp`]).
 pub mod lp {
     pub use tamopt_lp::*;
-}
-
-/// Integer programming substrate (re-export of [`tamopt_ilp`]).
-pub mod ilp {
-    pub use tamopt_ilp::*;
 }
 
 // The everyday vocabulary, flattened for convenience.

@@ -2,7 +2,6 @@ use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
 use tamopt_assign::exact::ExactConfig;
-use tamopt_assign::ilp::IlpAssignConfig;
 use tamopt_engine::{ParallelConfig, SearchBudget};
 use tamopt_partition::exhaustive::{self, ExhaustiveConfig};
 use tamopt_partition::pipeline::{
@@ -21,9 +20,6 @@ pub enum Strategy {
     /// re-optimization of the assignment (branch-and-bound). Default.
     #[default]
     TwoStep,
-    /// Two-step, but the final pass uses the literal ILP model of the
-    /// paper's Section 3.2 (slower; kept for fidelity).
-    TwoStepIlp,
     /// Heuristic only — skip the final exact step.
     Heuristic,
     /// The exhaustive exact baseline of the paper's reference [8]:
@@ -374,7 +370,6 @@ impl CoOptimizer {
     fn pipeline_config(&self, budget: SearchBudget) -> PipelineConfig {
         let final_step = match self.strategy {
             Strategy::Heuristic => FinalStep::None,
-            Strategy::TwoStepIlp => FinalStep::Ilp(IlpAssignConfig::default()),
             _ => FinalStep::BranchBound(ExactConfig::default()),
         };
         PipelineConfig {
@@ -660,20 +655,5 @@ mod tests {
             assert_eq!(p.architecture.tams, solo.tams);
             assert_eq!(p.architecture.soc_time(), solo.soc_time());
         }
-    }
-
-    #[test]
-    fn ilp_strategy_matches_branch_bound() {
-        let soc = benchmarks::d695();
-        let bb = CoOptimizer::new(soc.clone(), 16)
-            .exact_tams(2)
-            .run()
-            .unwrap();
-        let ilp = CoOptimizer::new(soc, 16)
-            .exact_tams(2)
-            .strategy(Strategy::TwoStepIlp)
-            .run()
-            .unwrap();
-        assert_eq!(bb.soc_time(), ilp.soc_time());
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! The simplex in this crate is a primal tableau method; rather than
 //! threading basis inverses out of it, [`Problem::solve_with_duals`]
-//! constructs the *explicit dual program* (including the bound rows the
-//! primal solve adds) and solves it with the same simplex. For the
-//! problem sizes of this workspace the extra solve is negligible, and
-//! the approach is easy to verify: strong duality and complementary
-//! slackness are checked by the property tests, not trusted.
+//! constructs the *explicit dual program* and solves it with the same
+//! simplex. For the problem sizes of this workspace the extra solve is
+//! negligible, and the approach is easy to verify: strong duality and
+//! complementary slackness are checked by the property tests, not
+//! trusted.
 
-use crate::problem::{Relation, Row};
+use crate::problem::Relation;
 use crate::{LpError, LpSolution, Objective, Problem};
 
 /// Dual information for an optimal LP solution.
@@ -18,8 +18,7 @@ use crate::{LpError, LpSolution, Objective, Problem};
 ///
 /// * `dual(i) ≥ 0` for `≥` rows, `≤ 0` for `≤` rows, free for `=` rows;
 /// * `reduced_cost(j) = c_j − Σ_i dual(i)·a_ij`: `0` for a variable
-///   strictly between its bounds, `≥ 0` at its lower bound, `≤ 0` at
-///   its upper bound.
+///   above zero, `≥ 0` for a variable at zero.
 ///
 /// For a *maximization* problem all signs flip.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +30,7 @@ pub struct DualSolution {
 
 impl DualSolution {
     /// Dual value (shadow price) of constraint `constraint`, in the
-    /// order constraints were added. Bound rows are not included; their
-    /// effect surfaces in the reduced costs.
+    /// order constraints were added.
     ///
     /// # Panics
     ///
@@ -101,7 +99,7 @@ impl Problem {
     pub fn solve_with_duals(&self) -> Result<(LpSolution, DualSolution), LpError> {
         let primal = self.solve()?;
         let n = self.num_variables();
-        let m = self.rows().len();
+        let rows = self.rows();
 
         // Work in the minimization sense; flip costs for Maximize.
         let sign = match self.sense() {
@@ -110,42 +108,11 @@ impl Problem {
         };
         let costs: Vec<f64> = self.costs().iter().map(|c| sign * c).collect();
 
-        // The expanded row set mirrors Problem::solve: user rows, then
-        // upper-bound rows, then raised-lower-bound rows.
-        let mut rows: Vec<Row> = self.rows().to_vec();
-        let mut ub_row_of: Vec<Option<usize>> = vec![None; n];
-        let mut lb_row_of: Vec<Option<usize>> = vec![None; n];
-        for var in 0..n {
-            if let Some(ub) = self.upper_bound(var) {
-                let mut coeffs = vec![0.0; n];
-                coeffs[var] = 1.0;
-                ub_row_of[var] = Some(rows.len());
-                rows.push(Row {
-                    coeffs,
-                    relation: Relation::Le,
-                    rhs: ub,
-                });
-            }
-        }
-        for var in 0..n {
-            let lb = self.lower_bound(var);
-            if lb > 0.0 {
-                let mut coeffs = vec![0.0; n];
-                coeffs[var] = 1.0;
-                lb_row_of[var] = Some(rows.len());
-                rows.push(Row {
-                    coeffs,
-                    relation: Relation::Ge,
-                    rhs: lb,
-                });
-            }
-        }
-
         // Dual variables: one non-negative variable per row, plus a
         // second one for each equality (free y = u - v).
         let mut var_of_row: Vec<(usize, Option<usize>)> = Vec::with_capacity(rows.len());
         let mut num_dual_vars = 0usize;
-        for row in &rows {
+        for row in rows {
             match row.relation {
                 Relation::Eq => {
                     var_of_row.push((num_dual_vars, Some(num_dual_vars + 1)));
@@ -192,8 +159,8 @@ impl Problem {
         }
         let dual_solution = dual.solve()?;
 
-        // Recover y per expanded row, then restrict to user rows and
-        // fold the orientation and the Maximize flip back in.
+        // Recover y per row and fold the orientation and the Maximize
+        // flip back in.
         let y_of = |i: usize| -> f64 {
             let (u, v) = var_of_row[i];
             let orientation = match rows[i].relation {
@@ -206,12 +173,12 @@ impl Problem {
             }
             y
         };
-        let duals: Vec<f64> = (0..m).map(|i| sign * y_of(i)).collect();
+        let duals: Vec<f64> = (0..rows.len()).map(|i| sign * y_of(i)).collect();
         let reduced_costs: Vec<f64> = (0..n)
             .map(|j| {
                 let mut d = self.costs()[j];
-                for (i, dual_value) in duals.iter().enumerate() {
-                    d -= dual_value * self.rows()[i].coeffs[j];
+                for (row, dual_value) in rows.iter().zip(&duals) {
+                    d -= dual_value * row.coeffs[j];
                 }
                 d
             })
@@ -287,18 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn variable_at_upper_bound_has_nonpositive_reduced_cost_min_sense() {
-        // min -3x (i.e. push x up) with x <= 2: x = 2, d = -3.
-        let mut p = Problem::minimize(1);
-        p.set_objective(0, -3.0).unwrap();
-        p.set_upper_bound(0, 2.0).unwrap();
-        let (primal, dual) = p.solve_with_duals().unwrap();
-        approx(primal.value(0), 2.0);
-        assert!(dual.reduced_cost(0) <= 1e-9);
-        approx(dual.dual_objective(), -6.0);
-    }
-
-    #[test]
     fn equality_duals_are_free() {
         // min x + y s.t. x + y = 5, x - y = 1 -> (3, 2). Duals solve
         // y1 + y2 = 1, y1 - y2 = 1 -> y1 = 1, y2 = 0.
@@ -334,13 +289,15 @@ mod tests {
             .unwrap();
         p.constraint(&[(0, 1.0), (1, -1.0)], Relation::Ge, 2.0)
             .unwrap();
-        p.set_upper_bound(1, 6.0).unwrap();
+        p.constraint(&[(1, 1.0)], Relation::Le, 6.0).unwrap();
         let (primal, dual) = p.solve_with_duals().unwrap();
         approx(dual.dual_objective(), primal.objective());
-        // y_i · slack_i = 0 for user rows.
+        // y_i · slack_i = 0 for every row.
         let slack0 = 10.0 - (primal.value(0) + primal.value(1));
         let slack1 = (primal.value(0) - primal.value(1)) - 2.0;
+        let slack2 = 6.0 - primal.value(1);
         assert!((dual.dual(0) * slack0).abs() < 1e-6);
         assert!((dual.dual(1) * slack1).abs() < 1e-6);
+        assert!((dual.dual(2) * slack2).abs() < 1e-6);
     }
 }

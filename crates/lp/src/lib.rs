@@ -2,18 +2,19 @@
 //!
 //! The exact wrapper/TAM co-optimization baseline of the paper relies on
 //! integer linear programming solved with `lpsolve 3.0` (its
-//! reference [2]) — a closed-ecosystem C solver. This crate is the
-//! from-scratch substrate that replaces it: a small, dependency-free,
-//! dense **two-phase primal simplex** implementation sized for the LP
-//! relaxations arising in this workspace (tens of variables × tens of
-//! rows), with
+//! reference [2]) — a closed-ecosystem C solver. In this workspace the
+//! exact step is a specialized branch-and-bound (`tamopt_assign::exact`);
+//! this crate solves the LP relaxation of the paper's model
+//! (`tamopt_assign::ilp::build_model`). It is a small, dependency-free,
+//! dense **two-phase primal simplex** implementation sized for those
+//! relaxations (tens of variables × tens of rows), with
 //!
-//! * `≤`, `=`, `≥` constraints and non-negative variables,
-//! * optional per-variable upper bounds (used by the branch-and-bound
-//!   layer in `tamopt-ilp`),
+//! * `≤`, `=`, `≥` constraints and non-negative variables (a bound on a
+//!   variable is one more constraint row),
 //! * Dantzig pricing with an automatic switch to Bland's rule to
 //!   guarantee termination,
-//! * infeasibility and unboundedness detection.
+//! * infeasibility and unboundedness detection,
+//! * dual values and reduced costs ([`Problem::solve_with_duals`]).
 //!
 //! # Example
 //!
@@ -39,14 +40,12 @@
 
 mod dual;
 mod error;
-mod presolve;
 mod problem;
 mod simplex;
 mod solution;
 
 pub use crate::dual::DualSolution;
 pub use crate::error::LpError;
-pub use crate::presolve::Presolve;
 pub use crate::problem::{Objective, Problem, Relation};
 pub use crate::solution::LpSolution;
 

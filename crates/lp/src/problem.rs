@@ -28,8 +28,7 @@ pub(crate) struct Row {
     pub rhs: f64,
 }
 
-/// A linear program over non-negative variables with optional upper
-/// bounds.
+/// A linear program over non-negative variables.
 ///
 /// Build with [`Problem::minimize`] / [`Problem::maximize`], add
 /// objective coefficients and constraints, then call
@@ -57,8 +56,6 @@ pub struct Problem {
     objective: Objective,
     costs: Vec<f64>,
     rows: Vec<Row>,
-    upper_bounds: Vec<Option<f64>>,
-    lower_bounds: Vec<f64>,
 }
 
 impl Problem {
@@ -79,8 +76,6 @@ impl Problem {
             objective,
             costs: vec![0.0; num_variables],
             rows: Vec::new(),
-            upper_bounds: vec![None; num_variables],
-            lower_bounds: vec![0.0; num_variables],
         }
     }
 
@@ -89,7 +84,7 @@ impl Problem {
         self.costs.len()
     }
 
-    /// Number of constraints added so far (excluding variable bounds).
+    /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
         self.rows.len()
     }
@@ -97,33 +92,6 @@ impl Problem {
     /// The optimization direction of this problem.
     pub fn sense(&self) -> Objective {
         self.objective
-    }
-
-    /// Current lower bound of `variable` (0 unless raised).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variable` is out of range.
-    pub fn lower_bound(&self, variable: usize) -> f64 {
-        self.lower_bounds[variable]
-    }
-
-    /// Current upper bound of `variable`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variable` is out of range.
-    pub fn upper_bound(&self, variable: usize) -> Option<f64> {
-        self.upper_bounds[variable]
-    }
-
-    /// The objective coefficient of `variable` (0 unless set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variable` is out of range.
-    pub fn objective_coefficient(&self, variable: usize) -> f64 {
-        self.costs[variable]
     }
 
     /// Sets the objective coefficient of `variable`.
@@ -165,35 +133,6 @@ impl Problem {
         Ok(())
     }
 
-    /// Bounds `variable` from above: `x ≤ bound`.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::VariableOutOfRange`] / [`LpError::NotFinite`].
-    pub fn set_upper_bound(&mut self, variable: usize, bound: f64) -> Result<(), LpError> {
-        self.check_var(variable)?;
-        check_finite(bound)?;
-        self.upper_bounds[variable] = Some(bound);
-        Ok(())
-    }
-
-    /// Bounds `variable` from below: `x ≥ bound` (default 0; must be
-    /// non-negative — this solver works in the non-negative orthant).
-    ///
-    /// # Errors
-    ///
-    /// [`LpError::VariableOutOfRange`] / [`LpError::NotFinite`] (also
-    /// returned for negative bounds).
-    pub fn set_lower_bound(&mut self, variable: usize, bound: f64) -> Result<(), LpError> {
-        self.check_var(variable)?;
-        check_finite(bound)?;
-        if bound < 0.0 {
-            return Err(LpError::NotFinite);
-        }
-        self.lower_bounds[variable] = bound;
-        Ok(())
-    }
-
     /// Solves the problem.
     ///
     /// # Errors
@@ -203,37 +142,12 @@ impl Problem {
     /// * [`LpError::IterationLimit`] — numerical trouble (should not
     ///   occur on well-scaled inputs).
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        // Bounds become explicit rows; the simplex works on Ax ~ b, x >= 0.
-        let n = self.num_variables();
-        let mut rows = self.rows.clone();
-        for (var, bound) in self.upper_bounds.iter().enumerate() {
-            if let Some(ub) = bound {
-                let mut coeffs = vec![0.0; n];
-                coeffs[var] = 1.0;
-                rows.push(Row {
-                    coeffs,
-                    relation: Relation::Le,
-                    rhs: *ub,
-                });
-            }
-        }
-        for (var, &lb) in self.lower_bounds.iter().enumerate() {
-            if lb > 0.0 {
-                let mut coeffs = vec![0.0; n];
-                coeffs[var] = 1.0;
-                rows.push(Row {
-                    coeffs,
-                    relation: Relation::Ge,
-                    rhs: lb,
-                });
-            }
-        }
         // Internally always minimize; negate costs for maximization.
         let minimize_costs: Vec<f64> = match self.objective {
             Objective::Minimize => self.costs.clone(),
             Objective::Maximize => self.costs.iter().map(|c| -c).collect(),
         };
-        let (values, min_obj) = solve_standard(n, &minimize_costs, &rows)?;
+        let (values, min_obj) = solve_standard(self.num_variables(), &minimize_costs, &self.rows)?;
         let objective = match self.objective {
             Objective::Minimize => min_obj,
             Objective::Maximize => -min_obj,
@@ -291,7 +205,6 @@ mod tests {
             p.constraint(&[(0, 1.0)], Relation::Le, f64::INFINITY),
             Err(LpError::NotFinite)
         );
-        assert_eq!(p.set_lower_bound(0, -1.0), Err(LpError::NotFinite));
     }
 
     #[test]

@@ -362,29 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn upper_and_lower_bounds() {
-        let mut p = Problem::maximize(1);
-        p.set_objective(0, 1.0).unwrap();
-        p.set_upper_bound(0, 2.5).unwrap();
-        let s = p.solve().unwrap();
-        approx(s.value(0), 2.5);
-
-        let mut p = Problem::minimize(1);
-        p.set_objective(0, 1.0).unwrap();
-        p.set_lower_bound(0, 1.25).unwrap();
-        let s = p.solve().unwrap();
-        approx(s.value(0), 1.25);
-    }
-
-    #[test]
-    fn conflicting_bounds_are_infeasible() {
-        let mut p = Problem::minimize(1);
-        p.set_lower_bound(0, 3.0).unwrap();
-        p.set_upper_bound(0, 2.0).unwrap();
-        assert_eq!(p.solve().unwrap_err(), LpError::Infeasible);
-    }
-
-    #[test]
     fn degenerate_problem_terminates() {
         // Classic cycling-prone example (Beale); Bland fallback must
         // terminate it.
@@ -431,8 +408,8 @@ mod tests {
         // Variables: t, a, b.
         let mut p = Problem::minimize(3);
         p.set_objective(0, 1.0).unwrap();
-        p.set_upper_bound(1, 1.0).unwrap();
-        p.set_upper_bound(2, 1.0).unwrap();
+        p.constraint(&[(1, 1.0)], Relation::Le, 1.0).unwrap();
+        p.constraint(&[(2, 1.0)], Relation::Le, 1.0).unwrap();
         p.constraint(&[(0, 1.0), (1, -10.0), (2, -20.0)], Relation::Ge, 0.0)
             .unwrap();
         p.constraint(&[(0, 1.0), (1, 12.0), (2, 8.0)], Relation::Ge, 20.0)

@@ -18,7 +18,7 @@
 //!      time reaches the best-known bound `τ` (lines 18–20 of
 //!      `Core_assign`);
 //!   3. partitions are evaluated with the `O(N²)` heuristic rather than
-//!      an ILP.
+//!      solved exactly.
 //! * [`pipeline`] — the two-step methodology: `Partition_evaluate`
 //!   followed by one *exact* re-optimization of the core assignment on
 //!   the winning partition (Section 3.2).

@@ -16,8 +16,7 @@ use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use tamopt_assign::exact::ExactConfig;
-use tamopt_assign::ilp::IlpAssignConfig;
-use tamopt_assign::{exact, ilp, AssignResult, CoreAssignOptions, CostMatrix, TamSet};
+use tamopt_assign::{exact, AssignResult, CoreAssignOptions, CostMatrix, TamSet};
 use tamopt_engine::{search_generations, ParallelConfig, SearchBudget};
 use tamopt_wrapper::TimeTable;
 
@@ -29,10 +28,8 @@ use crate::PartitionError;
 pub enum FinalStep {
     /// Skip the final step (pure heuristic — ablation mode).
     None,
-    /// Specialized branch-and-bound (default; fastest).
+    /// Specialized branch-and-bound (default).
     BranchBound(ExactConfig),
-    /// The literal ILP model of the paper's Section 3.2.
-    Ilp(IlpAssignConfig),
 }
 
 impl Default for FinalStep {
@@ -440,14 +437,6 @@ fn run_final_step(
             let sol = exact::solve(costs, &cfg)?;
             Ok((sol.result, sol.proven_optimal))
         }
-        FinalStep::Ilp(cfg) => {
-            let cfg = IlpAssignConfig {
-                budget: cfg.budget.intersect(step2_budget),
-                ..cfg.clone()
-            };
-            let sol = ilp::solve(costs, &cfg)?;
-            Ok((sol.result, sol.proven_optimal))
-        }
     }
 }
 
@@ -482,19 +471,6 @@ mod tests {
             assert!(gap >= 1.0 - 1e-12, "co-optimization beat a proven optimum");
             assert!(gap < 1.25, "B={b}: gap {gap} too large");
         }
-    }
-
-    #[test]
-    fn ilp_final_step_agrees_with_branch_bound() {
-        let table = d695_table(16);
-        let bb = co_optimize(&table, 16, &PipelineConfig::exact_tams(2)).unwrap();
-        let ilp_cfg = PipelineConfig {
-            final_step: FinalStep::Ilp(IlpAssignConfig::default()),
-            ..PipelineConfig::exact_tams(2)
-        };
-        let via_ilp = co_optimize(&table, 16, &ilp_cfg).unwrap();
-        assert_eq!(bb.tams, via_ilp.tams, "step 1 is deterministic");
-        assert_eq!(bb.soc_time(), via_ilp.soc_time());
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! LP relaxation carries *dual values* — the marginal testing-time cost
 //! of each constraint. A positive dual on a TAM's load row marks a TAM
 //! that limits the makespan; zero-dual TAMs have slack. This example
-//! builds the relaxation for d695 on a 3-TAM architecture, solves it
-//! with duals through `tamopt::lp`, and reads the bottleneck structure
-//! off the shadow prices.
+//! builds the relaxation for d695 on a 3-TAM architecture with
+//! `tamopt::assign::ilp::build_model`, solves it with duals through
+//! `tamopt::lp`, and reads the bottleneck structure off the shadow
+//! prices.
 //!
 //! Run with: `cargo run --release --example lp_duals`
 
-use tamopt::lp::{Problem, Relation};
-use tamopt::{benchmarks, TimeTable};
+use tamopt::assign::ilp::build_model;
+use tamopt::{benchmarks, CostMatrix, TamSet, TimeTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let soc = benchmarks::d695();
@@ -20,28 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = table.num_cores();
     let b = widths.len();
 
-    // Variables: x[core*b + tam] (fractional assignment) and tau (last).
-    let tau = n * b;
-    let mut lp = Problem::minimize(n * b + 1);
-    lp.set_objective(tau, 1.0)?;
-    // tau >= sum of times on each TAM.
-    for (t, &w) in widths.iter().enumerate() {
-        let mut terms: Vec<(usize, f64)> = vec![(tau, 1.0)];
-        for core in 0..n {
-            terms.push((core * b + t, -(table.time(core, w) as f64)));
-        }
-        lp.constraint(&terms, Relation::Ge, 0.0)?;
-    }
-    // Every core assigned exactly once.
-    for core in 0..n {
-        let terms: Vec<(usize, f64)> = (0..b).map(|t| (core * b + t, 1.0)).collect();
-        lp.constraint(&terms, Relation::Eq, 1.0)?;
-        for t in 0..b {
-            lp.set_upper_bound(core * b + t, 1.0)?;
-        }
-    }
-
-    let (primal, dual) = lp.solve_with_duals()?;
+    // Rows 0..b are the TAM load rows, rows b..b + n the core rows.
+    let costs = CostMatrix::from_table(&table, &TamSet::new(widths)?)?;
+    let (primal, dual) = build_model(&costs).solve_with_duals()?;
     println!("LP relaxation of the Section 3.2 model, d695 on TAMs {widths:?}");
     println!("  fractional makespan : {:.1} cycles", primal.objective());
     println!(
