@@ -35,12 +35,11 @@ doc-gate:
 alloc-gate:
 	cargo test --release -p tamopt_alloctest
 
-# Pinned truncated rows: p93791 at W = 16/24/32/36, B <= 10, whose exact
-# final step stops at its node limit (about 3 s per row in release mode,
-# 13 s for the test on a 2-CPU host after its release build, so the test
-# is ignored in `make test`). Any change that moves their
-# winner, TAMs or work counts, or lets the final step prove them
-# optimal, fails here and must re-pin them.
+# Pinned slow rows: p93791 at W = 16/24/32/36, B <= 10, whose exact
+# final step needs 4.9-32.8 M nodes to prove its answer (0.3-2.1 s per
+# row in release mode on a 2-CPU host, so the test is ignored in `make
+# test`). Any change that moves their winner, TAMs or work counts, or
+# leaves a final step unproven, fails here.
 exact-gate:
 	cargo test --release --test golden_npaw -- --ignored
 

@@ -11,17 +11,104 @@
 //! * nodes are pruned by three lower bounds (current makespan, average
 //!   load, the largest remaining per-core minimum) and by symmetry
 //!   (equal-width TAMs with equal loads are interchangeable);
+//! * a search that reaches 100,000 nodes solves the LP relaxation
+//!   ([`crate::ilp::build_model`]) once and adds a fourth bound, the
+//!   Lagrangian load bound weighted by the TAM-row duals (van de Velde,
+//!   ORSA J. Computing 5, 1993; Martello, Soumis and Toth, Discrete
+//!   Applied Math. 75, 1997). It cuts only subtrees with no completion
+//!   below the incumbent, so the search finds the same improving leaves
+//!   in the same order, and smaller searches never pay for the LP;
 //! * node and wall-clock limits make it safe inside enumeration loops.
 //!
 //! It plays the role the ILP of the paper's reference [8] plays for the
-//! exhaustive baseline, at far higher speed; the LP relaxation of that
-//! model lives in [`crate::ilp`].
+//! exhaustive baseline, at far higher speed.
 
 use std::time::Duration;
 
 use tamopt_engine::SearchBudget;
 
-use crate::{core_assign, AssignError, AssignResult, CoreAssignOptions, CostMatrix};
+use crate::{core_assign, ilp, AssignError, AssignResult, CoreAssignOptions, CostMatrix};
+
+/// Nodes a search explores before it solves the LP relaxation for the
+/// Lagrangian load bound.
+const LP_TRIGGER_NODES: u64 = 100_000;
+
+/// Fixed-point scale of the LP duals (each in `[0, 1]`) in the integer
+/// weights of [`LoadBound`].
+const WEIGHT_SCALE: f64 = (1u64 << 32) as f64;
+
+/// The Lagrangian load bound. For non-negative integer weights `k_t`
+/// with `K = Σ k_t`, every completion of a node has a makespan `T` with
+/// `K·T ≥ Σ_t k_t·load_t + Σ_{c unassigned} min_t k_t·T_c(w_t)`.
+/// The sums are exact in `u128` (weights up to `2^32`, times up to
+/// `2^64`), so the bound holds however the LP rounded its duals.
+struct LoadBound {
+    weights: Vec<u64>,
+    /// `K`.
+    total: u128,
+    /// `suffix[d]`: `Σ min_t k_t·T_c(w_t)` over the cores at branch
+    /// depths `d..`.
+    suffix: Vec<u128>,
+    /// `Σ_t k_t·load_t` at the current node.
+    weighted: u128,
+}
+
+impl LoadBound {
+    /// Weights from the TAM-row duals of the LP relaxation; `None` when
+    /// the LP fails.
+    fn from_lp(costs: &CostMatrix, order: &[usize], loads: &[u64]) -> Option<Self> {
+        let (_, dual) = ilp::build_model(costs).solve_with_duals().ok()?;
+        let weights = dual.duals()[..costs.num_tams()]
+            .iter()
+            .map(|&y| (y.clamp(0.0, 1.0) * WEIGHT_SCALE).round() as u64)
+            .collect();
+        Self::new(costs, order, weights, loads)
+    }
+
+    /// The bound for `weights` at a node with `loads`; `None` when every
+    /// weight is 0, since it would then prune nothing.
+    fn new(costs: &CostMatrix, order: &[usize], weights: Vec<u64>, loads: &[u64]) -> Option<Self> {
+        if weights.iter().all(|&k| k == 0) {
+            return None;
+        }
+        let weight = |t: usize, time: u64| u128::from(weights[t]) * u128::from(time);
+        let mut suffix = vec![0; order.len() + 1];
+        for d in (0..order.len()).rev() {
+            let cheapest = (0..weights.len())
+                .map(|t| weight(t, costs.time(order[d], t)))
+                .min()
+                .expect("at least one TAM");
+            suffix[d] = suffix[d + 1] + cheapest;
+        }
+        let weighted = loads.iter().enumerate().map(|(t, &l)| weight(t, l)).sum();
+        Some(LoadBound {
+            total: weights.iter().map(|&k| u128::from(k)).sum(),
+            weights,
+            suffix,
+            weighted,
+        })
+    }
+
+    /// `Σ_t k_t·load_t + Σ_{c unassigned} min_t k_t·T_c(w_t)` at `depth`:
+    /// at most `K` times the makespan of any completion.
+    fn value(&self, depth: usize) -> u128 {
+        self.weighted + self.suffix[depth]
+    }
+
+    /// Whether no completion of the node at `depth` has a makespan below
+    /// `prune_bound` (at least 1).
+    fn prunes(&self, depth: usize, prune_bound: u64) -> bool {
+        self.value(depth) > self.total * u128::from(prune_bound - 1)
+    }
+
+    fn add(&mut self, tam: usize, time: u64) {
+        self.weighted += u128::from(self.weights[tam]) * u128::from(time);
+    }
+
+    fn remove(&mut self, tam: usize, time: u64) {
+        self.weighted -= u128::from(self.weights[tam]) * u128::from(time);
+    }
+}
 
 /// Limits for [`solve`].
 #[derive(Debug, Clone)]
@@ -121,6 +208,17 @@ pub fn solve_bounded(
     config: &ExactConfig,
     bound: Option<u64>,
 ) -> Result<ExactSolution, AssignError> {
+    search(costs, config, bound, LP_TRIGGER_NODES)
+}
+
+/// [`solve_bounded`] with the node count at which the LP relaxation is
+/// solved for the Lagrangian load bound.
+fn search(
+    costs: &CostMatrix,
+    config: &ExactConfig,
+    bound: Option<u64>,
+    lp_trigger: u64,
+) -> Result<ExactSolution, AssignError> {
     let n = costs.num_cores();
     let b = costs.num_tams();
 
@@ -161,6 +259,9 @@ pub fn solve_bounded(
         node_limit: u64,
         budget: &'a SearchBudget,
         limited: bool,
+        /// Node count at which `load_bound` is built.
+        lp_trigger: u64,
+        load_bound: Option<LoadBound>,
         /// One child buffer per depth, allocated once up front: the DFS
         /// hot loop must not pay a heap allocation per node (the buffers
         /// grow to `B` entries on first use and are reused thereafter).
@@ -179,6 +280,9 @@ pub fn solve_bounded(
                 self.limited = true;
                 return;
             }
+            if self.nodes == self.lp_trigger {
+                self.load_bound = LoadBound::from_lp(self.costs, self.order, &self.loads);
+            }
             let b = self.loads.len();
             let current_max = self.loads.iter().copied().max().expect("non-empty");
             if depth == self.order.len() {
@@ -193,7 +297,12 @@ pub fn solve_bounded(
             let total: u64 = self.loads.iter().sum::<u64>() + self.suffix_min_sum[depth];
             let avg = total.div_ceil(b as u64);
             let lb = current_max.max(avg).max(self.suffix_max_min[depth]);
-            if lb >= self.prune_bound {
+            if lb >= self.prune_bound
+                || self
+                    .load_bound
+                    .as_ref()
+                    .is_some_and(|l| l.prunes(depth, self.prune_bound))
+            {
                 return;
             }
             let core = self.order[depth];
@@ -223,9 +332,15 @@ pub fn solve_bounded(
                     continue;
                 }
                 self.loads[tam] += cost;
+                if let Some(l) = &mut self.load_bound {
+                    l.add(tam, cost);
+                }
                 self.current[depth] = tam;
                 self.dfs(depth + 1);
                 self.loads[tam] -= cost;
+                if let Some(l) = &mut self.load_bound {
+                    l.remove(tam, cost);
+                }
                 if self.limited {
                     break;
                 }
@@ -251,6 +366,8 @@ pub fn solve_bounded(
             .max(1),
         budget: &config.budget,
         limited: config.node_limit == 0 || config.budget.node_budget() == Some(0),
+        lp_trigger,
+        load_bound: None,
         children: vec![Vec::new(); n],
     };
     search.dfs(0);
@@ -276,22 +393,30 @@ pub fn solve_bounded(
 mod tests {
     use super::*;
     use crate::TamSet;
+    use proptest::prelude::*;
     use tamopt_soc::benchmarks;
     use tamopt_wrapper::TimeTable;
 
     fn brute_force(costs: &CostMatrix) -> u64 {
+        brute_force_assignment(costs).soc_time()
+    }
+
+    /// An optimal assignment, found by trying every one.
+    fn brute_force_assignment(costs: &CostMatrix) -> AssignResult {
         let n = costs.num_cores();
         let b = costs.num_tams();
-        let mut best = u64::MAX;
+        let mut best: Option<AssignResult> = None;
         let mut assignment = vec![0usize; n];
         loop {
             let r = AssignResult::from_assignment(assignment.clone(), costs);
-            best = best.min(r.soc_time());
+            if best.as_ref().is_none_or(|b| r.soc_time() < b.soc_time()) {
+                best = Some(r);
+            }
             // Odometer increment.
             let mut i = 0;
             loop {
                 if i == n {
-                    return best;
+                    return best.expect("at least one assignment");
                 }
                 assignment[i] += 1;
                 if assignment[i] < b {
@@ -454,5 +579,97 @@ mod tests {
             "symmetry pruning failed: {} nodes",
             sol.nodes
         );
+    }
+
+    /// Small matrices whose times depend only on the core and the TAM's
+    /// width (as `Design_wrapper` makes them), with widths drawn from
+    /// three values so that equal-width TAMs occur.
+    fn arb_costs() -> impl Strategy<Value = CostMatrix> {
+        (1usize..8, 1usize..5).prop_flat_map(|(cores, tams)| {
+            let per_width =
+                proptest::collection::vec(proptest::collection::vec(1u64..1000, 3), cores);
+            let widths = proptest::collection::vec(1u32..4, tams);
+            (per_width, widths).prop_map(|(per_width, widths)| {
+                let rows = per_width
+                    .iter()
+                    .map(|times| widths.iter().map(|&w| times[w as usize - 1]).collect())
+                    .collect();
+                CostMatrix::from_raw(rows, widths).expect("shape is valid")
+            })
+        })
+    }
+
+    /// Checks that the weighted load of every prefix of an optimal
+    /// assignment, plus the cheapest weighted rest, is at most `K` times
+    /// the optimum, so the bound never cuts the optimum.
+    fn assert_bound_admits_optimum(costs: &CostMatrix, weights: Vec<u64>) {
+        let optimum = brute_force_assignment(costs);
+        let order: Vec<usize> = (0..costs.num_cores()).collect();
+        let mut loads = vec![0; costs.num_tams()];
+        let Some(mut bound) = LoadBound::new(costs, &order, weights.clone(), &loads) else {
+            assert!(
+                weights.iter().all(|&k| k == 0),
+                "only all-zero weights give no bound"
+            );
+            return;
+        };
+        let time = u128::from(optimum.soc_time());
+        for depth in 0..=order.len() {
+            assert!(
+                bound.value(depth) <= bound.total * time,
+                "{weights:?} at depth {depth}"
+            );
+            assert!(!bound.prunes(depth, optimum.soc_time() + 1));
+            if let Some(&core) = order.get(depth) {
+                let tam = optimum.assignment()[core];
+                loads[tam] += costs.time(core, tam);
+                bound.add(tam, costs.time(core, tam));
+            }
+        }
+        let fresh = LoadBound::new(costs, &order, weights, &loads).expect("non-zero weights");
+        assert_eq!(bound.weighted, fresh.weighted, "incremental weighted load");
+    }
+
+    #[test]
+    fn load_bound_admits_the_optimum_at_extreme_weights() {
+        let (widths, times) = benchmarks::figure2_cost_table();
+        let costs = CostMatrix::from_raw(times, widths).unwrap();
+        let b = costs.num_tams();
+        assert_bound_admits_optimum(&costs, vec![0; b]);
+        assert_bound_admits_optimum(&costs, vec![u64::MAX; b]);
+        assert_bound_admits_optimum(&costs, vec![u64::MAX, 0, 1]);
+        // LP-scale weights: the largest weight `WEIGHT_SCALE` takes.
+        assert_bound_admits_optimum(&costs, vec![1 << 32; b]);
+    }
+
+    proptest! {
+        /// Any non-negative integer weights give a valid bound: zero,
+        /// small and full-range `u64` weights (whose products need
+        /// `u128`) alike.
+        #[test]
+        fn load_bound_admits_the_optimum_for_any_weights(
+            costs in arb_costs(),
+            raw in proptest::collection::vec((any::<u64>(), 0u32..65), 4),
+        ) {
+            let weights = raw[..costs.num_tams()]
+                .iter()
+                .map(|&(k, shift)| k.checked_shr(shift).unwrap_or(0))
+                .collect();
+            assert_bound_admits_optimum(&costs, weights);
+        }
+
+        /// With the LP solved at the root, the search still proves the
+        /// optimum and returns the assignment it returns without the
+        /// bound, in no more nodes.
+        #[test]
+        fn lp_bound_from_node_one_matches_brute_force(costs in arb_costs()) {
+            let config = ExactConfig::default();
+            let plain = solve(&costs, &config).unwrap();
+            let bounded = search(&costs, &config, None, 1).unwrap();
+            prop_assert!(bounded.proven_optimal);
+            prop_assert_eq!(bounded.result.soc_time(), brute_force(&costs));
+            prop_assert_eq!(&bounded.result, &plain.result);
+            prop_assert!(bounded.nodes <= plain.nodes);
+        }
     }
 }

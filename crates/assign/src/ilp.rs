@@ -14,8 +14,9 @@
 //! size the paper quotes as its complexity measure. The assignment rows
 //! already imply `x_ib ≤ 1`, so no variable bounds are needed. The
 //! relaxation's optimum is a lower bound on the exact *P_AW* time, and
-//! its duals price each TAM and each core; the exact optimum itself
-//! comes from [`crate::exact::solve`].
+//! its duals price each TAM and each core. The exact optimum itself
+//! comes from [`crate::exact::solve`], which weights its Lagrangian load
+//! bound with the TAM duals once a search grows long.
 
 use tamopt_lp::{Problem, Relation};
 

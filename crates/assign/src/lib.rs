@@ -19,7 +19,8 @@
 //! * [`ilp::build_model`] — the LP relaxation of that ILP model
 //!   (`N·B + 1` variables, `N + B` rows) on the workspace's own simplex
 //!   ([`tamopt_lp`]): a lower bound on the exact time, with TAM and core
-//!   duals.
+//!   duals. Long exact searches weight their Lagrangian load bound with
+//!   its TAM duals.
 //!
 //! # Example
 //!

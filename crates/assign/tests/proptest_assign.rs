@@ -92,6 +92,38 @@ proptest! {
         prop_assert!(relaxed <= exact_f + 1e-6 * exact_f, "LP {relaxed} > exact {exact_time}");
     }
 
+    /// The Section 3.2 relaxation (`≥` TAM rows, `=` core rows) and the
+    /// duals of its one primal solve certify each other: strong duality,
+    /// TAM duals that are non-negative and sum to 1 (`τ` has reduced
+    /// cost 0), and complementary slackness on every row and variable.
+    #[test]
+    fn relaxation_duals_certify_the_optimum(costs in arb_costs()) {
+        let (n, b) = (costs.num_cores(), costs.num_tams());
+        let (primal, dual) = ilp::build_model(&costs)
+            .solve_with_duals()
+            .expect("the relaxation is feasible");
+        let tau = primal.objective();
+        let tol = 1e-6 * tau.max(1.0);
+        prop_assert!((dual.dual_objective() - tau).abs() <= tol, "{} vs {tau}", dual.dual_objective());
+        let tam_duals = &dual.duals()[..b];
+        prop_assert!(tam_duals.iter().all(|&y| y >= -1e-9), "{tam_duals:?}");
+        prop_assert!((tam_duals.iter().sum::<f64>() - 1.0).abs() < 1e-6, "{tam_duals:?}");
+        prop_assert!(dual.reduced_cost(n * b).abs() < 1e-9);
+        for (tam, &y) in tam_duals.iter().enumerate() {
+            let load: f64 =
+                (0..n).map(|c| costs.time(c, tam) as f64 * primal.value(c * b + tam)).sum();
+            prop_assert!((y * (primal.value(n * b) - load)).abs() <= tol, "TAM row {tam}");
+        }
+        for core in 0..n {
+            let assigned: f64 = (0..b).map(|tam| primal.value(core * b + tam)).sum();
+            prop_assert!((dual.dual(b + core) * (1.0 - assigned)).abs() <= tol, "core row {core}");
+        }
+        for (j, &d) in dual.reduced_costs().iter().enumerate() {
+            prop_assert!(d >= -tol, "variable {j}: reduced cost {d}");
+            prop_assert!((d * primal.value(j)).abs() <= tol, "variable {j}");
+        }
+    }
+
     /// The abort path never *under*-reports: an aborted run means some
     /// TAM already reached the bound.
     #[test]

@@ -1,14 +1,13 @@
 //! Dual values and reduced costs.
 //!
-//! The simplex in this crate is a primal tableau method; rather than
-//! threading basis inverses out of it, [`Problem::solve_with_duals`]
-//! constructs the *explicit dual program* and solves it with the same
-//! simplex. For the problem sizes of this workspace the extra solve is
-//! negligible, and the approach is easy to verify: strong duality and
-//! complementary slackness are checked by the property tests, not
-//! trusted.
+//! [`Problem::solve_with_duals`] reads them from the one primal simplex
+//! solve: the final reduced-cost row holds every reduced cost, and, in
+//! the unit column each row starts with (its slack or its artificial,
+//! which is kept but never re-enters the basis), minus that row's dual.
+//! Strong duality and complementary slackness are checked by the
+//! property tests, not trusted.
 
-use crate::problem::Relation;
+use crate::simplex::solve_standard;
 use crate::{LpError, LpSolution, Objective, Problem};
 
 /// Dual information for an optimal LP solution.
@@ -72,9 +71,8 @@ impl Problem {
     ///
     /// # Errors
     ///
-    /// The same conditions as [`Problem::solve`]. If the primal solve
-    /// succeeds, the dual solve succeeds too (both problems are then
-    /// feasible and bounded).
+    /// The same conditions as [`Problem::solve`], which is this call
+    /// without the duals.
     ///
     /// # Example
     ///
@@ -97,98 +95,26 @@ impl Problem {
     /// # }
     /// ```
     pub fn solve_with_duals(&self) -> Result<(LpSolution, DualSolution), LpError> {
-        let primal = self.solve()?;
-        let n = self.num_variables();
-        let rows = self.rows();
-
-        // Work in the minimization sense; flip costs for Maximize.
+        // The simplex minimizes; flip the costs, and back the results,
+        // for Maximize.
         let sign = match self.sense() {
             Objective::Minimize => 1.0,
             Objective::Maximize => -1.0,
         };
         let costs: Vec<f64> = self.costs().iter().map(|c| sign * c).collect();
-
-        // Dual variables: one non-negative variable per row, plus a
-        // second one for each equality (free y = u - v).
-        let mut var_of_row: Vec<(usize, Option<usize>)> = Vec::with_capacity(rows.len());
-        let mut num_dual_vars = 0usize;
-        for row in rows {
-            match row.relation {
-                Relation::Eq => {
-                    var_of_row.push((num_dual_vars, Some(num_dual_vars + 1)));
-                    num_dual_vars += 2;
-                }
-                _ => {
-                    var_of_row.push((num_dual_vars, None));
-                    num_dual_vars += 1;
-                }
-            }
-        }
-
-        // max y·b  s.t.  Σ_i a_ij y_i <= c_j for every variable j,
-        // where y_i = +u for Ge, -u for Le, u - v for Eq.
-        let mut dual = Problem::maximize(num_dual_vars);
-        for (i, row) in rows.iter().enumerate() {
-            let (u, v) = var_of_row[i];
-            let orientation = match row.relation {
-                Relation::Ge | Relation::Eq => 1.0,
-                Relation::Le => -1.0,
-            };
-            dual.set_objective(u, orientation * row.rhs)?;
-            if let Some(v) = v {
-                dual.set_objective(v, -row.rhs)?;
-            }
-        }
-        for (j, &cost) in costs.iter().enumerate() {
-            let mut terms: Vec<(usize, f64)> = Vec::new();
-            for (i, row) in rows.iter().enumerate() {
-                let a = row.coeffs[j];
-                if a != 0.0 {
-                    let (u, v) = var_of_row[i];
-                    let orientation = match row.relation {
-                        Relation::Ge | Relation::Eq => 1.0,
-                        Relation::Le => -1.0,
-                    };
-                    terms.push((u, orientation * a));
-                    if let Some(v) = v {
-                        terms.push((v, -a));
-                    }
-                }
-            }
-            dual.constraint(&terms, Relation::Le, cost)?;
-        }
-        let dual_solution = dual.solve()?;
-
-        // Recover y per row and fold the orientation and the Maximize
-        // flip back in.
-        let y_of = |i: usize| -> f64 {
-            let (u, v) = var_of_row[i];
-            let orientation = match rows[i].relation {
-                Relation::Ge | Relation::Eq => 1.0,
-                Relation::Le => -1.0,
-            };
-            let mut y = orientation * dual_solution.value(u);
-            if let Some(v) = v {
-                y -= dual_solution.value(v);
-            }
-            y
-        };
-        let duals: Vec<f64> = (0..rows.len()).map(|i| sign * y_of(i)).collect();
-        let reduced_costs: Vec<f64> = (0..n)
-            .map(|j| {
-                let mut d = self.costs()[j];
-                for (row, dual_value) in rows.iter().zip(&duals) {
-                    d -= dual_value * row.coeffs[j];
-                }
-                d
-            })
-            .collect();
-        let dual_objective = sign * dual_solution.objective();
+        let opt = solve_standard(self.num_variables(), &costs, self.rows())?;
+        let duals: Vec<f64> = opt.duals.iter().map(|y| sign * y).collect();
+        let dual_objective = self
+            .rows()
+            .iter()
+            .zip(&duals)
+            .map(|(row, y)| y * row.rhs)
+            .sum();
         Ok((
-            primal,
+            LpSolution::new(opt.x, sign * opt.objective),
             DualSolution {
                 duals,
-                reduced_costs,
+                reduced_costs: opt.reduced_costs.iter().map(|d| sign * d).collect(),
                 dual_objective,
             },
         ))

@@ -14,7 +14,8 @@
 //! * Dantzig pricing with an automatic switch to Bland's rule to
 //!   guarantee termination,
 //! * infeasibility and unboundedness detection,
-//! * dual values and reduced costs ([`Problem::solve_with_duals`]).
+//! * dual values and reduced costs read from the same primal solve
+//!   ([`Problem::solve_with_duals`]).
 //!
 //! # Example
 //!

@@ -1,4 +1,3 @@
-use crate::simplex::solve_standard;
 use crate::{LpError, LpSolution};
 
 /// Direction of optimization.
@@ -142,17 +141,7 @@ impl Problem {
     /// * [`LpError::IterationLimit`] — numerical trouble (should not
     ///   occur on well-scaled inputs).
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        // Internally always minimize; negate costs for maximization.
-        let minimize_costs: Vec<f64> = match self.objective {
-            Objective::Minimize => self.costs.clone(),
-            Objective::Maximize => self.costs.iter().map(|c| -c).collect(),
-        };
-        let (values, min_obj) = solve_standard(self.num_variables(), &minimize_costs, &self.rows)?;
-        let objective = match self.objective {
-            Objective::Minimize => min_obj,
-            Objective::Maximize => -min_obj,
-        };
-        Ok(LpSolution::new(values, objective))
+        self.solve_with_duals().map(|(primal, _)| primal)
     }
 
     pub(crate) fn rows(&self) -> &[Row] {

@@ -2,6 +2,12 @@
 //!
 //! Internal module: [`solve_standard`] minimizes `cᵀx` subject to the
 //! dense rows produced by [`crate::Problem`], `x ≥ 0`.
+//!
+//! Every row starts with a unit column of its own: its slack (`≤`) or
+//! its artificial (`≥`, `=`). The artificial columns stay in the tableau
+//! through phase 2 but may never enter the basis, so the final
+//! reduced-cost row still carries `−y_i` in each row's unit column and
+//! one primal solve yields the duals too.
 
 use crate::problem::{Relation, Row};
 use crate::{LpError, EPSILON};
@@ -9,36 +15,56 @@ use crate::{LpError, EPSILON};
 /// Feasibility tolerance for the phase-1 objective.
 const FEAS_EPS: f64 = 1e-7;
 
+/// An optimal basic solution of the minimization form.
+pub(crate) struct Optimum {
+    /// Structural variable values.
+    pub x: Vec<f64>,
+    /// Optimal objective value.
+    pub objective: f64,
+    /// Dual value `y_i` of each input row, in input order.
+    pub duals: Vec<f64>,
+    /// Reduced cost `c_j − Σ_i y_i·a_ij` of each structural variable.
+    pub reduced_costs: Vec<f64>,
+}
+
 /// Minimizes `costs · x` subject to `rows`, `x ≥ 0`.
-/// Returns `(x, objective)`.
-pub(crate) fn solve_standard(
-    n: usize,
-    costs: &[f64],
-    rows: &[Row],
-) -> Result<(Vec<f64>, f64), LpError> {
+pub(crate) fn solve_standard(n: usize, costs: &[f64], rows: &[Row]) -> Result<Optimum, LpError> {
     let mut t = Tableau::build(n, rows);
     // Phase 1: minimize the sum of artificial variables.
     if t.num_artificial > 0 {
         let mut phase1 = vec![0.0; t.num_cols];
         phase1[t.artificial_start..].fill(1.0);
-        let obj = t.run(&phase1)?;
-        if obj > FEAS_EPS {
+        let z = t.run(&phase1)?;
+        if -z[t.num_cols] > FEAS_EPS {
             return Err(LpError::Infeasible);
         }
         t.drive_out_artificials();
-        t.drop_artificial_columns();
     }
-    // Phase 2: minimize the real objective over structural + slack cols.
+    // Phase 2: minimize the real objective; artificials cost 0 and stay
+    // nonbasic (or basic at 0 in a redundant row).
     let mut full_costs = vec![0.0; t.num_cols];
     full_costs[..n].copy_from_slice(costs);
-    let objective = t.run(&full_costs)?;
+    let z = t.run(&full_costs)?;
     let mut x = vec![0.0; n];
     for (row, &basic) in t.basis.iter().enumerate() {
         if basic < n {
             x[basic] = t.rhs(row);
         }
     }
-    Ok((x, objective))
+    // A unit column costs 0, so its reduced cost is `−y` of the
+    // oriented row; undo the orientation to get the input row's dual.
+    let duals = t
+        .unit_col
+        .iter()
+        .zip(&t.row_sign)
+        .map(|(&col, &sign)| -sign * z[col])
+        .collect();
+    Ok(Optimum {
+        x,
+        objective: -z[t.num_cols],
+        duals,
+        reduced_costs: z[..n].to_vec(),
+    })
 }
 
 struct Tableau {
@@ -48,6 +74,10 @@ struct Tableau {
     num_cols: usize,
     artificial_start: usize,
     num_artificial: usize,
+    /// The column that forms row `i`'s unit vector in the first basis.
+    unit_col: Vec<usize>,
+    /// `-1.0` where row `i` was negated to make its rhs non-negative.
+    row_sign: Vec<f64>,
 }
 
 impl Tableau {
@@ -74,6 +104,7 @@ impl Tableau {
         let num_cols = n + num_slack + num_artificial;
         let mut rows = Vec::with_capacity(m);
         let mut basis = Vec::with_capacity(m);
+        let mut row_sign = Vec::with_capacity(m);
         let mut next_slack = slack_start;
         let mut next_artificial = artificial_start;
         for row in input {
@@ -104,13 +135,16 @@ impl Tableau {
                 }
             }
             rows.push(r);
+            row_sign.push(sign);
         }
         Tableau {
             rows,
+            unit_col: basis.clone(),
             basis,
             num_cols,
             artificial_start,
             num_artificial,
+            row_sign,
         }
     }
 
@@ -118,8 +152,9 @@ impl Tableau {
         self.rows[row][self.num_cols]
     }
 
-    /// Runs simplex minimizing `costs`; returns the optimal objective.
-    fn run(&mut self, costs: &[f64]) -> Result<f64, LpError> {
+    /// Runs simplex minimizing `costs`; returns the final reduced-cost
+    /// row, whose last entry is `−objective`.
+    fn run(&mut self, costs: &[f64]) -> Result<Vec<f64>, LpError> {
         // Reduced-cost row: z[j] = c[j] - c_B B^{-1} A_j, tracked
         // incrementally; z[num_cols] accumulates -objective.
         let mut z = vec![0.0; self.num_cols + 1];
@@ -139,7 +174,7 @@ impl Tableau {
             let bland = iteration >= bland_after;
             let entering = self.choose_entering(&z, bland);
             let Some(col) = entering else {
-                return Ok(-z[self.num_cols]);
+                return Ok(z);
             };
             let Some(pivot_row) = self.ratio_test(col, bland) else {
                 return Err(LpError::Unbounded);
@@ -149,12 +184,13 @@ impl Tableau {
         Err(LpError::IterationLimit)
     }
 
+    /// Artificial columns never enter: once out, they stay out.
     fn choose_entering(&self, z: &[f64], bland: bool) -> Option<usize> {
         if bland {
-            (0..self.num_cols).find(|&j| z[j] < -EPSILON)
+            (0..self.artificial_start).find(|&j| z[j] < -EPSILON)
         } else {
             let mut best: Option<(usize, f64)> = None;
-            for (j, &zj) in z.iter().enumerate().take(self.num_cols) {
+            for (j, &zj) in z.iter().enumerate().take(self.artificial_start) {
                 if zj < -EPSILON && best.is_none_or(|(_, bz)| zj < bz) {
                     best = Some((j, zj));
                 }
@@ -232,36 +268,8 @@ impl Tableau {
                 }
                 // If no pivot column exists the row is redundant
                 // (all-zero over structural + slack); the artificial
-                // stays basic at value 0, which is harmless once its
-                // column is dropped below.
-            }
-        }
-    }
-
-    fn drop_artificial_columns(&mut self) {
-        let keep = self.artificial_start;
-        for row in &mut self.rows {
-            let rhs = row[self.num_cols];
-            row.truncate(keep);
-            row.push(rhs);
-        }
-        self.num_cols = keep;
-        self.num_artificial = 0;
-        // Basic artificials of redundant rows become pseudo-columns; map
-        // them onto an out-of-range sentinel that can never be selected.
-        for b in &mut self.basis {
-            if *b >= keep {
-                *b = usize::MAX;
-            }
-        }
-        // Remove redundant rows entirely (their basic variable vanished).
-        let mut i = 0;
-        while i < self.rows.len() {
-            if self.basis[i] == usize::MAX {
-                self.rows.swap_remove(i);
-                self.basis.swap_remove(i);
-            } else {
-                i += 1;
+                // stays basic at value 0, and since no column that may
+                // enter has an entry in the row, it never pivots again.
             }
         }
     }

@@ -37,6 +37,60 @@ fn arb_lp() -> impl Strategy<Value = SeededLp> {
     })
 }
 
+/// A random LP with `≤`, `≥` and `=` rows around a known feasible point,
+/// whose right-hand sides are often negative (the solver negates such
+/// rows internally), boxed by `x ≤ 100` rows after its own rows.
+#[derive(Debug, Clone)]
+struct MixedLp {
+    costs: Vec<f64>,
+    rows: Vec<(Vec<f64>, Relation, f64)>,
+}
+
+fn arb_mixed_lp() -> impl Strategy<Value = MixedLp> {
+    (2usize..6, 1usize..6).prop_flat_map(|(n, m)| {
+        let point = proptest::collection::vec(0.0f64..10.0, n);
+        let costs = proptest::collection::vec(-5.0f64..5.0, n);
+        let row = proptest::collection::vec(-3.0f64..3.0, n);
+        let rows = proptest::collection::vec((row, 0u8..3, 0.0f64..5.0), m);
+        (point, costs, rows).prop_map(|(point, costs, raw_rows)| {
+            let rows = raw_rows
+                .into_iter()
+                .map(|(coeffs, kind, slack)| {
+                    let activity: f64 = coeffs.iter().zip(&point).map(|(a, x)| a * x).sum();
+                    let (relation, rhs) = match kind {
+                        0 => (Relation::Le, activity + slack),
+                        1 => (Relation::Ge, activity - slack),
+                        _ => (Relation::Eq, activity),
+                    };
+                    (coeffs, relation, rhs)
+                })
+                .collect();
+            MixedLp { costs, rows }
+        })
+    })
+}
+
+fn build_mixed(lp: &MixedLp, maximize: bool) -> Problem {
+    let n = lp.costs.len();
+    let mut p = if maximize {
+        Problem::maximize(n)
+    } else {
+        Problem::minimize(n)
+    };
+    for (i, &c) in lp.costs.iter().enumerate() {
+        p.set_objective(i, c).expect("valid index");
+    }
+    for (coeffs, relation, rhs) in &lp.rows {
+        let terms: Vec<(usize, f64)> = coeffs.iter().copied().enumerate().collect();
+        p.constraint(&terms, *relation, *rhs).expect("valid row");
+    }
+    for i in 0..n {
+        p.constraint(&[(i, 1.0)], Relation::Le, 100.0)
+            .expect("valid box row");
+    }
+    p
+}
+
 fn build(lp: &SeededLp, maximize: bool) -> Problem {
     let n = lp.costs.len();
     let mut p = if maximize {
@@ -139,6 +193,57 @@ proptest! {
                 "row {i}: dual {} x slack {slack}",
                 dual.dual(i)
             );
+        }
+    }
+
+    /// The duals read from the one primal solve certify it on `≤`, `≥`
+    /// and `=` rows with either sign of right-hand side: strong duality,
+    /// the sign convention of each row's relation, dual feasibility and
+    /// complementary slackness on every row and every variable.
+    #[test]
+    fn duality_holds_on_mixed_rows(lp in arb_mixed_lp(), maximize in any::<bool>()) {
+        let p = build_mixed(&lp, maximize);
+        let (primal, dual) = match p.solve_with_duals() {
+            Ok(pair) => pair,
+            Err(LpError::IterationLimit) => return Ok(()),
+            Err(e) => return Err(TestCaseError::fail(format!("solver failed: {e}"))),
+        };
+        let scale = 1.0 + primal.objective().abs();
+        prop_assert!(
+            (dual.dual_objective() - primal.objective()).abs() <= 1e-6 * scale,
+            "duality gap: primal {} vs dual {}",
+            primal.objective(),
+            dual.dual_objective()
+        );
+        // In the minimization sense (flipped for Maximize): `≥` duals
+        // are non-negative, `≤` duals non-positive, reduced costs
+        // non-negative.
+        let sense = if maximize { -1.0 } else { 1.0 };
+        let n = lp.costs.len();
+        let box_rows = (0..n).map(|j| {
+            let mut coeffs = vec![0.0; n];
+            coeffs[j] = 1.0;
+            (coeffs, Relation::Le, 100.0)
+        });
+        for (i, (coeffs, relation, rhs)) in lp.rows.iter().cloned().chain(box_rows).enumerate() {
+            let y = sense * dual.dual(i);
+            match relation {
+                Relation::Le => prop_assert!(y <= 1e-7, "row {i} (Le): dual {y}"),
+                Relation::Ge => prop_assert!(y >= -1e-7, "row {i} (Ge): dual {y}"),
+                Relation::Eq => {}
+            }
+            let activity: f64 = coeffs.iter().enumerate().map(|(j, a)| a * primal.value(j)).sum();
+            prop_assert!(
+                (dual.dual(i) * (rhs - activity)).abs() <= 1e-6 * scale,
+                "row {i}: dual {} x slack {}",
+                dual.dual(i),
+                rhs - activity
+            );
+        }
+        for j in 0..n {
+            let d = sense * dual.reduced_cost(j);
+            prop_assert!(d >= -1e-7, "variable {j}: reduced cost {d}");
+            prop_assert!((d * primal.value(j)).abs() <= 1e-6 * scale);
         }
     }
 }

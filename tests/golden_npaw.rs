@@ -7,9 +7,9 @@
 //! geometry — that moves a winner or a prune count fails here. The rows
 //! mirror the `npaw` block of `perfbench/expected.txt`.
 //!
-//! Four more p93791 rows, whose exact final step stops at its node limit,
-//! are pinned by an ignored test that runs in release mode: `make
-//! exact-gate` (about 3 s per row, 13 s for the four on a 2-CPU host).
+//! Four more p93791 rows, whose exact final step needs 4.9–32.8 M nodes
+//! to prove its answer, are pinned by an ignored test that runs in
+//! release mode: `make exact-gate` (0.3–2.1 s per row on a 2-CPU host).
 
 use tamopt_repro::partition::{co_optimize, PipelineConfig};
 use tamopt_repro::{benchmarks, ParallelConfig, Soc, TimeTable};
@@ -61,15 +61,16 @@ fn soc(name: &str) -> Soc {
 }
 
 /// The p93791 rows at `W ∈ {16, 24, 32, 36}`, `B ≤ 10`, whose exact
-/// final step ends at the default `ExactConfig` node limit, so the
-/// answer is the best assignment found, not a proven optimum. The node
-/// limit is the only cut (no wall clock), so the rows are deterministic.
+/// final step explores 4.9–32.8 M nodes, within the default
+/// `ExactConfig` node limit of 50 M, and proves its answer optimal with
+/// the Lagrangian load bound. Without that bound each stopped at the
+/// node limit.
 #[rustfmt::skip]
-const TRUNCATED: [Row; 4] = [
-    ("p93791", 16, 5235566, &[2, 2, 3, 4, 5], [212, 9, 203]),
-    ("p93791", 24, 3494092, &[3, 3, 5, 5, 8], [1204, 11, 1193]),
-    ("p93791", 32, 2638200, &[4, 4, 6, 8, 10], [5013, 14, 4999]),
-    ("p93791", 36, 2349525, &[5, 5, 7, 8, 11], [9418, 21, 9397]),
+const SLOW: [Row; 4] = [
+    ("p93791", 16, 5228615, &[2, 2, 3, 4, 5], [212, 9, 203]),
+    ("p93791", 24, 3493679, &[3, 3, 5, 5, 8], [1204, 11, 1193]),
+    ("p93791", 32, 2637039, &[4, 4, 6, 8, 10], [5013, 14, 4999]),
+    ("p93791", 36, 2346817, &[5, 5, 7, 8, 11], [9418, 21, 9397]),
 ];
 
 /// Solves one row cold at `threads`, checks it against the pin and
@@ -110,13 +111,9 @@ fn npaw_w64_rows_are_pinned_at_four_threads() {
 }
 
 #[test]
-#[ignore = "about 3 s per row in release mode; run by `make exact-gate`"]
-fn p93791_truncated_rows_are_pinned() {
-    for row in &TRUNCATED {
-        assert!(
-            !check(row, 1),
-            "p93791 W={}: the final step now proves its answer; re-pin the row",
-            row.1
-        );
+#[ignore = "up to 2 s per row in release mode; run by `make exact-gate`"]
+fn p93791_slow_rows_are_pinned_and_proven() {
+    for row in &SLOW {
+        assert!(check(row, 1), "p93791 W={}: final step proved", row.1);
     }
 }
