@@ -31,7 +31,7 @@ pub(crate) struct Optimum {
 pub(crate) fn solve_standard(n: usize, costs: &[f64], rows: &[Row]) -> Result<Optimum, LpError> {
     let mut t = Tableau::build(n, rows);
     // Phase 1: minimize the sum of artificial variables.
-    if t.num_artificial > 0 {
+    if t.artificial_start < t.num_cols {
         let mut phase1 = vec![0.0; t.num_cols];
         phase1[t.artificial_start..].fill(1.0);
         let z = t.run(&phase1)?;
@@ -73,7 +73,6 @@ struct Tableau {
     basis: Vec<usize>,
     num_cols: usize,
     artificial_start: usize,
-    num_artificial: usize,
     /// The column that forms row `i`'s unit vector in the first basis.
     unit_col: Vec<usize>,
     /// `-1.0` where row `i` was negated to make its rhs non-negative.
@@ -143,7 +142,6 @@ impl Tableau {
             basis,
             num_cols,
             artificial_start,
-            num_artificial,
             row_sign,
         }
     }
