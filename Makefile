@@ -30,8 +30,8 @@ doc-gate:
 
 # Counting-allocator proof (also part of `make test`): the scan hot path
 # must be allocation-free after warm-up, and a whole scan allocates only
-# per scan and per chunk (no term per partition), strictly less than the
-# allocate-per-partition seed path.
+# per scan and per ranked candidate (no term per chunk or per partition),
+# strictly less than the allocate-per-partition seed path.
 alloc-gate:
 	cargo test --release -p tamopt_alloctest
 
@@ -90,6 +90,12 @@ determinism: serve-determinism store-determinism recovery-determinism
 	    | grep -v 'wall clock' > /tmp/$${soc}_t4.txt; \
 	  diff /tmp/$${soc}_t1.txt /tmp/$${soc}_t4.txt || exit 1; \
 	done
+	set -o pipefail; \
+	for t in 1 4; do \
+	  ./target/release/tamopt --soc d695 --width 24 --max-tams 3 --strategy exhaustive \
+	    --threads $$t | grep -v 'wall clock' > /tmp/d695_exhaustive_t$$t.txt || exit 1; \
+	done; \
+	diff /tmp/d695_exhaustive_t1.txt /tmp/d695_exhaustive_t4.txt
 	set -o pipefail; \
 	for manifest in batch kinds; do \
 	  ./target/release/tamopt batch examples/$${manifest}.manifest --threads 1 \

@@ -6,9 +6,11 @@
 //! 2. a whole `partition_evaluate` scan allocates **strictly less**
 //!    than the seed path it replaced (a fresh `CostMatrix::from_table`
 //!    plus an allocating `core_assign` per enumerated partition), and
-//!    only per scan and per chunk: its count is a constant for a given
-//!    scan, with no term per enumerated partition, as each chunk
-//!    unranks its first partition and advances it in place;
+//!    only per scan and per candidate entering a chunk's ranking: its
+//!    count is a constant for a given scan, with no term per chunk or per
+//!    enumerated partition, as the engine hands each chunk a bare index
+//!    range and the chunk unranks its first partition and advances it in
+//!    place;
 //! 3. enumerating partitions costs exactly one allocation per yielded
 //!    partition (its own `Vec`): the successor is computed in place;
 //! 4. building a `TimeTable` costs a constant number of allocations per
@@ -67,24 +69,27 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Allocations the whole d695 `W = 32`, `B <= 4` scan (351 partitions)
-/// may make: the rank table, the abort gate's table, the time columns,
-/// the engine's generation and chunk buffers, per-worker scratch
-/// warm-up and the TAM sets and results of candidates entering the
-/// ranking. The count is deterministic, and this is exactly what it
-/// measured when the bound was set. When each partition still came as
-/// its own `Vec`, the scan made 443 (351 plus 92).
-const SCAN_ALLOCATIONS: u64 = 92;
+/// Allocations the whole d695 `W = 32`, `B <= 4` scan (351 partitions
+/// in 11 chunks) may make: the rank table, the abort gate's table, the
+/// time columns, the engine's outcome slots (grown with the ramp and
+/// reused across generations), per-worker scratch warm-up and the TAM
+/// sets and results of candidates entering the ranking. The count is
+/// deterministic, and this is exactly what it measured when the bound
+/// was set. When the engine still built a `Vec` of indices per chunk
+/// and per generation, the scan made 92; when each partition still came
+/// as its own `Vec`, 443 (351 plus 92).
+const SCAN_ALLOCATIONS: u64 = 73;
 
 /// The same bound for the d695 `W = 64`, `B <= 6` scan (26207
-/// partitions in 819 chunks of 32, 82 completed), measured exactly. It does
-/// not depend on how many partitions the abort gate skips: the gate's
-/// table replaced the bottleneck-bound vector one for one and is filled
-/// on a worker's kernel buffers. One `Vec` per partition made it 27721
-/// (26207 plus 1514). A per-partition cost matrix or a matrix cache
+/// partitions in 819 chunks of 32, 82 completed), measured exactly. It
+/// has no term per chunk: a `Vec` of indices per chunk and per
+/// generation made it 1219. It does not depend on how many partitions
+/// the abort gate skips: the gate's table replaced the bottleneck-bound
+/// vector one for one and is filled on a worker's kernel buffers. One
+/// `Vec` per partition made it 27721 (26207 plus 1514). A per-partition cost matrix or a matrix cache
 /// would add allocations per scored partition: the memo that came
 /// before made 85103 on this scan.
-const WIDE_SCAN_ALLOCATIONS: u64 = 1219;
+const WIDE_SCAN_ALLOCATIONS: u64 = 292;
 
 /// Allocations `TimeTable::new` may make per core: the sorted copy of
 /// its scan chains, the Best-Fit-Decreasing bin loads and its row of
@@ -217,7 +222,7 @@ fn full_scan_allocates_strictly_less_than_the_seed_path() {
          seed path: {new_path} vs {seed_path} over {enumerated} partitions"
     );
     // And not marginally: the seed path pays ~a dozen allocations per
-    // partition, the new path only per-scan and per-chunk buffers.
+    // partition, the new path only per-scan buffers and candidates.
     assert!(
         new_path <= SCAN_ALLOCATIONS,
         "expected at most {SCAN_ALLOCATIONS} allocations, none per \

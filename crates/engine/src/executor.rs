@@ -1,8 +1,11 @@
 //! Deterministic chunked parallel execution of indexed search spaces.
 //!
-//! The executor splits a lazily produced item stream into fixed-size,
-//! globally indexed *chunks*, groups chunks into *generations*, and
-//! evaluates the chunks of one generation concurrently. The calling
+//! The executor schedules **index ranges**, never items. A search is a
+//! run of global indices `0, 1, 2, …`, dispatched a *generation* at a
+//! time; what an index stands for (a partition rank, a swept width, a
+//! queued request) belongs to the caller. Each generation's indices are
+//! cut into fixed-size *chunks*, and the chunks of one generation are
+//! evaluated concurrently, each as one `base..end` range. The calling
 //! thread is worker 0: it spawns `threads − 1` more `std::thread`
 //! workers (none at `threads = 1`) and claims chunks alongside them.
 //! Workers do not get a fixed pre-assignment: they **pull** chunks from
@@ -19,30 +22,31 @@
 //!
 //! # Determinism
 //!
-//! For a fixed [`ParallelConfig`] chunk geometry, the set of chunks, the
-//! shared state each chunk observes, and the merge order are all
+//! For a fixed [`ParallelConfig`] chunk geometry, the set of ranges, the
+//! shared state each range observes, and the merge order are all
 //! independent of [`ParallelConfig::threads`]. If `eval` is a pure
-//! function of `(chunk index, chunk items, pre-generation shared
-//! state)`, the merged outcome at `threads = N` is **bit-identical** to
-//! `threads = 1`. Wall-clock truncation ([`SearchBudget::out_of_time`] /
-//! cancellation) necessarily depends on timing, but it only takes effect
-//! at generation boundaries: a truncated run is always equivalent to a
-//! complete run over its first `k` generations. Node-budget truncation
-//! counts dispatched items and is therefore fully deterministic.
+//! function of `(range, pre-generation shared state)`, the merged
+//! outcome at `threads = N` is **bit-identical** to `threads = 1`.
+//! Wall-clock truncation ([`SearchBudget::out_of_time`] / cancellation)
+//! necessarily depends on timing, but it only takes effect at generation
+//! boundaries: a truncated run is always equivalent to a complete run
+//! over its first `k` generations. Node-budget truncation counts
+//! dispatched indices and is therefore fully deterministic.
 //!
-//! Per-worker scratch ([`search_chunks_with`]) is invisible to the
-//! contract: a scratch value may cache and reuse buffers across the
-//! chunks one worker happens to evaluate, but `eval`'s *result* must not
-//! depend on it (reuse changes where bytes live, never what they say).
+//! Per-worker scratch is invisible to the contract: a scratch value may
+//! cache and reuse buffers across the ranges one worker happens to
+//! evaluate, but `eval`'s *result* must not depend on it (reuse changes
+//! where bytes live, never what they say).
 //!
 //! Generations ramp up exponentially (1, 2, 4, … chunks, capped at
 //! [`ParallelConfig::chunks_per_generation`]): the first chunks
 //! establish a strong incumbent almost as fast as a fully sequential
 //! scan would, and the later, wide generations carry the parallelism.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use crate::SearchBudget;
 
@@ -58,7 +62,7 @@ pub struct ParallelConfig {
     /// calling thread plus `N − 1` spawned workers, so `1` (the default)
     /// runs inline; `0` means one per available CPU.
     pub threads: usize,
-    /// Items per chunk (the unit of work stealing).
+    /// Indices per chunk (the unit of work stealing).
     pub chunk_size: usize,
     /// Upper bound on chunks per generation (the maximum useful
     /// parallelism and the staleness window of the incumbent bound).
@@ -109,7 +113,7 @@ impl ParallelConfig {
 /// [`SearchBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStatus {
-    /// Every item of the search space was evaluated.
+    /// Every index of the search space was evaluated.
     Complete,
     /// The budget expired; the merged state covers a prefix of whole
     /// generations.
@@ -123,76 +127,53 @@ impl SearchStatus {
     }
 }
 
-/// One chunk in flight: its global base index, its items (taken by the
-/// evaluating worker) and the evaluation outcome.
-struct Slot<T, C, E> {
-    base: u64,
-    items: Vec<T>,
-    out: Option<std::thread::Result<Result<C, E>>>,
+/// The generation in flight: its global index range, cut into chunks of
+/// `chunk_size`, and one outcome slot per chunk. The slot vector keeps
+/// its capacity from one generation to the next.
+struct Generation<C, E> {
+    indices: Range<u64>,
+    outs: Vec<Option<std::thread::Result<Result<C, E>>>>,
 }
 
-/// Evaluates `items` chunk by chunk, possibly in parallel, and folds the
-/// chunk results in deterministic chunk order.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Evaluates the index space `0..len` range by range, possibly in
+/// parallel, and folds the range results in index order.
 ///
-/// * `eval(base, chunk)` runs on a worker thread; `base` is the global
-///   index of the chunk's first item. It must not mutate shared state
+/// * `scratch()` runs once per worker, the calling thread included
+///   (once total when `threads == 1`); the worker hands the same
+///   `&mut W` to every `eval` call it executes, across all generations.
+///   This is the hook for allocation-free hot paths: a scratch can hold
+///   grow-once buffers, memo tables and reusable result objects, so the
+///   steady-state evaluation of one range allocates nothing. Which
+///   ranges share a scratch depends on thread count and timing, so
+///   `eval`'s result must be independent of the scratch's history —
+///   caches may change *how fast* a value is computed, never *which*
+///   value.
+/// * `eval(scratch, base..end)` runs on a worker thread over one chunk
+///   of at most [`ParallelConfig::chunk_size`] global indices (only the
+///   last range is shorter). It must not mutate shared state
 ///   (read-only access to e.g. a [`crate::SharedIncumbent`] is the
 ///   intended pattern).
-/// * `merge(result)` runs on the calling thread, in ascending chunk
+/// * `merge(result)` runs on the calling thread, in ascending range
 ///   order, only between generations; it may mutate shared state.
 ///
-/// The items of a generation are pulled from the iterator on the calling
-/// thread, between generations, after the previous generation merged.
-/// This is [`search_generations`] with the iterator as its hook.
+/// This is [`search_generations`] with a hook that hands out the next
+/// `capacity` indices until `len` are dispatched.
 ///
-/// Errors from `eval` and `merge` abort the search; when several chunks
-/// of one generation fail, the error of the lowest-indexed chunk wins
+/// Errors from `eval` and `merge` abort the search; when several ranges
+/// of one generation fail, the error of the lowest-indexed range wins
 /// (deterministically). Panics in `eval` are forwarded to the caller
 /// after the worker pool shuts down cleanly.
 ///
 /// The budget is polled between generations (the first generation always
-/// runs), so a truncated search still merges at least one chunk —
+/// runs), so a truncated search still merges at least one range —
 /// callers relying on "partial but valid" results get a best-effort
 /// incumbent even under an already-expired budget.
-pub fn search_chunks<T, C, E, F, M>(
-    items: impl Iterator<Item = T>,
-    config: &ParallelConfig,
-    budget: &SearchBudget,
-    eval: F,
-    merge: M,
-) -> Result<SearchStatus, E>
-where
-    T: Send,
-    C: Send,
-    E: Send,
-    F: Fn(u64, Vec<T>) -> Result<C, E> + Sync,
-    M: FnMut(C) -> Result<(), E>,
-{
-    search_chunks_with(
-        items,
-        config,
-        budget,
-        || (),
-        |(), base, chunk| eval(base, chunk),
-        merge,
-    )
-}
-
-/// [`search_chunks`] with a reusable **per-worker scratch value**.
-///
-/// `scratch()` runs once per worker, the calling thread included (once
-/// total when `threads == 1`); the worker hands the same `&mut W` to
-/// every `eval` call it executes, across all generations. This is the
-/// hook for allocation-free hot paths: a scratch can hold grow-once
-/// buffers, memo tables and reusable result objects, so the steady-state
-/// evaluation of one chunk allocates nothing.
-///
-/// Determinism: which chunks share a scratch depends on thread count and
-/// timing, so `eval`'s result must be independent of the scratch's
-/// history — caches may change *how fast* a value is computed, never
-/// *which* value.
-pub fn search_chunks_with<T, C, E, W, S, F, M>(
-    items: impl Iterator<Item = T>,
+pub fn search_ranges<C, E, W, S, F, M>(
+    len: u64,
     config: &ParallelConfig,
     budget: &SearchBudget,
     scratch: S,
@@ -200,96 +181,77 @@ pub fn search_chunks_with<T, C, E, W, S, F, M>(
     merge: M,
 ) -> Result<SearchStatus, E>
 where
-    T: Send,
     C: Send,
     E: Send,
     S: Fn() -> W + Sync,
-    F: Fn(&mut W, u64, Vec<T>) -> Result<C, E> + Sync,
+    F: Fn(&mut W, Range<u64>) -> Result<C, E> + Sync,
     M: FnMut(C) -> Result<(), E>,
 {
-    let mut items = items.fuse();
-    search_impl(
-        |_generation, capacity| items.by_ref().take(capacity).collect(),
+    let mut dispatched = 0u64;
+    search_generations(
+        |_generation, capacity| {
+            let count = (len - dispatched).min(capacity as u64);
+            dispatched += count;
+            count as usize
+        },
         config,
         budget,
-        &scratch,
-        &eval,
+        scratch,
+        eval,
         merge,
     )
 }
 
-/// [`search_chunks`] with the item stream replaced by a **generation
+/// [`search_ranges`] with the fixed length replaced by a **generation
 /// barrier hook**: `produce(generation, capacity)` runs on the calling
 /// thread at every generation boundary — while all workers are parked —
-/// and returns the items to dispatch in that generation.
+/// and returns how many indices to dispatch in that generation. They
+/// follow on from the last index dispatched before, so a caller that
+/// hands out its own items (e.g. queued requests) stores them where
+/// `eval` can take them by global index.
 ///
-/// This is the engine-level primitive behind dynamic schedulers (e.g. a
-/// live request queue that re-reads its priority queue between
-/// generations): because the hook runs under the barrier, after the
-/// previous generation merged, it may consult and mutate caller state
-/// that `merge` also touches, admit work that arrived after the search
-/// started, and reorder what it hands out — all without breaking the
-/// determinism contract, which now reads: for a fixed *sequence of
-/// produced generations*, the merged outcome at `threads = N` is
-/// bit-identical to `threads = 1`.
+/// This is the one driver behind every search, and the engine-level
+/// primitive behind dynamic schedulers (e.g. a live request queue that
+/// re-reads its priority queue between generations): because the hook
+/// runs under the barrier, after the previous generation merged, it may
+/// consult and mutate caller state that `merge` also touches, admit work
+/// that arrived after the search started, and reorder what it hands out
+/// — all without breaking the determinism contract, which now reads: for
+/// a fixed *sequence of produced generations*, the merged outcome at
+/// `threads = N` is bit-identical to `threads = 1`.
 ///
-/// `capacity` is the generation's chunk budget in items
+/// `capacity` is the generation's chunk budget in indices
 /// (`generation_width(g) × chunk_size` under the exponential ramp);
-/// returning more than `capacity` items simply widens the generation
-/// (still deterministically — the schedule depends only on the hook's
-/// return values). Returning an **empty** vector ends the search with
+/// returning more than `capacity` simply widens the generation (still
+/// deterministically — the schedule depends only on the hook's return
+/// values). Returning **0** ends the search with
 /// [`SearchStatus::Complete`]; the hook may block (e.g. on a condition
 /// variable) to wait for more work instead. The budget is polled between
 /// generations, *before* the hook runs, so a blocking hook is not
 /// consulted once the budget has expired.
-pub fn search_generations<T, C, E, F, M, P>(
-    produce: P,
-    config: &ParallelConfig,
-    budget: &SearchBudget,
-    eval: F,
-    merge: M,
-) -> Result<SearchStatus, E>
-where
-    T: Send,
-    C: Send,
-    E: Send,
-    P: FnMut(u32, usize) -> Vec<T>,
-    F: Fn(u64, Vec<T>) -> Result<C, E> + Sync,
-    M: FnMut(C) -> Result<(), E>,
-{
-    search_impl(
-        produce,
-        config,
-        budget,
-        &|| (),
-        &|(), base, chunk| eval(base, chunk),
-        merge,
-    )
-}
-
-/// The shared implementation behind every front end: one generation loop
-/// on the calling thread, which is also worker 0 of the pool.
-fn search_impl<T, C, E, W, P, S, F, M>(
+pub fn search_generations<C, E, W, P, S, F, M>(
     mut produce: P,
     config: &ParallelConfig,
     budget: &SearchBudget,
-    scratch: &S,
-    eval: &F,
+    scratch: S,
+    eval: F,
     mut merge: M,
 ) -> Result<SearchStatus, E>
 where
-    T: Send,
     C: Send,
     E: Send,
-    P: FnMut(u32, usize) -> Vec<T>,
+    P: FnMut(u32, usize) -> usize,
     S: Fn() -> W + Sync,
-    F: Fn(&mut W, u64, Vec<T>) -> Result<C, E> + Sync,
+    F: Fn(&mut W, Range<u64>) -> Result<C, E> + Sync,
     M: FnMut(C) -> Result<(), E>,
 {
     let threads = config.effective_threads();
     let chunk_size = config.chunk_size.max(1);
-    let slots: Mutex<Vec<Slot<T, C, E>>> = Mutex::new(Vec::new());
-    let next_slot = AtomicUsize::new(0);
+    let current: Mutex<Generation<C, E>> = Mutex::new(Generation {
+        indices: 0..0,
+        outs: Vec::new(),
+    });
+    let next_chunk = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
     // Two barriers per generation: `start` publishes the generation to
     // the workers, `finish` hands the filled slots back to the caller.
@@ -301,16 +263,20 @@ where
     // Shared index-ordered chunk queue: each worker claims the next
     // unclaimed chunk, so load imbalance inside a generation self-levels.
     let claim = |workspace: &mut W| loop {
-        let index = next_slot.fetch_add(1, Ordering::Relaxed);
-        let work = {
-            let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
-            guard
-                .get_mut(index)
-                .map(|slot| (slot.base, std::mem::take(&mut slot.items)))
+        let index = next_chunk.fetch_add(1, Ordering::Relaxed);
+        let range = {
+            let generation = lock(&current);
+            if index >= generation.outs.len() {
+                break;
+            }
+            let base = generation.indices.start + (index * chunk_size) as u64;
+            base..generation
+                .indices
+                .end
+                .min(base.saturating_add(chunk_size as u64))
         };
-        let Some((base, chunk)) = work else { break };
-        let out = catch_unwind(AssertUnwindSafe(|| eval(workspace, base, chunk)));
-        slots.lock().unwrap_or_else(PoisonError::into_inner)[index].out = Some(out);
+        let out = catch_unwind(AssertUnwindSafe(|| eval(workspace, range)));
+        lock(&current).outs[index] = Some(out);
     };
 
     let mut status = SearchStatus::Complete;
@@ -319,8 +285,8 @@ where
 
     let mut drive = || {
         let mut workspace = scratch();
-        // Global index of the next item — doubles as the dispatched-item
-        // count the node budget is polled against.
+        // Global index of the next chunk's base — doubles as the
+        // dispatched-index count the node budget is polled against.
         let mut next_base = 0u64;
         let mut generation = 0u32;
         loop {
@@ -329,26 +295,17 @@ where
                 break;
             }
             let width = config.generation_width(generation);
-            let mut produced = produce(generation, width * chunk_size).into_iter();
-            let mut gen = Vec::with_capacity(width);
-            loop {
-                let items: Vec<T> = produced.by_ref().take(chunk_size).collect();
-                if items.is_empty() {
-                    break;
-                }
-                let base = next_base;
-                next_base += items.len() as u64;
-                gen.push(Slot {
-                    base,
-                    items,
-                    out: None,
-                });
-            }
-            if gen.is_empty() {
+            let count = produce(generation, width * chunk_size);
+            if count == 0 {
                 break;
             }
-            *slots.lock().unwrap_or_else(PoisonError::into_inner) = gen;
-            next_slot.store(0, Ordering::Relaxed);
+            {
+                let mut slots = lock(&current);
+                slots.indices = next_base..next_base + count as u64;
+                slots.outs.resize_with(count.div_ceil(chunk_size), || None);
+            }
+            next_base += count as u64;
+            next_chunk.store(0, Ordering::Relaxed);
             if threads > 1 {
                 start.wait();
             }
@@ -356,15 +313,25 @@ where
             if threads > 1 {
                 finish.wait();
             }
-            let gen = std::mem::take(&mut *slots.lock().unwrap_or_else(PoisonError::into_inner));
-            for slot in gen {
-                collect(
-                    slot.out.expect("generation fully evaluated"),
-                    &mut merge,
-                    &mut first_error,
-                    &mut panic_payload,
-                );
+            // Merge in chunk order, outside the lock: keep the
+            // lowest-indexed error and the first worker panic, and merge
+            // nothing after either. The emptied slot buffer goes back for
+            // the next generation.
+            let mut outs = std::mem::take(&mut lock(&current).outs);
+            for out in outs.drain(..) {
+                let failed = first_error.is_some() || panic_payload.is_some();
+                match out.expect("generation fully evaluated") {
+                    Ok(Ok(c)) if !failed => {
+                        if let Err(e) = merge(c) {
+                            first_error = Some(e);
+                        }
+                    }
+                    Ok(Err(e)) if !failed => first_error = Some(e),
+                    Err(payload) if panic_payload.is_none() => panic_payload = Some(payload),
+                    _ => {}
+                }
             }
+            lock(&current).outs = outs;
             if first_error.is_some() || panic_payload.is_some() {
                 break;
             }
@@ -412,36 +379,6 @@ where
     }
 }
 
-/// Folds one evaluated slot into the driver state: merge successful
-/// results (in slot order, only while no failure is pending), keep the
-/// lowest-indexed error, and capture the first worker panic.
-fn collect<C, E>(
-    out: std::thread::Result<Result<C, E>>,
-    merge: &mut impl FnMut(C) -> Result<(), E>,
-    first_error: &mut Option<E>,
-    panic_payload: &mut Option<Box<dyn std::any::Any + Send>>,
-) {
-    match out {
-        Ok(Ok(c)) => {
-            if first_error.is_none() && panic_payload.is_none() {
-                if let Err(e) = merge(c) {
-                    *first_error = Some(e);
-                }
-            }
-        }
-        Ok(Err(e)) => {
-            if first_error.is_none() && panic_payload.is_none() {
-                *first_error = Some(e);
-            }
-        }
-        Err(payload) => {
-            if panic_payload.is_none() {
-                *panic_payload = Some(payload);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,22 +396,23 @@ mod tests {
             chunk_size: 4,
             chunks_per_generation: 4,
         };
-        let status = search_chunks(
-            values.iter().copied(),
+        let status = search_ranges(
+            values.len() as u64,
             &config,
             &SearchBudget::unlimited(),
-            |base, chunk: Vec<u64>| -> Result<_, ()> {
-                let tau = incumbent.get();
-                let mut local_tau = tau;
+            || (),
+            |(), range| -> Result<_, ()> {
+                let mut local_tau = incumbent.get();
                 let mut local_best = None;
                 let mut local_scored = 0u64;
-                for (i, v) in chunk.into_iter().enumerate() {
+                for i in range {
                     // "Scoring" only happens under the bound, like a
                     // τ-pruned evaluation would.
+                    let v = values[i as usize];
                     if v < local_tau {
                         local_scored += 1;
                         local_tau = v;
-                        local_best = Some((v, base + i as u64));
+                        local_best = Some((v, i));
                     }
                 }
                 Ok((local_best, local_scored))
@@ -511,55 +449,64 @@ mod tests {
 
     #[test]
     fn merge_sees_chunks_in_index_order() {
+        // 100 = 14 × 7 + 2: every range is a full chunk but the last,
+        // which holds the 2 leftover indices.
         for threads in [1, 4] {
-            let mut bases = Vec::new();
-            let status = search_chunks(
-                0..100u32,
+            let mut ranges = Vec::new();
+            let status = search_ranges(
+                100,
                 &ParallelConfig {
                     threads,
                     chunk_size: 7,
                     chunks_per_generation: 3,
                 },
                 &SearchBudget::unlimited(),
-                |base, chunk: Vec<u32>| Ok::<_, ()>((base, chunk.len())),
-                |(base, _)| {
-                    bases.push(base);
+                || (),
+                |(), range| Ok::<_, ()>(range),
+                |range| {
+                    ranges.push(range);
                     Ok(())
                 },
             )
             .unwrap();
             assert!(status.is_complete());
-            let expected: Vec<u64> = (0..100).step_by(7).map(|b| b as u64).collect();
-            assert_eq!(bases, expected, "threads {threads}");
+            let expected: Vec<Range<u64>> =
+                (0..100).step_by(7).map(|b| b..(b + 7).min(100)).collect();
+            assert_eq!(ranges, expected, "threads {threads}");
+            assert_eq!(ranges.last(), Some(&(98..100)));
         }
     }
 
     #[test]
     fn empty_input_completes_without_merging() {
-        let status = search_chunks(
-            std::iter::empty::<u32>(),
-            &ParallelConfig::with_threads(4),
-            &SearchBudget::unlimited(),
-            |_, _| Ok::<_, ()>(()),
-            |_| panic!("nothing to merge"),
-        )
-        .unwrap();
-        assert!(status.is_complete());
+        for threads in [1, 4] {
+            let status = search_ranges(
+                0,
+                &ParallelConfig::with_threads(threads),
+                &SearchBudget::unlimited(),
+                || (),
+                |(), _| -> Result<(), ()> { panic!("nothing to evaluate") },
+                |()| panic!("nothing to merge"),
+            )
+            .unwrap();
+            assert!(status.is_complete(), "threads {threads}");
+        }
     }
 
     #[test]
     fn expired_budget_still_runs_the_first_generation() {
         for threads in [1, 4] {
-            let mut merged_items = 0usize;
-            let status = search_chunks(
-                0..1000u32,
+            let mut merged_items = 0u64;
+            let status = search_ranges(
+                1000,
                 &ParallelConfig {
                     threads,
                     chunk_size: 8,
                     chunks_per_generation: 16,
                 },
                 &SearchBudget::time_limited(Duration::ZERO),
-                |_, chunk: Vec<u32>| Ok::<_, ()>(chunk.len()),
+                || (),
+                |(), range| Ok::<_, ()>(range.end - range.start),
                 |n| {
                     merged_items += n;
                     Ok(())
@@ -576,15 +523,16 @@ mod tests {
     fn node_budget_truncation_is_deterministic() {
         let count = |threads: usize| {
             let mut merged = 0u64;
-            let status = search_chunks(
-                0..10_000u32,
+            let status = search_ranges(
+                10_000,
                 &ParallelConfig {
                     threads,
                     chunk_size: 32,
                     chunks_per_generation: 16,
                 },
                 &SearchBudget::node_limited(100),
-                |_, chunk: Vec<u32>| Ok::<_, ()>(chunk.len() as u64),
+                || (),
+                |(), range| Ok::<_, ()>(range.end - range.start),
                 |n| {
                     merged += n;
                     Ok(())
@@ -613,17 +561,19 @@ mod tests {
             let (budget, handle) = SearchBudget::unlimited().cancellable();
             let evaluated = AtomicU64::new(0);
             let mut merged = 0u64;
-            let status = search_chunks(
-                0..1000u32,
+            let status = search_ranges(
+                1000,
                 &ParallelConfig {
                     threads,
                     chunk_size: 8,
                     chunks_per_generation: 16,
                 },
                 &budget,
-                |_, chunk: Vec<u32>| {
-                    evaluated.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-                    Ok::<_, ()>(chunk.len() as u64)
+                || (),
+                |(), range| {
+                    let n = range.end - range.start;
+                    evaluated.fetch_add(n, Ordering::Relaxed);
+                    Ok::<_, ()>(n)
                 },
                 |n| {
                     merged += n;
@@ -646,17 +596,18 @@ mod tests {
     #[test]
     fn lowest_indexed_error_wins() {
         for threads in [1, 4] {
-            let err = search_chunks(
-                0..256u32,
+            let err = search_ranges(
+                256,
                 &ParallelConfig {
                     threads,
                     chunk_size: 8,
                     chunks_per_generation: 8,
                 },
                 &SearchBudget::unlimited(),
-                |base, _chunk| {
-                    if base >= 64 {
-                        Err(base)
+                || (),
+                |(), range| {
+                    if range.start >= 64 {
+                        Err(range.start)
                     } else {
                         Ok(())
                     }
@@ -670,11 +621,12 @@ mod tests {
 
     #[test]
     fn merge_error_aborts() {
-        let err = search_chunks(
-            0..100u32,
+        let err = search_ranges(
+            100,
             &ParallelConfig::with_threads(4),
             &SearchBudget::unlimited(),
-            |base, _chunk| Ok(base),
+            || (),
+            |(), range| Ok(range.start),
             |base| if base >= 32 { Err("stop") } else { Ok(()) },
         )
         .unwrap_err();
@@ -684,12 +636,13 @@ mod tests {
     #[test]
     fn worker_panics_propagate_after_clean_shutdown() {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            search_chunks(
-                0..100u32,
+            search_ranges(
+                100,
                 &ParallelConfig::with_threads(4),
                 &SearchBudget::unlimited(),
-                |base, _chunk| -> Result<(), ()> {
-                    if base >= 32 {
+                || (),
+                |(), range| -> Result<(), ()> {
+                    if range.start >= 32 {
                         panic!("worker bug");
                     }
                     Ok(())
@@ -705,11 +658,12 @@ mod tests {
     #[test]
     fn merge_panics_propagate_instead_of_deadlocking() {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            search_chunks(
-                0..100u32,
+            search_ranges(
+                100,
                 &ParallelConfig::with_threads(4),
                 &SearchBudget::unlimited(),
-                |base, _chunk| Ok::<_, ()>(base),
+                || (),
+                |(), range| Ok::<_, ()>(range.start),
                 |base| {
                     if base >= 32 {
                         panic!("merge bug");
@@ -724,27 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn producer_panics_propagate_instead_of_deadlocking() {
-        let items = (0..100u32).inspect(|&i| {
-            if i >= 40 {
-                panic!("iterator bug");
-            }
-        });
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            search_chunks(
-                items,
-                &ParallelConfig::with_threads(4),
-                &SearchBudget::unlimited(),
-                |_base, _chunk: Vec<u32>| Ok::<_, ()>(()),
-                |()| Ok(()),
-            )
-        }));
-        let payload = result.unwrap_err();
-        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(message, "iterator bug");
-    }
-
-    #[test]
     fn hook_producer_panics_propagate_instead_of_deadlocking() {
         let result = catch_unwind(AssertUnwindSafe(|| {
             search_generations(
@@ -752,11 +685,12 @@ mod tests {
                     if generation >= 2 {
                         panic!("hook bug");
                     }
-                    vec![0u32; capacity]
+                    capacity
                 },
                 &ParallelConfig::with_threads(4),
                 &SearchBudget::unlimited(),
-                |_base, _chunk: Vec<u32>| Ok::<_, ()>(()),
+                || (),
+                |(), _range| Ok::<_, ()>(()),
                 |()| Ok(()),
             )
         }));
@@ -781,15 +715,16 @@ mod tests {
         );
         // And the search still runs (and stays deterministic).
         let mut sum = 0u64;
-        search_chunks(
-            0..100u64,
+        search_ranges(
+            100,
             &ParallelConfig {
                 threads: 1_000_000,
                 chunk_size: 8,
                 chunks_per_generation: 4,
             },
             &SearchBudget::unlimited(),
-            |_base, chunk: Vec<u64>| Ok::<_, ()>(chunk.iter().sum::<u64>()),
+            || (),
+            |(), range| Ok::<_, ()>(range.sum::<u64>()),
             |s| {
                 sum += s;
                 Ok(())
@@ -807,8 +742,8 @@ mod tests {
         // sees everything — proof the value survives generations.
         for threads in [1usize, 4] {
             let mut per_chunk_counts = Vec::new();
-            let status = search_chunks_with(
-                0..96u32,
+            let status = search_ranges(
+                96,
                 &ParallelConfig {
                     threads,
                     chunk_size: 8,
@@ -816,9 +751,9 @@ mod tests {
                 },
                 &SearchBudget::unlimited(),
                 || 0u64,
-                |seen: &mut u64, base, _chunk: Vec<u32>| {
+                |seen: &mut u64, range| {
                     *seen += 1;
-                    Ok::<_, ()>((base, *seen))
+                    Ok::<_, ()>((range.start, *seen))
                 },
                 |(base, seen)| {
                     per_chunk_counts.push((base, seen));
@@ -852,9 +787,9 @@ mod tests {
             |_generation, _capacity| {
                 rounds += 1;
                 if rounds == 1 {
-                    vec![0u32, 1]
+                    2
                 } else {
-                    Vec::new()
+                    0
                 }
             },
             &ParallelConfig {
@@ -863,7 +798,8 @@ mod tests {
                 chunks_per_generation: 2,
             },
             &SearchBudget::unlimited(),
-            |_base, _chunk: Vec<u32>| {
+            || (),
+            |(), _range| {
                 ids.lock().unwrap().push(std::thread::current().id());
                 rendezvous.wait();
                 Ok::<_, ()>(())
@@ -880,16 +816,17 @@ mod tests {
     #[test]
     fn generation_hook_sees_the_ramp() {
         // The hook runs once per generation with the ramped capacity;
-        // returning fewer items than the capacity keeps the search going.
+        // returning fewer indices than the capacity keeps the search
+        // going.
         let mut calls: Vec<(u32, usize)> = Vec::new();
         let mut merged: Vec<u64> = Vec::new();
-        let mut remaining = 10u32;
+        let mut remaining = 10usize;
         let status = search_generations(
             |generation, capacity| {
                 calls.push((generation, capacity));
                 let take = remaining.min(3);
                 remaining -= take;
-                (0..take).collect::<Vec<u32>>()
+                take
             },
             &ParallelConfig {
                 threads: 1,
@@ -897,7 +834,8 @@ mod tests {
                 chunks_per_generation: 4,
             },
             &SearchBudget::unlimited(),
-            |base, chunk: Vec<u32>| Ok::<_, ()>(base + chunk.len() as u64),
+            || (),
+            |(), range| Ok::<_, ()>(range.end),
             |v| {
                 merged.push(v);
                 Ok(())
@@ -908,18 +846,62 @@ mod tests {
         // Capacities follow the exponential ramp × chunk_size: 1×2, 2×2,
         // 4×2 (cap), …; the final call finds nothing and ends the search.
         assert_eq!(calls, vec![(0, 2), (1, 4), (2, 8), (3, 8), (4, 8)]);
-        // 3 items per call → chunks (2,1), (2,1), (2,1), (1): bases
-        // advance across generations.
+        // 3 indices per call → ranges of (2, 1), (2, 1), (2, 1), (1):
+        // bases advance across generations.
         assert_eq!(merged, vec![2, 3, 5, 6, 8, 9, 10]);
+    }
+
+    #[test]
+    fn a_hook_past_its_capacity_widens_the_generation() {
+        // Generation 0 has room for one chunk of 2 but is handed 9
+        // indices: it runs five ranges, the last one short. The node
+        // budget counts all 9, so a budget of 10 lets generation 1 run
+        // and stops the search before generation 2.
+        for threads in [1usize, 4] {
+            let mut calls = Vec::new();
+            let mut merged = Vec::new();
+            let status = search_generations(
+                |generation, capacity| {
+                    calls.push((generation, capacity));
+                    if generation == 0 {
+                        9
+                    } else {
+                        1
+                    }
+                },
+                &ParallelConfig {
+                    threads,
+                    chunk_size: 2,
+                    chunks_per_generation: 4,
+                },
+                &SearchBudget::node_limited(10),
+                || (),
+                |(), range| Ok::<_, ()>(range),
+                |range| {
+                    merged.push(range);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(status, SearchStatus::Truncated, "threads {threads}");
+            assert_eq!(calls, vec![(0, 2), (1, 4)], "threads {threads}");
+            assert_eq!(
+                merged,
+                vec![0..2, 2..4, 4..6, 6..8, 8..9, 9..10],
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]
     fn dynamic_production_is_thread_count_invariant() {
         // A hook that "admits" new work depending on the generation index
-        // (the live-queue pattern) must still merge bit-identically for
-        // every thread count.
+        // (the live-queue pattern) hands its items to `eval` by global
+        // index, and must still merge bit-identically for every thread
+        // count.
         let run = |threads: usize| {
             let mut queue: Vec<u64> = (0..40).collect();
+            let dispatched: Mutex<Vec<u64>> = Mutex::new(Vec::new());
             let mut merged = Vec::new();
             let status = search_generations(
                 |generation, capacity| {
@@ -928,7 +910,8 @@ mod tests {
                         queue.extend(1000..1010);
                     }
                     let take = capacity.min(queue.len());
-                    queue.drain(..take).collect::<Vec<u64>>()
+                    dispatched.lock().unwrap().extend(queue.drain(..take));
+                    take
                 },
                 &ParallelConfig {
                     threads,
@@ -936,7 +919,12 @@ mod tests {
                     chunks_per_generation: 4,
                 },
                 &SearchBudget::unlimited(),
-                |base, chunk: Vec<u64>| Ok::<_, ()>((base, chunk)),
+                || (),
+                |(), range: Range<u64>| {
+                    let items = dispatched.lock().unwrap();
+                    let chunk = items[range.start as usize..range.end as usize].to_vec();
+                    Ok::<_, ()>((range.start, chunk))
+                },
                 |(base, chunk)| {
                     merged.push((base, chunk));
                     Ok(())
@@ -966,9 +954,9 @@ mod tests {
                     observed.push(merged_total.get());
                     rounds += 1;
                     if rounds > 3 {
-                        Vec::new()
+                        0
                     } else {
-                        vec![1u64; 4]
+                        4
                     }
                 },
                 &ParallelConfig {
@@ -977,7 +965,8 @@ mod tests {
                     chunks_per_generation: 4,
                 },
                 &SearchBudget::unlimited(),
-                |_base, chunk: Vec<u64>| Ok::<_, ()>(chunk.iter().sum::<u64>()),
+                || (),
+                |(), range| Ok::<_, ()>(range.end - range.start),
                 |s| {
                     merged_total.set(merged_total.get() + s);
                     Ok(())
@@ -998,11 +987,12 @@ mod tests {
         let status = search_generations(
             |_, capacity| {
                 calls += 1;
-                vec![0u32; capacity]
+                capacity
             },
             &ParallelConfig::with_threads(4),
             &SearchBudget::time_limited(Duration::ZERO),
-            |_, _chunk| Ok::<_, ()>(()),
+            || (),
+            |(), _range| Ok::<_, ()>(()),
             |()| Ok(()),
         )
         .unwrap();

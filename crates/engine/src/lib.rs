@@ -10,9 +10,13 @@
 //!   budget threaded through all solver layers, replacing the per-crate
 //!   `time_limit` fields;
 //! * [`SharedIncumbent`] — an atomic `τ` bound workers prune against;
-//! * [`search_chunks`] — a `std::thread`-based chunked executor whose
-//!   generation-barrier schedule makes `threads = N` bit-identical to
-//!   `threads = 1` (see [`executor`] for the determinism argument).
+//! * [`search_ranges`] — a `std::thread`-based chunked executor over an
+//!   index space `0..len`, whose generation-barrier schedule makes
+//!   `threads = N` bit-identical to `threads = 1` (see [`executor`] for
+//!   the determinism argument). It hands every chunk to `eval` as a
+//!   `Range<u64>` of global indices, and the caller owns what an index
+//!   stands for; [`search_generations`] is the same driver with a
+//!   per-generation hook in place of the fixed length.
 //!
 //! No external dependencies: the executor is built on `std::thread`
 //! scoped threads, a [`std::sync::Barrier`] pair and atomics.
@@ -20,18 +24,19 @@
 //! # Example
 //!
 //! ```
-//! use tamopt_engine::{search_chunks, ParallelConfig, SearchBudget, SharedIncumbent};
+//! use tamopt_engine::{search_ranges, ParallelConfig, SearchBudget, SharedIncumbent};
 //!
-//! // Minimize (i * 37) % 101 over 0..500, pruning with a shared bound.
+//! // Minimize (i * 37) % 101 over i in 0..500, pruning with a shared bound.
 //! let incumbent = SharedIncumbent::unbounded();
 //! let mut best = u64::MAX;
-//! let status = search_chunks(
-//!     (0..500u64).map(|i| (i * 37) % 101),
+//! let status = search_ranges(
+//!     500,
 //!     &ParallelConfig::with_threads(4),
 //!     &SearchBudget::unlimited(),
-//!     |_base, chunk: Vec<u64>| -> Result<u64, ()> {
+//!     || (),
+//!     |(), range| -> Result<u64, ()> {
 //!         let tau = incumbent.get();
-//!         Ok(chunk.into_iter().filter(|&v| v < tau).min().unwrap_or(u64::MAX))
+//!         Ok(range.map(|i| (i * 37) % 101).filter(|&v| v < tau).min().unwrap_or(u64::MAX))
 //!     },
 //!     |chunk_min| {
 //!         incumbent.tighten(chunk_min);
@@ -53,8 +58,6 @@ mod incumbent;
 mod ranking;
 
 pub use crate::budget::{CancelHandle, SearchBudget};
-pub use crate::executor::{
-    search_chunks, search_chunks_with, search_generations, ParallelConfig, SearchStatus,
-};
+pub use crate::executor::{search_generations, search_ranges, ParallelConfig, SearchStatus};
 pub use crate::incumbent::SharedIncumbent;
 pub use crate::ranking::Ranking;

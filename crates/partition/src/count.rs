@@ -10,9 +10,15 @@
 //!
 //! This module provides the exact count by dynamic programming
 //! ([`unique_partitions`]) and the paper's estimate ([`estimate`]). The
-//! same table addresses partitions by rank: `RankTable` unranks the
-//! first partition of each chunk of the scan in
-//! [`crate::evaluate::partition_evaluate_top_k`].
+//! same table addresses partitions by rank: `RankTable::walk` unranks
+//! the first partition of each chunk and steps to the rest in place, for
+//! the scan in [`crate::evaluate::partition_evaluate_top_k`] and the
+//! exhaustive baseline in [`crate::exhaustive::solve_top_k`].
+
+use std::ops::Range;
+
+use crate::enumerate::advance_or_restart;
+use crate::PartitionError;
 
 /// Exact number of partitions of `total` into exactly `parts` positive
 /// parts, by the recurrence `p(n, k) = p(n-1, k-1) + p(n-k, k)` (the
@@ -144,6 +150,39 @@ impl RankTable {
         }
         widths.push(rest);
     }
+
+    /// Walks the ranks of `ranks` in order and hands `visit` each rank
+    /// with its partition: it unranks the first into `widths` and steps
+    /// to every later one in place ([`advance_or_restart`]), so a walk
+    /// allocates nothing once `widths` has room for the space's largest
+    /// part count. Stops at the first error `visit` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` is non-empty and reaches past `self.len()`.
+    pub(crate) fn walk(
+        &self,
+        ranks: Range<u64>,
+        widths: &mut Vec<u32>,
+        mut visit: impl FnMut(u64, &[u32]) -> Result<(), PartitionError>,
+    ) -> Result<(), PartitionError> {
+        let Range { start, end } = ranks;
+        if start >= end {
+            return Ok(());
+        }
+        assert!(
+            end <= self.len,
+            "rank {end} beyond the space of {}",
+            self.len
+        );
+        self.unrank(start, widths);
+        visit(start, widths)?;
+        for rank in start + 1..end {
+            advance_or_restart(widths, self.total);
+            visit(rank, widths)?;
+        }
+        Ok(())
+    }
 }
 
 /// The paper's asymptotic estimate `V(W, B) = W^(B-1) / (B!·(B-1)!)`,
@@ -199,7 +238,7 @@ fn binomial(n: u64, k: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{advance_or_restart, Partitions};
+    use crate::enumerate::Partitions;
     use proptest::prelude::*;
 
     /// The partitions of `total` into `min..=max` parts, as the scan
@@ -258,16 +297,17 @@ mod tests {
                 .skip(start as usize)
                 .take(count as usize)
                 .collect();
+            let ranks = start..(start + count).min(len);
             let mut widths = Vec::new();
-            let mut walked = Vec::new();
-            for rank in start..(start + count).min(len) {
-                if rank == start {
-                    table.unrank(rank, &mut widths);
-                } else {
-                    advance_or_restart(&mut widths, total);
-                }
-                walked.push(widths.clone());
-            }
+            let (mut visited, mut walked) = (Vec::new(), Vec::new());
+            table
+                .walk(ranks.clone(), &mut widths, |rank, widths| {
+                    visited.push(rank);
+                    walked.push(widths.to_vec());
+                    Ok(())
+                })
+                .unwrap();
+            prop_assert_eq!(visited, ranks.collect::<Vec<u64>>());
             prop_assert_eq!(walked, expected, "W={} B={}..={} from rank {}", total, min, max, start);
         }
     }

@@ -17,12 +17,12 @@
 //! included). A [`SearchBudget`] bounds the whole scan; a truncated run
 //! still returns the best partition of the generations that finished.
 //!
-//! The executor's items are partition *ranks*, not partitions. A worker
-//! unranks the first partition of its chunk from the `p(n, k)` table
-//! of [`crate::count`] and steps to the rest in place, so enumeration
-//! runs on the workers and allocates nothing per partition: a scan's
-//! allocations are per scan and per chunk, plus the TAM sets and results
-//! of candidates that enter a ranking.
+//! The executor's indices are partition *ranks*: it hands each chunk a
+//! range of them, and a worker unranks the first partition of its range
+//! from the `p(n, k)` table of [`crate::count`] and steps to the rest in
+//! place. So enumeration runs on the workers and allocates nothing per
+//! chunk or per partition: a scan's allocations are per scan, plus the
+//! TAM sets and results of candidates that enter a ranking.
 
 use std::sync::OnceLock;
 
@@ -30,11 +30,10 @@ use tamopt_assign::{
     core_assign_first_steps, core_assign_widths, AssignResult, AssignScratch, CoreAssignOptions,
     TamSet, TimeColumns,
 };
-use tamopt_engine::{search_chunks_with, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
+use tamopt_engine::{search_ranges, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
 use tamopt_wrapper::TimeTable;
 
 use crate::count::RankTable;
-use crate::enumerate::advance_or_restart;
 use crate::PartitionError;
 
 /// Pruning statistics of one `Partition_evaluate` run — the quantities
@@ -404,12 +403,12 @@ pub fn partition_evaluate_top_k(
     // allocation. `None` when the options rule the gate out.
     let gate: OnceLock<Option<AbortGate>> = OnceLock::new();
 
-    // One item per partition, so the node budget and the chunk geometry
-    // count partitions: item `r` is the partition of rank `r` (TAM counts
-    // ascending, each in `Increment` order), also its global index.
+    // One index per partition, so the node budget and the chunk geometry
+    // count partitions: index `r` is the partition of rank `r` (TAM counts
+    // ascending, each in `Increment` order).
     let ranks = RankTable::new(total_width, config.min_tams, config.max_tams);
-    let status = search_chunks_with(
-        0..ranks.len(),
+    let status = search_ranges(
+        ranks.len(),
         &config.parallel,
         &config.budget,
         || ScanScratch {
@@ -417,21 +416,14 @@ pub fn partition_evaluate_top_k(
             assign: AssignScratch::new(),
             ranking: Ranking::new(k),
         },
-        |scratch: &mut ScanScratch, base, chunk: Vec<u64>| -> Result<ChunkEval, PartitionError> {
-            debug_assert_eq!(chunk.first(), Some(&base));
+        |scratch: &mut ScanScratch, range| -> Result<ChunkEval, PartitionError> {
             // The shared k-th-best bound as of this chunk's generation,
             // tightened locally by the chunk's own heap as it fills.
             let snapshot = incumbent.get();
             scratch.ranking.clear();
             let mut out_stats = PruneStats::default();
             let mut skipped = 0u64;
-            let widths = &mut scratch.widths;
-            for index in chunk {
-                if index == base {
-                    ranks.unrank(base, widths);
-                } else {
-                    advance_or_restart(widths, total_width);
-                }
+            ranks.walk(range, &mut scratch.widths, |index, widths| {
                 out_stats.enumerated += 1;
                 // A candidate worse than the chunk's own k-th best can
                 // never enter the global top-k either, so the local
@@ -460,7 +452,7 @@ pub fn partition_evaluate_top_k(
                         // `Core_assign` would abort; skip it.
                         out_stats.aborted += 1;
                         skipped += 1;
-                        continue;
+                        return Ok(());
                     }
                 }
                 match core_assign_widths(
@@ -493,7 +485,8 @@ pub fn partition_evaluate_top_k(
                         out_stats.aborted += 1;
                     }
                 }
-            }
+                Ok(())
+            })?;
             Ok(ChunkEval {
                 stats: out_stats,
                 bound_skipped: skipped,

@@ -10,11 +10,13 @@
 //! reproduces the paper's headline claim; see the benches.
 //!
 //! Like the heuristic scan, the baseline runs on the deterministic
-//! chunked executor of [`tamopt_engine`]: per-partition exact solves are
-//! independent, so chunks parallelize freely, and the winner reduces by
-//! partition index — `threads = N` returns exactly the `threads = 1`
-//! result. The unified [`SearchBudget`] bounds the whole enumeration
-//! *and* is intersected into every per-partition solve.
+//! chunked executor of [`tamopt_engine`] over partition ranks, each
+//! chunk walking its range of the same rank space in place:
+//! per-partition exact solves are independent, so chunks parallelize
+//! freely, and the winner reduces by partition rank — `threads = N`
+//! returns exactly the `threads = 1` result. The unified
+//! [`SearchBudget`] bounds the whole enumeration *and* is intersected
+//! into every per-partition solve.
 //!
 //! Per-partition solves are additionally **seeded** from the shared
 //! generation-barrier incumbent (see
@@ -28,10 +30,10 @@
 
 use tamopt_assign::exact::{self, ExactConfig};
 use tamopt_assign::{AssignResult, CostMatrix, TamSet};
-use tamopt_engine::{search_chunks, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
+use tamopt_engine::{search_ranges, ParallelConfig, Ranking, SearchBudget, SharedIncumbent};
 use tamopt_wrapper::TimeTable;
 
-use crate::enumerate::Partitions;
+use crate::count::RankTable;
 use crate::evaluate::{validate, Candidate, PruneStats, RankedPartition};
 use crate::PartitionError;
 
@@ -218,12 +220,15 @@ pub fn solve_top_k(
     let mut proven = true;
     let mut global: Ranking<Candidate> = Ranking::new(k);
 
-    let items = (config.min_tams..=config.max_tams).flat_map(|b| Partitions::new(total_width, b));
-    let status = search_chunks(
-        items,
+    // One index per partition, in the scan's rank order: TAM counts
+    // ascending, each in `Increment` order.
+    let ranks = RankTable::new(total_width, config.min_tams, config.max_tams);
+    let status = search_ranges(
+        ranks.len(),
         &config.parallel,
         &config.budget,
-        |base, chunk: Vec<Vec<u32>>| -> Result<ChunkSolve, PartitionError> {
+        || Vec::with_capacity(config.max_tams.min(total_width) as usize),
+        |widths: &mut Vec<u32>, range| -> Result<ChunkSolve, PartitionError> {
             // The k-th-best incumbent as of this chunk's generation
             // barrier, tightened locally as the chunk's own heap fills.
             let snapshot = incumbent.get();
@@ -235,8 +240,9 @@ pub fn solve_top_k(
                 proven: true,
                 best: Vec::new(),
             };
-            for (offset, widths) in chunk.into_iter().enumerate() {
-                let tams = TamSet::new(widths).expect("partition parts are positive");
+            ranks.walk(range, widths, |index, widths| {
+                let tams =
+                    TamSet::new(widths.iter().copied()).expect("partition parts are positive");
                 let costs = CostMatrix::from_table(table, &tams)?;
                 let tau = match local.worst() {
                     Some(worst) if local.is_full() => snapshot.min(worst.time),
@@ -257,14 +263,14 @@ pub fn solve_top_k(
                 }
                 out.proven &= solution.proven_optimal;
                 out.solved += 1;
-                let time = solution.result.soc_time();
                 local.offer(Candidate {
-                    time,
-                    index: base + offset as u64,
+                    time: solution.result.soc_time(),
+                    index,
                     tams,
                     result: solution.result,
                 });
-            }
+                Ok(())
+            })?;
             out.best = local.drain_sorted();
             Ok(out)
         },
@@ -308,6 +314,7 @@ pub fn solve_top_k(
 mod tests {
     use super::*;
     use crate::count;
+    use crate::enumerate::Partitions;
     use crate::evaluate::{partition_evaluate, EvaluateConfig};
     use std::time::Duration;
     use tamopt_soc::benchmarks;
@@ -494,6 +501,41 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(run(threads), reference, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn rank_walk_covers_the_partitions_in_enumeration_order() {
+        // k is the whole space, so the ranking holds every partition and
+        // no seed ever bounds a solve: it must be a brute force over the
+        // chained `Partitions` iterators, ranked by (time, enumeration
+        // index) — which pins both coverage and tie order.
+        let table = d695_table(12);
+        let mut brute: Vec<(u64, usize, RankedPartition)> = (1..=3)
+            .flat_map(|b| Partitions::new(12, b))
+            .enumerate()
+            .map(|(index, widths)| {
+                let tams = TamSet::new(widths).unwrap();
+                let costs = CostMatrix::from_table(&table, &tams).unwrap();
+                let solution = exact::solve(&costs, &ExactConfig::default()).unwrap();
+                assert!(solution.proven_optimal);
+                let time = solution.result.soc_time();
+                let entry = RankedPartition {
+                    tams,
+                    result: solution.result,
+                };
+                (time, index, entry)
+            })
+            .collect();
+        let space = count::partitions_up_to(12, 3);
+        assert_eq!(brute.len() as u64, space);
+        brute.sort_by_key(|&(time, index, _)| (time, index));
+        let expected: Vec<RankedPartition> = brute.into_iter().map(|(_, _, e)| e).collect();
+
+        let ranked =
+            solve_top_k(&table, 12, &ExhaustiveConfig::up_to_tams(3), space as usize).unwrap();
+        assert_eq!(ranked.partitions_solved, space);
+        assert!(ranked.proven_optimal);
+        assert_eq!(ranked.entries, expected);
     }
 
     #[test]

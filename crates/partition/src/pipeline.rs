@@ -12,12 +12,11 @@
 //! (its p21241, `W = 16` discussion). [`CoOptimization`] therefore keeps
 //! both the heuristic and the optimized results visible.
 
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use tamopt_assign::exact::ExactConfig;
 use tamopt_assign::{exact, AssignResult, CoreAssignOptions, CostMatrix, TamSet};
-use tamopt_engine::{search_generations, ParallelConfig, SearchBudget};
+use tamopt_engine::{search_ranges, ParallelConfig, SearchBudget, SharedIncumbent};
 use tamopt_wrapper::TimeTable;
 
 use crate::evaluate::{partition_evaluate_top_k, EvaluateConfig, PruneStats, RankedPartition};
@@ -280,8 +279,8 @@ pub struct FrontierResult {
 /// not inside it). A width's scan is warm-started (`seed_tau`) with the
 /// best heuristic SOC time merged from *narrower* widths — achievable
 /// there, hence achievable at any wider budget (testing time is
-/// non-increasing in width) — which cannot change any winner. Seeds are
-/// read at generation barriers on the driver thread, so the swept
+/// non-increasing in width) — which cannot change any winner. Seeds only
+/// tighten at generation barriers, on the driver thread, so the swept
 /// results are bit-identical for every `sweep_parallel.threads`, and
 /// identical to independent [`co_optimize`] calls per width.
 ///
@@ -318,8 +317,8 @@ pub fn co_optimize_frontier(
 /// [`EvaluateConfig::seed_tau`](crate::EvaluateConfig)).
 ///
 /// External seeds combine with the sweep's own narrower-width merging:
-/// each width's scan is seeded with the minimum of both sources, read at
-/// generation barriers on the driver thread — bit-identical results for
+/// each width's scan is seeded with the minimum of both sources, as it
+/// stood at the last generation barrier — bit-identical results for
 /// every `sweep_parallel.threads` value, with or without seeds.
 ///
 /// # Errors
@@ -359,59 +358,40 @@ pub fn co_optimize_frontier_seeded(
     // per-scan unit and carries into the widths via `inner.budget`.
     let sweep_budget = config.budget.clone().without_node_budget();
 
-    // Best heuristic SOC time merged so far. Written by `merge` and read
-    // by `produce` — both run on the driver thread, `produce` strictly
-    // under the generation barrier, so every width dispatched in
-    // generation `g` sees exactly the widths merged in generations
-    // `< g`: deterministic in the sweep thread count.
-    let seed: Cell<Option<u64>> = Cell::new(None);
-    let mut pending = widths.iter().copied();
+    // Best heuristic SOC time merged so far. `merge` tightens it between
+    // generations and `eval` only reads it, so every width of generation
+    // `g` sees exactly the widths merged in generations `< g`:
+    // deterministic in the sweep thread count.
+    let seed = SharedIncumbent::unbounded();
     let mut points: Vec<(u32, CoOptimization)> = Vec::with_capacity(widths.len());
 
-    let status = search_generations(
-        |_generation, capacity| {
-            let merged = seed.get();
-            pending
-                .by_ref()
-                .take(capacity)
-                .map(|w| {
-                    // An external pair seeds every width ≥ its own; the
-                    // tightest applicable bound wins.
-                    let external = external_seeds
-                        .iter()
-                        .filter(|(ew, _)| *ew <= w)
-                        .map(|(_, t)| *t)
-                        .min();
-                    let tau = match (merged, external) {
-                        (Some(m), Some(e)) => Some(m.min(e)),
-                        (m, e) => m.or(e),
-                    };
-                    (w, tau)
-                })
-                .collect()
-        },
+    let status = search_ranges(
+        widths.len() as u64,
         &sweep,
         &sweep_budget,
-        |_base, chunk: Vec<(u32, Option<u64>)>| {
-            chunk
-                .into_iter()
-                .map(|(width, tau)| {
-                    let cfg = PipelineConfig {
-                        seed_tau: tau,
-                        ..inner.clone()
-                    };
-                    co_optimize(table, width, &cfg).map(|co| (width, co))
-                })
-                .collect::<Result<Vec<_>, PartitionError>>()
+        || (),
+        |(), range| {
+            let width = widths[range.start as usize];
+            // An external pair seeds every width ≥ its own; the
+            // tightest applicable bound wins.
+            let external = external_seeds
+                .iter()
+                .filter(|(ew, _)| *ew <= width)
+                .map(|(_, t)| *t)
+                .min();
+            let tau = match (seed.bound(), external) {
+                (Some(m), Some(e)) => Some(m.min(e)),
+                (m, e) => m.or(e),
+            };
+            let cfg = PipelineConfig {
+                seed_tau: tau,
+                ..inner.clone()
+            };
+            co_optimize(table, width, &cfg).map(|co| (width, co))
         },
-        |chunk: Vec<(u32, CoOptimization)>| {
-            for (width, co) in chunk {
-                let tau = co.heuristic.soc_time();
-                if seed.get().is_none_or(|s| tau < s) {
-                    seed.set(Some(tau));
-                }
-                points.push((width, co));
-            }
+        |(width, co)| {
+            seed.tighten(co.heuristic.soc_time());
+            points.push((width, co));
             Ok(())
         },
     )?;

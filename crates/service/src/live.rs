@@ -1316,7 +1316,12 @@ fn dispatch(
     };
 
     let pool_width = parallel.effective_threads();
-    let produce = |generation: u32, capacity: usize| -> Vec<Dispatch> {
+    // The generation in flight, by global index: `produce` stores its
+    // dispatches under the barrier, after the first index it hands out,
+    // and each `eval` takes the one its range names.
+    let in_flight: Mutex<(u64, Vec<Option<Dispatch>>)> = Mutex::new((0, Vec::new()));
+    let mut next_index = 0u64;
+    let produce = |generation: u32, capacity: usize| -> usize {
         // Periodic persistence: a dirty store snapshots at generation
         // barriers (on the dispatcher thread, no other lock held), so a
         // crashed daemon loses at most `snapshot_every` generations.
@@ -1376,12 +1381,12 @@ fn dispatch(
                     }
                     continue;
                 }
-                return Vec::new(); // trace exhausted: replay is over
+                return 0; // trace exhausted: replay is over
             }
             // …or, live: end on shutdown / a dead budget, else park
             // until a submission or cancellation arrives.
             if state.shutdown || config.budget.out_of_time() || config.budget.cancelled() {
-                return Vec::new();
+                return 0;
             }
             state = shared
                 .cv
@@ -1405,106 +1410,110 @@ fn dispatch(
         // it evenly (thread-count-invariant inner geometry: identical
         // results and `PruneStats` for every split).
         let inner_threads = (pool_width / take.max(1)).max(1);
-        state
-            .pending
-            .drain(..take)
-            .map(|p| {
-                let seed = if config.warm_start {
-                    book.cache.seed(p.fingerprint, &p.request)
-                } else {
-                    WarmSeed::default()
-                };
-                Dispatch {
-                    id: p.id,
-                    request: p.request,
-                    fingerprint: p.fingerprint,
-                    want_columns: config.warm_start && seed.table.is_none(),
-                    seed,
-                    inner_threads,
-                }
+        let mut slots = in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+        let (first, dispatches) = &mut *slots;
+        *first = next_index;
+        next_index += take as u64;
+        dispatches.clear();
+        dispatches.extend(state.pending.drain(..take).map(|p| {
+            let seed = if config.warm_start {
+                book.cache.seed(p.fingerprint, &p.request)
+            } else {
+                WarmSeed::default()
+            };
+            Some(Dispatch {
+                id: p.id,
+                request: p.request,
+                fingerprint: p.fingerprint,
+                want_columns: config.warm_start && seed.table.is_none(),
+                seed,
+                inner_threads,
             })
-            .collect()
+        }));
+        take
     };
 
     let status = search_generations(
         produce,
         &parallel,
         &config.budget,
-        |_base, chunk: Vec<Dispatch>| -> Result<_, std::convert::Infallible> {
-            Ok(chunk
-                .into_iter()
-                .map(|dispatch| {
-                    let result = run_request(
-                        &dispatch.request,
-                        &inner_global,
-                        &dispatch.seed,
-                        dispatch.inner_threads,
-                        dispatch.want_columns,
-                    );
-                    (dispatch, result)
-                })
-                .collect::<Vec<_>>())
+        || (),
+        |(), range| -> Result<_, std::convert::Infallible> {
+            // `chunk_size: 1`: every range is one request.
+            let dispatch = {
+                let mut slots = in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+                let (first, dispatches) = &mut *slots;
+                dispatches[(range.start - *first) as usize]
+                    .take()
+                    .expect("a request is evaluated once")
+            };
+            let result = run_request(
+                &dispatch.request,
+                &inner_global,
+                &dispatch.seed,
+                dispatch.inner_threads,
+                dispatch.want_columns,
+            );
+            Ok((dispatch, result))
         },
-        |evaluated| {
+        |(dispatch, result)| {
             let mut book = book.borrow_mut();
             let mut state = lock(shared);
-            for (dispatch, result) in evaluated {
-                state.handles.remove(&dispatch.id);
-                let outcome = match result {
-                    Ok(res) => {
-                        if config.warm_start {
-                            // Every entry is a valid architecture at its
-                            // own width — a frontier or top-k request
-                            // warms the cache across its whole payload
-                            // (all K incumbents, not just the headline).
-                            let cache = &mut book.cache;
-                            for entry in &res.entries {
-                                cache.record(
-                                    dispatch.fingerprint,
-                                    entry.width,
-                                    entry.result.tams.len() as u32,
-                                    entry.result.heuristic.soc_time(),
-                                );
-                            }
-                            if let Some(columns) = &res.columns {
-                                cache.record_columns(dispatch.fingerprint, columns.clone());
-                            }
+            state.handles.remove(&dispatch.id);
+            let outcome = match result {
+                Ok(res) => {
+                    if config.warm_start {
+                        // Every entry is a valid architecture at its
+                        // own width — a frontier or top-k request
+                        // warms the cache across its whole payload
+                        // (all K incumbents, not just the headline).
+                        let cache = &mut book.cache;
+                        for entry in &res.entries {
+                            cache.record(
+                                dispatch.fingerprint,
+                                entry.width,
+                                entry.result.tams.len() as u32,
+                                entry.result.heuristic.soc_time(),
+                            );
                         }
-                        if let Some(binding) = &config.store {
-                            binding.record(dispatch.fingerprint, &res.entries, &res.columns);
-                        }
-                        // Any tripped flag on the request's own budget
-                        // counts: the queue's handle, or one the caller
-                        // attached before submitting (a batch's push
-                        // handle).
-                        let status = if res.complete {
-                            RequestStatus::Complete
-                        } else if dispatch.request.budget.cancelled() {
-                            RequestStatus::Cancelled
-                        } else {
-                            RequestStatus::Partial
-                        };
-                        let headline = res.headline().clone();
-                        // Point outcomes keep the legacy single-result
-                        // shape; only the typed kinds carry a payload.
-                        let results = if dispatch.request.kind == RequestKind::Point {
-                            Vec::new()
-                        } else {
-                            res.entries
-                        };
-                        RequestOutcome {
-                            result: Some(headline),
-                            results,
-                            ..bare_outcome(dispatch.id, &dispatch.request, status)
+                        if let Some(columns) = &res.columns {
+                            cache.record_columns(dispatch.fingerprint, columns.clone());
                         }
                     }
-                    Err(message) => RequestOutcome {
-                        error: Some(message),
-                        ..bare_outcome(dispatch.id, &dispatch.request, RequestStatus::Failed)
-                    },
-                };
-                book.emit(outcome);
-            }
+                    if let Some(binding) = &config.store {
+                        binding.record(dispatch.fingerprint, &res.entries, &res.columns);
+                    }
+                    // Any tripped flag on the request's own budget
+                    // counts: the queue's handle, or one the caller
+                    // attached before submitting (a batch's push
+                    // handle).
+                    let status = if res.complete {
+                        RequestStatus::Complete
+                    } else if dispatch.request.budget.cancelled() {
+                        RequestStatus::Cancelled
+                    } else {
+                        RequestStatus::Partial
+                    };
+                    let headline = res.headline().clone();
+                    // Point outcomes keep the legacy single-result
+                    // shape; only the typed kinds carry a payload.
+                    let results = if dispatch.request.kind == RequestKind::Point {
+                        Vec::new()
+                    } else {
+                        res.entries
+                    };
+                    RequestOutcome {
+                        result: Some(headline),
+                        results,
+                        ..bare_outcome(dispatch.id, &dispatch.request, status)
+                    }
+                }
+                Err(message) => RequestOutcome {
+                    error: Some(message),
+                    ..bare_outcome(dispatch.id, &dispatch.request, RequestStatus::Failed)
+                },
+            };
+            book.emit(outcome);
             Ok(())
         },
     );
